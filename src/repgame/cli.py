@@ -76,18 +76,6 @@ def canonical_json(obj) -> str:
     return _dumps(obj) + "\n"
 
 
-def _to_jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "to_dict"):
-            return _to_jsonable(obj.to_dict())
-        return _to_jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -113,49 +101,6 @@ def load_params(path: str) -> ModelParams:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-# -- equilibrium serialization --------------------------------------------------
-
-
-def mild_eq_dict(eq) -> dict:
-    return {
-        "c_tilde": eq.c_tilde,
-        "kappa": eq.kappa,
-        "gamma_prime": eq.gamma_prime,
-        "mu_R": eq.mu_R.to_dict(),
-        "mu_NN": eq.mu_NN.to_dict(),
-        "q_prime": eq.q_prime,
-        "prob_revealed_given_G": eq.prob_revealed_given_G,
-        "prob_revealed_given_B": eq.prob_revealed_given_B,
-        "prob_revealed": eq.prob_revealed,
-        "prob_concealed": eq.prob_concealed,
-        "prob_total": eq.prob_total,
-        "prob_concession": eq.prob_concession,
-        "p_R": eq.p_R,
-        "p_NN": eq.p_NN,
-        "p_prior": eq.p_prior,
-        "D": eq.D,
-        "D_lower": eq.D_lower,
-        "residual": eq.residual,
-    }
-
-
-def severe_eq_dict(eq) -> dict:
-    return {
-        "c_tilde_B": eq.c_tilde_B,
-        "c_tilde_G": eq.c_tilde_G,
-        "corner": eq.corner,
-        "mu_R": eq.mu_R.to_dict(),
-        "mu_NN": eq.mu_NN.to_dict(),
-        "p_R": eq.p_R,
-        "p_NN": eq.p_NN,
-        "p_prior": eq.p_prior,
-        "D": eq.D,
-        "multiplicity_note": list(eq.multiplicity_note),
-        "residual_B": eq.residual_B,
-        "residual_G": eq.residual_G,
-    }
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -179,14 +124,14 @@ def _cmd_check(args) -> int:
 def _cmd_solve_mild(args) -> int:
     params = load_params(args.config)
     eq = solve_mild(params, tol=args.tol)
-    _emit(canonical_json(mild_eq_dict(eq)), args.out)
+    _emit(canonical_json(dataclasses.asdict(eq)), args.out)
     return EXIT_OK
 
 
 def _cmd_solve_severe(args) -> int:
     params = load_params(args.config)
     eq = solve_severe(params, tol=args.tol, scan=args.scan)
-    _emit(canonical_json(severe_eq_dict(eq)), args.out)
+    _emit(canonical_json(dataclasses.asdict(eq)), args.out)
     return EXIT_OK
 
 
@@ -309,25 +254,20 @@ def _cmd_verify(args) -> int:
         )
     payload: dict = {}
     failed = False
-    if mild_report.ok:
-        eq = solve_mild(params, tol=args.tol)
+    for regime, report, solver in (
+        ("mild", mild_report, solve_mild),
+        ("severe", severe_report, solve_severe),
+    ):
+        if not report.ok:
+            continue
+        eq = solver(params, tol=args.tol)
         cert = verify.certify_equilibrium(params, eq, grid=args.grid)
         ok = (
             cert.max_regret <= 1e-9
             and cert.bayes_gap <= 1e-10
             and cert.identity_gaps["reveal_probability"] > 0.0
         )
-        payload["mild"] = {"ok": ok, "certificate": cert.to_dict()}
-        failed |= not ok
-    if severe_report.ok:
-        eq = solve_severe(params, tol=args.tol)
-        cert = verify.certify_equilibrium(params, eq, grid=args.grid)
-        ok = (
-            cert.max_regret <= 1e-9
-            and cert.bayes_gap <= 1e-10
-            and cert.identity_gaps["reveal_probability"] > 0.0
-        )
-        payload["severe"] = {"ok": ok, "certificate": cert.to_dict()}
+        payload[regime] = {"ok": ok, "certificate": cert.to_dict()}
         failed |= not ok
     for regime in ("mild", "severe"):
         law = verify.sign_law_check(regime, n_draws=args.draws, seed=args.seed)

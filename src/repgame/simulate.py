@@ -17,6 +17,7 @@ assumes.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,20 +268,7 @@ class SimStats:
         return self._sum(observation="NN")
 
     def to_dict(self) -> dict:
-        return {
-            "n_episodes": self.n_episodes,
-            "counts": dict(sorted(self.counts.items())),
-            "p_hat_revealed": self.p_hat_revealed,
-            "p_hat_R": self.p_hat_R,
-            "p_hat_NN": self.p_hat_NN,
-            "q_hat": self.q_hat,
-            "q_hat_prime": self.q_hat_prime,
-            "se_p_hat_revealed": self.se_p_hat_revealed,
-            "se_p_hat_R": self.se_p_hat_R,
-            "se_p_hat_NN": self.se_p_hat_NN,
-            "se_q_hat": self.se_q_hat,
-            "se_q_hat_prime": self.se_q_hat_prime,
-        }
+        return {**dataclasses.asdict(self), "counts": dict(sorted(self.counts.items()))}
 
     @classmethod
     def from_counts(cls, n_episodes: int, counts: dict) -> "SimStats":
@@ -358,15 +346,7 @@ class EstimationReport:
     flags: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "total_hat": self.total_hat,
-            "H_hat": self.H_hat,
-            "D_lower_hat": self.D_lower_hat,
-            "se_total_hat": self.se_total_hat,
-            "se_H_hat": self.se_H_hat,
-            "se_D_lower_hat": self.se_D_lower_hat,
-            "flags": list(self.flags),
-        }
+        return dataclasses.asdict(self)
 
 
 def estimate_plugin(

@@ -32,6 +32,7 @@ from . import model
 from .errors import AssumptionError, DomainError, SolverError
 from .model import Belief, ModelParams
 from .rootfind import find_root
+from .solver_mild import RepressionProbabilities
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SCAN = 400
@@ -89,8 +90,6 @@ def _p_nn(params: ModelParams, c_B, c_G):
 
 def severe_repression_probabilities(eq: "SevereEquilibrium", params: ModelParams):
     """Repression/concession probabilities conditional on an organized activist."""
-    from .solver_mild import RepressionProbabilities
-
     q = params.q
     h_G = params.H.cdf(eq.c_tilde_G)
     h_B = params.H.cdf(eq.c_tilde_B)
@@ -124,15 +123,11 @@ def _scan_roots_1d(f, lo: float, hi: float, n: int) -> list[float]:
     """All sign-change roots of a vectorized f on [lo, hi] from an n-point scan."""
     xs = np.linspace(lo, hi, n)
     vals = np.asarray(f(xs), dtype=float)
-    roots = []
-    for i in range(n - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(xs[i]))
-        elif (a < 0.0) != (b < 0.0):
-            roots.append(find_root(f, float(xs[i]), float(xs[i + 1])))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    roots = xs[vals == 0.0].tolist()
+    # a cell is refined when its ends differ in sign and its left end is no root
+    neg = vals < 0.0
+    for i in np.flatnonzero((neg[:-1] != neg[1:]) & (vals[:-1] != 0.0)):
+        roots.append(find_root(f, float(xs[i]), float(xs[i + 1])))
     # dedupe near-coincident roots from adjacent cells
     out: list[float] = []
     for r in sorted(roots):

@@ -142,6 +142,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per grid point; raises EmptySweepError if nothing is valid."""
     rows: list[SweepRow] = []
     any_valid = False
+    mild = spec.variant == "mild"
+    cols = MILD_COLUMNS if mild else SEVERE_COLUMNS
+    check = model.check_assumption_mild if mild else model.check_assumption_severe
     for value in np.linspace(spec.start, spec.end, spec.steps):
         value = float(value)
         try:
@@ -149,48 +152,19 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         except DomainError:
             rows.append(SweepRow(axis_value=value, assumption_ok=False))
             continue
-        if spec.variant == "mild":
-            if not model.check_assumption_mild(trial).ok:
-                rows.append(SweepRow(axis_value=value, assumption_ok=False))
-                continue
-            eq = solve_mild(trial)
-            rows.append(
-                SweepRow(
-                    axis_value=value,
-                    assumption_ok=True,
-                    c_tilde=eq.c_tilde,
-                    prob_revealed=eq.prob_revealed,
-                    prob_concealed=eq.prob_concealed,
-                    prob_total=eq.prob_total,
-                    p_R=eq.p_R,
-                    p_NN=eq.p_NN,
-                    p_prior=eq.p_prior,
-                    D=eq.D,
-                    D_lower=eq.D_lower,
-                )
-            )
+        if not check(trial).ok:
+            rows.append(SweepRow(axis_value=value, assumption_ok=False))
+            continue
+        if mild:
+            found = dataclasses.asdict(solve_mild(trial))
         else:
-            if not model.check_assumption_severe(trial).ok:
-                rows.append(SweepRow(axis_value=value, assumption_ok=False))
-                continue
             eq = solve_severe(trial, scan=0)  # multiplicity diagnostics off in bulk
-            probs = severe_repression_probabilities(eq, trial)
-            rows.append(
-                SweepRow(
-                    axis_value=value,
-                    assumption_ok=True,
-                    c_tilde_B=eq.c_tilde_B,
-                    c_tilde_G=eq.c_tilde_G,
-                    prob_revealed=probs.prob_revealed,
-                    prob_concealed=probs.prob_concealed,
-                    prob_total=probs.prob_total,
-                    p_R=eq.p_R,
-                    p_NN=eq.p_NN,
-                    p_prior=eq.p_prior,
-                    D=eq.D,
-                    D_lower=eq.p_NN - eq.p_R,
-                )
-            )
+            found = {
+                **dataclasses.asdict(eq),
+                **dataclasses.asdict(severe_repression_probabilities(eq, trial)),
+                "D_lower": eq.p_NN - eq.p_R,
+            }
+        rows.append(SweepRow(value, True, **{c: found[c] for c in cols[2:]}))
         any_valid = True
     if not any_valid:
         raise EmptySweepError(f"no valid grid point on {spec.axis} in [{spec.start}, {spec.end}]")

@@ -50,12 +50,7 @@ class RegretReport:
     identity_gaps: dict
 
     def to_dict(self) -> dict:
-        return {
-            "max_regret": self.max_regret,
-            "worst_type": list(self.worst_type) if self.worst_type else None,
-            "bayes_gap": self.bayes_gap,
-            "identity_gaps": dict(self.identity_gaps),
-        }
+        return dataclasses.asdict(self)
 
 
 def _available_payoffs(params: ModelParams, p_R: float, p_NN: float, theta: str, c: float, variant: str) -> dict:
@@ -246,14 +241,7 @@ class LimitReport:
     negligible_gap: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "prohibitive": [p.to_dict() for p in self.prohibitive],
-            "negligible": [p.to_dict() for p in self.negligible],
-            "prohibitive_limit": self.prohibitive_limit,
-            "negligible_limit": self.negligible_limit,
-            "prohibitive_gap": self.prohibitive_gap,
-            "negligible_gap": self.negligible_gap,
-        }
+        return dataclasses.asdict(self)
 
 
 def _limit_point(params: ModelParams, h_family: BoundedCDF, eps: float) -> LimitPoint:
@@ -308,15 +296,7 @@ class MonotonicityReport:
     truncated_note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "regime": self.regime,
-            "values": list(self.values),
-            "effects": list(self.effects),
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "truncated_note": self.truncated_note,
-        }
+        return dataclasses.asdict(self)
 
 
 def effect_monotonicity_check(
@@ -428,14 +408,7 @@ class SignLawReport:
     failures: tuple[dict, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "n_checked": self.n_checked,
-            "draws_used": self.draws_used,
-            "acceptance_rate": self.acceptance_rate,
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
+        return dataclasses.asdict(self)
 
 
 def sign_law_check(
