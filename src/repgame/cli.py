@@ -195,6 +195,8 @@ def _cmd_estimate(args) -> int:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{args.stats}: {exc}") from exc
+        if isinstance(raw, dict) and "stats" in raw:
+            raw = raw["stats"]  # the whole payload of simulate --out
         try:
             stats = simulate.SimStats.from_dict(raw)
         except (KeyError, TypeError, ValueError) as exc:

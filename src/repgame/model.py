@@ -12,6 +12,7 @@ grid points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .distributions import BoundedCDF
@@ -49,6 +50,10 @@ class ModelParams:
             raise DomainError(f"gamma must be in (0,1), got {self.gamma}")
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must be in (0,1), got {self.q}")
+        if not (math.isfinite(self.beta_G) and math.isfinite(self.beta_B)):
+            raise DomainError(
+                f"beta_G and beta_B must be finite, got beta_G={self.beta_G}, beta_B={self.beta_B}"
+            )
         if not self.beta_G > max(self.beta_B, 0.0):
             raise DomainError(
                 f"beta_G must exceed max(beta_B, 0), got beta_G={self.beta_G}, beta_B={self.beta_B}"

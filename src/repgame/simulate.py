@@ -154,6 +154,8 @@ def play_episode(
 
 def episode_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """(count, 4) uniforms; row i is counter block start+i of Philox(seed)."""
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must be in [0, 2**128), got {seed}")
     bg = Philox(key=seed)
     if start:
         bg.advance(start)  # one counter block == one episode of 4 draws

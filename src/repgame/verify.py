@@ -420,6 +420,10 @@ def sign_law_check(
     """
     if regime not in ("mild", "severe"):
         raise DomainError(f"unknown regime {regime!r}")
+    if n_draws < 1:
+        raise DomainError(f"need at least one draw, got n_draws={n_draws}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     checked = 0
     used = 0

@@ -153,13 +153,18 @@ class TestEstimate:
         code, out, _ = run_cli(
             capsys, "simulate", "--config", p1_config, "--n", "50000", "--seed", "4"
         )
-        stats = json.loads(out)["stats"]
         stats_path = tmp_path / "stats.json"
-        stats_path.write_text(json.dumps(stats))
+        stats_path.write_text(json.dumps(json.loads(out)["stats"]))
         code, out2, _ = run_cli(capsys, "estimate", "--stats", str(stats_path))
         assert code == 0
         payload = json.loads(out2)
         assert payload["total_hat"] == pytest.approx(0.771083, abs=0.02)
+        # the whole simulate payload is accepted too, with the same output
+        sim_path = tmp_path / "sim.json"
+        sim_path.write_text(out)
+        code, out3, _ = run_cli(capsys, "estimate", "--stats", str(sim_path))
+        assert code == 0
+        assert out3 == out2
 
     def test_from_raw_values(self, capsys):
         code, out, _ = run_cli(
@@ -299,6 +304,28 @@ class TestConfigErrors:
     def test_missing_file_exit_5(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--config", "/nonexistent/x.json")
         assert code == 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "100", "--seed", "-1"),
+            ("simulate", "--n", "100", "--seed", str(2**128)),
+            ("verify", "--grid", "50", "--draws", "5", "--seed", "-1"),
+            ("verify", "--grid", "50", "--draws", "0"),
+        ],
+    )
+    def test_bad_seed_or_draws_exit_5(self, capsys, p1_config, argv):
+        code, out, err = run_cli(capsys, argv[0], "--config", p1_config, *argv[1:])
+        assert code == 5
+        assert out == ""
+        assert err.startswith("bad input: ") and err.count("\n") == 1
+
+    def test_non_finite_payoff_exit_5(self, capsys, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(make_p1().to_dict()).replace('"beta_G": 2.5', '"beta_G": Infinity'))
+        code, _, err = run_cli(capsys, "solve-mild", "--config", str(path))
+        assert code == 5
+        assert err.startswith("config error: ") and "finite" in err and err.count("\n") == 1
 
     def test_out_flag_writes_file(self, capsys, p1_config, tmp_path):
         out_path = tmp_path / "eq.json"

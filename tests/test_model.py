@@ -163,6 +163,14 @@ class TestParamsValidation:
         with pytest.raises(DomainError):
             make_p1(beta_G=-0.5, beta_B=-1.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"beta_G": float("inf")}, {"beta_G": 1e400}, {"beta_B": float("-inf")}],
+    )
+    def test_non_finite_payoffs(self, overrides):
+        with pytest.raises(DomainError, match="finite"):
+            make_p1(**overrides)
+
     def test_negative_cost_support(self):
         with pytest.raises(DomainError):
             make_p1(G=BoundedCDF.uniform(-0.5, 1.0))

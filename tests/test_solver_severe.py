@@ -21,6 +21,8 @@ from repgame import (
     severe_repression_probabilities,
     solve_severe,
 )
+from repgame.rootfind import find_root
+from repgame.solver_severe import _scan_roots_1d
 
 # With uniform G and H the gap-substituted indifference reduces to
 # 0.4 x^2 + 0.74 x - 0.19 = 0 for the bad-type threshold.
@@ -174,6 +176,58 @@ class TestCorner:
         eq = solve_severe(params)
         gap = params.G.cdf(params.beta_G) - params.alpha_B
         assert abs((eq.c_tilde_G - eq.c_tilde_B) - gap) > 1e-3
+
+
+def _scan_roots_loop(f, lo, hi, n):
+    """Cell-by-cell reference for the vectorized 1-D root scan."""
+    xs = np.linspace(lo, hi, n)
+    vals = np.asarray(f(xs), dtype=float)
+    roots = []
+    for i in range(n - 1):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            roots.append(float(xs[i]))
+        elif (a < 0.0) != (b < 0.0):
+            roots.append(find_root(f, float(xs[i]), float(xs[i + 1])))
+    if vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > 1e-9:
+            out.append(r)
+    return out
+
+
+class TestScanRoots1D:
+    @pytest.mark.parametrize(
+        "f, expected",
+        [
+            # root on a grid node, reached from above; the zero-left cell is skipped
+            (lambda x: 0.25 - x, [0.25]),
+            # root at hi
+            (lambda x: x - 1.0, [1.0]),
+            # negative-to-zero cell: refined root and node root dedupe to one
+            (lambda x: x - 0.25, [0.25]),
+            # zero plateau: every zero node is a root
+            (lambda x: np.minimum(x - 0.5, 0.0), [0.5, 0.75, 1.0]),
+            # two roots in separate cells
+            (lambda x: (x - 0.1) * (x - 0.6), [0.1, 0.6]),
+            # no sign change
+            (lambda x: x + 1.0, []),
+        ],
+    )
+    def test_matches_cell_loop(self, f, expected):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        roots = _scan_roots_1d(counted, 0.0, 1.0, 5)
+        n_calls = len(calls)
+        assert roots == pytest.approx(expected, abs=1e-12)
+        assert roots == _scan_roots_loop(counted, 0.0, 1.0, 5)
+        assert n_calls == len(calls) - n_calls  # same cells refined
 
 
 class TestRejections:
