@@ -54,6 +54,18 @@ CASES = {
         ["simulate", "--n", "500", "--seed", "0", "--episodes-out", "episodes.csv"],
         ("episodes.csv",),
     ),
+    "simulate_p2_severe": (
+        "p2",
+        ["simulate", "--variant", "severe", "--n", "500", "--seed", "0",
+         "--episodes-out", "episodes.csv"],
+        ("episodes.csv",),
+    ),
+    "simulate_p1_no_concession": (
+        "p1",
+        ["simulate", "--variant", "no-concession", "--n", "500", "--seed", "0",
+         "--episodes-out", "episodes.csv"],
+        ("episodes.csv",),
+    ),
     "verify_p1": ("p1", ["verify", "--grid", "200", "--draws", "20"], ()),
 }
 
