@@ -143,39 +143,31 @@ def _solve_for_variant(params: ModelParams, variant: str, tol: float):
     return no_concession_equilibrium(params, tol=tol)
 
 
+_EPISODE_COLUMNS = ("theta", "c", "rho", "action", "observation", "protested", "success")
+
+
 def _write_episodes_csv(path: str, arrays) -> None:
-    lines = ["theta,c,rho,action,observation,protested,success"]
-    theta = arrays["theta"]
-    for i in range(theta.shape[0]):
-        th = simulate.THETAS[theta[i]]
-        c = "" if th == "N" else format_float(float(arrays["c"][i]))
-        lines.append(
-            ",".join(
-                (
-                    th,
-                    c,
-                    format_float(float(arrays["rho"][i])),
-                    simulate.ACTIONS[arrays["action"][i]],
-                    simulate.OBSERVATIONS[arrays["observation"][i]],
-                    "true" if arrays["protested"][i] else "false",
-                    "true" if arrays["success"][i] else "false",
-                )
-            )
-        )
+    thetas, actions, observations = simulate.THETAS, simulate.ACTIONS, simulate.OBSERVATIONS
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(_EPISODE_COLUMNS) + "\n")
+        fh.writelines(
+            f"{thetas[th]},{'' if th == 2 else format_float(c)},{format_float(rho)},"
+            f"{actions[ac]},{observations[ob]},{'true' if pr else 'false'},"
+            f"{'true' if su else 'false'}\n"
+            for th, c, rho, ac, ob, pr, su in zip(*(arrays[k].tolist() for k in _EPISODE_COLUMNS))
+        )
 
 
 def _cmd_simulate(args) -> int:
     params = load_params(args.config)
     eq = _solve_for_variant(params, args.variant, args.tol)
-    stats = simulate.run_simulation(params, eq, args.n, args.seed)
+    arrays = simulate.simulate_arrays(params, eq, args.n, args.seed)
+    stats = simulate.SimStats.from_arrays(arrays)
     try:
         estimates = simulate.estimate_from_sim(stats).to_dict()
     except EstimationError as exc:
         estimates = {"error": str(exc)}
     if args.episodes_out:
-        arrays = simulate.simulate_arrays(params, eq, args.n, args.seed)
         _write_episodes_csv(args.episodes_out, arrays)
     payload = {
         "variant": args.variant,

@@ -18,6 +18,7 @@ assumes.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ from .solver_severe import SevereEquilibrium
 THETAS = ("G", "B", "N")
 ACTIONS = ("none", "concede", "reveal", "conceal")
 OBSERVATIONS = ("R", "NN", "concession")
+# "theta,action,observation,protested" key of each outcome code
+# ((theta * 4 + action) * 3 + observation) * 2 + protested
+OUTCOMES = tuple(
+    ",".join(k) for k in itertools.product(THETAS, ACTIONS, OBSERVATIONS, ("false", "true"))
+)
 
 _VARIANTS = ("mild", "severe", "no-concession")
 
@@ -310,6 +316,16 @@ class SimStats:
         )
 
     @classmethod
+    def from_arrays(cls, arrays: dict) -> "SimStats":
+        """Stats of the episode arrays returned by ``simulate_arrays``."""
+        code = (
+            (arrays["theta"].astype(np.int64) * 4 + arrays["action"]) * 3 + arrays["observation"]
+        ) * 2 + arrays["protested"]
+        binned = np.bincount(code, minlength=len(OUTCOMES))
+        counts = {OUTCOMES[i]: int(binned[i]) for i in np.flatnonzero(binned)}
+        return cls.from_counts(code.shape[0], counts)
+
+    @classmethod
     def from_dict(cls, spec: dict) -> "SimStats":
         return cls.from_counts(int(spec["n_episodes"]), {k: int(v) for k, v in spec["counts"].items()})
 
@@ -317,19 +333,7 @@ class SimStats:
 def run_simulation(params: ModelParams, eq, n: int, seed: int, start: int = 0) -> SimStats:
     """Play n independent episodes and aggregate; bit-reproducible given
     (seed, n, params, equilibrium)."""
-    arrays = simulate_arrays(params, eq, n, seed, start)
-    code = (
-        (arrays["theta"].astype(np.int64) * 4 + arrays["action"]) * 3 + arrays["observation"]
-    ) * 2 + arrays["protested"]
-    binned = np.bincount(code, minlength=72)
-    counts: dict[str, int] = {}
-    for idx in np.nonzero(binned)[0]:
-        rest, pr = divmod(int(idx), 2)
-        rest, ob = divmod(rest, 3)
-        th, ac = divmod(rest, 4)
-        key = f"{THETAS[th]},{ACTIONS[ac]},{OBSERVATIONS[ob]},{'true' if pr else 'false'}"
-        counts[key] = int(binned[idx])
-    return SimStats.from_counts(n, counts)
+    return SimStats.from_arrays(simulate_arrays(params, eq, n, seed, start))
 
 
 # -- estimation --------------------------------------------------------------

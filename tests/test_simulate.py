@@ -18,7 +18,15 @@ from repgame import (
     solve_mild,
     solve_severe,
 )
-from repgame.simulate import episode_uniforms, equilibrium_posteriors, simulate_arrays
+from repgame.simulate import (
+    ACTIONS,
+    OBSERVATIONS,
+    OUTCOMES,
+    THETAS,
+    episode_uniforms,
+    equilibrium_posteriors,
+    simulate_arrays,
+)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +219,16 @@ class TestStats:
     def test_round_trip_through_dict(self, mild_eq):
         stats = run_simulation(make_p1(), mild_eq, 10_000, seed=8)
         assert SimStats.from_dict(stats.to_dict()) == stats
+
+    def test_outcome_table_matches_code_layout(self):
+        # code = ((theta * 4 + action) * 3 + observation) * 2 + protested
+        assert len(OUTCOMES) == 72
+        for code in range(72):
+            rest, pr = divmod(code, 2)
+            rest, ob = divmod(rest, 3)
+            th, ac = divmod(rest, 4)
+            key = f"{THETAS[th]},{ACTIONS[ac]},{OBSERVATIONS[ob]},{'true' if pr else 'false'}"
+            assert OUTCOMES[code] == key
 
     def test_severe_run_has_no_bad_reveals(self, severe_eq):
         stats = run_simulation(make_p2(), severe_eq, 50_000, seed=2)
