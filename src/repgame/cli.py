@@ -95,9 +95,11 @@ def load_params(path: str) -> ModelParams:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer literal too long to parse
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
         return ModelParams.from_dict(raw)
-    except DomainError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -195,9 +197,13 @@ def _cmd_estimate(args) -> int:
             raise ConfigError(f"{args.stats}: not a stats file: {exc}") from exc
         report = simulate.estimate_from_sim(stats)
     else:
-        needed = (args.q_hat, args.q_prime_hat, args.p_hat)
-        if any(v is None for v in needed):
+        flags = {"--q-hat": args.q_hat, "--q-prime-hat": args.q_prime_hat, "--p-hat": args.p_hat}
+        if any(v is None for v in flags.values()):
             raise ConfigError("estimate needs --stats or all of --q-hat --q-prime-hat --p-hat")
+        flags.update({"--p-r-hat": args.p_r_hat, "--p-nn-hat": args.p_nn_hat})
+        bad = [f"{k} {v}" for k, v in flags.items() if v is not None and not math.isfinite(v)]
+        if bad:
+            raise ConfigError(f"estimate flags must be finite, got {', '.join(bad)}")
         report = simulate.estimate_plugin(
             args.q_hat, args.q_prime_hat, args.p_hat, args.p_r_hat, args.p_nn_hat
         )

@@ -55,12 +55,14 @@ class BoundedCDF:
             if len(self.params) != 2:
                 raise DomainError("scaled_beta needs shape parameters (a, b)")
             a, b = self.params
-            if not (a > 0 and b > 0):
-                raise DomainError("beta shape parameters must be positive")
+            if not (0 < a < np.inf and 0 < b < np.inf):
+                raise DomainError(f"beta shape parameters must be finite and positive, got ({a}, {b})")
         else:
             knots = self.params
             if len(knots) < 2:
                 raise DomainError("piecewise_linear needs at least two knots")
+            if not np.all(np.isfinite(knots)):
+                raise DomainError("knot coordinates must be finite")
             xs = [k[0] for k in knots]
             fs = [k[1] for k in knots]
             if xs[0] != self.lo or xs[-1] != self.hi:

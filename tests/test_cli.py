@@ -187,6 +187,18 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--q-hat", "0.6")
         assert code == 5
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--p-hat", "nan"), ("--q-prime-hat", "inf"), ("--q-hat", "nan"), ("--p-nn-hat", "-inf")],
+    )
+    def test_non_finite_flag_exit_5(self, capsys, flag, value):
+        raw = {"--q-hat": "0.65", "--q-prime-hat": "0.45", "--p-hat": "0.4",
+               "--p-r-hat": "0.6", "--p-nn-hat": "0.25", flag: value}
+        code, out, err = run_cli(capsys, "estimate", *(f"{k}={v}" for k, v in raw.items()))
+        assert code == 5
+        assert out == ""
+        assert err.startswith("config error: ") and flag in err and err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_csv_header_and_shape(self, capsys, p1_config):
@@ -325,6 +337,52 @@ class TestConfigErrors:
         path.write_text(json.dumps(make_p1().to_dict()).replace('"beta_G": 2.5', '"beta_G": Infinity'))
         code, _, err = run_cli(capsys, "solve-mild", "--config", str(path))
         assert code == 5
+        assert err.startswith("config error: ") and "finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gamma", "abc"),
+            ("gamma", None),
+            ("gamma", [1]),
+            ("gamma", 10**400),
+            ("H", {"family": "piecewise_linear", "knots": [[0, 0], [1]]}),
+            ("H", {"family": ["uniform"], "lo": 0, "hi": 1}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["check", "solve-mild", "simulate"])
+    def test_wrong_value_type_exit_5(self, capsys, tmp_path, key, value, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**make_p1().to_dict(), key: value}))
+        extra = ("--n", "10", "--seed", "0") if command == "simulate" else ()
+        code, out, err = run_cli(capsys, command, "--config", str(path), *extra)
+        assert code == 5
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe garbage", b'{"gamma": ' + b"1" * 5000 + b"}"])
+    def test_unparsable_file_exit_5(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, _, err = run_cli(capsys, "check", "--config", str(path))
+        assert code == 5
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "dist, spec",
+        [
+            ("G", {"family": "scaled_beta", "lo": 0, "hi": 1, "a": 2, "b": "Infinity"}),
+            ("H", {"family": "scaled_beta", "lo": 0, "hi": 1, "a": "Infinity", "b": 2}),
+            ("H", {"family": "piecewise_linear", "knots": [[0, 0], [0.5, "NaN"], [1, 1]]}),
+        ],
+    )
+    def test_non_finite_distribution_exit_5(self, capsys, tmp_path, dist, spec):
+        path = tmp_path / "bad.json"
+        text = json.dumps({**make_p1().to_dict(), dist: spec})
+        path.write_text(text.replace('"Infinity"', "Infinity").replace('"NaN"', "NaN"))
+        code, out, err = run_cli(capsys, "solve-mild", "--config", str(path))
+        assert code == 5
+        assert out == ""
         assert err.startswith("config error: ") and "finite" in err and err.count("\n") == 1
 
     def test_out_flag_writes_file(self, capsys, p1_config, tmp_path):
