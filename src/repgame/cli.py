@@ -221,16 +221,14 @@ def _cmd_sweep(args) -> int:
         base=params,
         variant=args.variant,
     )
-    rows = sweep.run_sweep(spec)
+    table = [row.to_dict(spec.variant) for row in sweep.run_sweep(spec)]
     if args.format == "json":
-        _emit(canonical_json([r.to_dict(spec.variant) for r in rows]), args.out)
+        _emit(canonical_json(table), args.out)
         return EXIT_OK
-    cols = sweep.MILD_COLUMNS if spec.variant == "mild" else sweep.SEVERE_COLUMNS
-    lines = [",".join(cols)]
-    for row in rows:
+    lines = [",".join(table[0])]
+    for row in table:
         cells = []
-        for col in cols:
-            value = getattr(row, col)
+        for value in row.values():
             if value is None:
                 cells.append("")
             elif isinstance(value, bool):
