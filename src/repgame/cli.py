@@ -152,6 +152,7 @@ def _write_episodes_csv(path: str, arrays) -> None:
     thetas, actions, observations = simulate.THETAS, simulate.ACTIONS, simulate.OBSERVATIONS
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(_EPISODE_COLUMNS) + "\n")
+        # theta code 2 is N, an unorganized activist, whose cost c is left blank
         fh.writelines(
             f"{thetas[th]},{'' if th == 2 else format_float(c)},{format_float(rho)},"
             f"{actions[ac]},{observations[ob]},{'true' if pr else 'false'},"

@@ -56,7 +56,7 @@ class BoundedCDF:
                 raise DomainError("scaled_beta needs shape parameters (a, b)")
             a, b = self.params
             if not (0 < a < np.inf and 0 < b < np.inf):
-                raise DomainError(f"beta shape parameters must be finite and positive, got ({a}, {b})")
+                raise DomainError(f"beta shapes must be finite and positive, got ({a}, {b})")
         else:
             knots = self.params
             if len(knots) < 2:
