@@ -13,10 +13,13 @@ Exit codes: 0 success, 2 assumption violated, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import model, simulate, sweep, verify
 from .errors import (
@@ -145,33 +148,51 @@ def _solve_for_variant(params: ModelParams, variant: str, tol: float):
     return no_concession_equilibrium(params, tol=tol)
 
 
-_EPISODE_COLUMNS = ("theta", "c", "rho", "action", "observation", "protested", "success")
+_EPISODE_HEADER = "theta,c,rho,action,observation,protested,success\n"
 
 
-def _write_episodes_csv(path: str, arrays) -> None:
-    thetas, actions, observations = simulate.THETAS, simulate.ACTIONS, simulate.OBSERVATIONS
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_EPISODE_COLUMNS) + "\n")
-        # theta code 2 is N, an unorganized activist, whose cost c is left blank
-        fh.writelines(
-            f"{thetas[th]},{'' if th == 2 else format_float(c)},{format_float(rho)},"
-            f"{actions[ac]},{observations[ob]},{'true' if pr else 'false'},"
-            f"{'true' if su else 'false'}\n"
-            for th, c, rho, ac, ob, pr, su in zip(*(arrays[k].tolist() for k in _EPISODE_COLUMNS))
-        )
+def _row_template(outcome: str) -> str:
+    """%-format CSV row of one OUTCOMES key, with the c and rho cells open."""
+    theta, action, observation, protested = outcome.split(",")
+    success = protested == "true" and theta != "N" and action != "concede"
+    c = "" if theta == "N" else "%.12g"  # an unorganized activist has no cost c
+    return f"{theta},{c},%.12g,{action},{observation},{protested},{'true' if success else 'false'}\n"
+
+
+# indexed by outcome code; '%.12g' % x gives the same string as format_float(x)
+_ROW_TEMPLATES = np.array([_row_template(k) for k in simulate.OUTCOMES], dtype=object)
+
+
+def _episode_rows(block: dict, codes: np.ndarray) -> str:
+    """CSV rows of one block of episodes, encoded by a single % call."""
+    organized = block["theta"] != 2
+    keep = np.stack((organized, np.ones_like(organized)), axis=1)
+    floats = np.stack((block["c"], block["rho"]), axis=1)[keep]  # c, rho per row; no c on N
+    finite = np.isfinite(floats)
+    if not finite.all():
+        format_float(float(floats[np.argmin(finite)]))  # raises SolverError for the first one
+    return "".join(_ROW_TEMPLATES[codes].tolist()) % tuple(floats.tolist())
 
 
 def _cmd_simulate(args) -> int:
     params = load_params(args.config)
     eq = _solve_for_variant(params, args.variant, args.tol)
-    arrays = simulate.simulate_arrays(params, eq, args.n, args.seed)
-    stats = simulate.SimStats.from_arrays(arrays)
+    blocks = simulate.simulate_blocks(params, eq, args.n, args.seed)  # rejects n and seed here
+    binned = 0
+    path = args.episodes_out
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as csv:
+        if csv is not None:
+            csv.write(_EPISODE_HEADER)
+        for block in blocks:
+            codes = simulate.outcome_codes(block)
+            binned = binned + np.bincount(codes, minlength=len(simulate.OUTCOMES))
+            if csv is not None:
+                csv.write(_episode_rows(block, codes))
+    stats = simulate.SimStats.from_binned(binned)
     try:
         estimates = simulate.estimate_from_sim(stats).to_dict()
     except EstimationError as exc:
         estimates = {"error": str(exc)}
-    if args.episodes_out:
-        _write_episodes_csv(args.episodes_out, arrays)
     payload = {
         "variant": args.variant,
         "n": args.n,
@@ -305,7 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-severe", help="solve the severe-conflict equilibrium")
     add_common(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--scan", type=int, default=400, help="multiplicity grid-scan resolution")
+    p.add_argument(
+        "--scan",
+        type=int,
+        default=400,
+        help="multiplicity grid-scan resolution, at least 2; 0 turns the scan off",
+    )
     p.set_defaults(func=_cmd_solve_severe)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo run under a solved equilibrium")

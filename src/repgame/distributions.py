@@ -15,9 +15,14 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from .errors import DomainError
+from .errors import DomainError, read_field
 
 FAMILIES = ("uniform", "scaled_beta", "piecewise_linear")
+
+
+def _knot(pair) -> tuple[float, float]:
+    x, f = pair
+    return float(x), float(f)
 
 
 def _maybe_scalar(out: np.ndarray, x) -> float | np.ndarray:
@@ -86,7 +91,7 @@ class BoundedCDF:
 
     @classmethod
     def piecewise_linear(cls, knots: Iterable[Sequence[float]]) -> "BoundedCDF":
-        kt = tuple((float(x), float(f)) for x, f in knots)
+        kt = tuple(read_field(f"knots[{i}]", _knot, k) for i, k in enumerate(knots))
         if len(kt) < 2:
             raise DomainError("piecewise_linear needs at least two knots")
         return cls("piecewise_linear", kt[0][0], kt[-1][0], kt)
@@ -169,11 +174,10 @@ class BoundedCDF:
         missing = allowed[family] - set(spec)
         if missing:
             raise DomainError(f"missing keys in {family} spec: {sorted(missing)}")
-        if family == "uniform":
-            return cls.uniform(spec["lo"], spec["hi"])
-        if family == "scaled_beta":
-            return cls.scaled_beta(spec["lo"], spec["hi"], spec["a"], spec["b"])
-        return cls.piecewise_linear(spec["knots"])
+        if family == "piecewise_linear":
+            return cls.piecewise_linear(spec["knots"])
+        numbers = {k: read_field(k, float, spec[k]) for k in ("lo", "hi", "a", "b") if k in spec}
+        return cls.uniform(**numbers) if family == "uniform" else cls.scaled_beta(**numbers)
 
 
 def fosd_dominates(d1: BoundedCDF, d2: BoundedCDF, grid_size: int = 1024) -> bool:

@@ -15,6 +15,21 @@ class DomainError(RepgameError, ValueError):
     """An operation was called with inputs outside its contract."""
 
 
+class FieldError(DomainError):
+    """A config value could not be read; the message leads with its key path."""
+
+
+def read_field(key: str, convert, value):
+    """``convert(value)``, with a failure re-raised as a FieldError naming
+    ``key``. Nested keys join with '.', as in ``H.knots[1]: ...``."""
+    try:
+        return convert(value)
+    except FieldError as exc:
+        raise FieldError(f"{key}.{exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
+        raise FieldError(f"{key}: {exc}") from exc
+
+
 class ConfigError(RepgameError):
     """A run configuration file or value is malformed."""
 

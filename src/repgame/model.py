@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .distributions import BoundedCDF
-from .errors import DomainError
+from .errors import DomainError, read_field
 
 BELIEF_SUM_TOL = 1e-12
 
@@ -90,15 +90,11 @@ class ModelParams:
         missing = keys - set(spec)
         if missing:
             raise DomainError(f"missing parameter keys: {sorted(missing)}")
+        scalars = ("gamma", "q", "beta_G", "beta_B", "alpha_G", "alpha_B")
         return cls(
-            gamma=float(spec["gamma"]),
-            q=float(spec["q"]),
-            beta_G=float(spec["beta_G"]),
-            beta_B=float(spec["beta_B"]),
-            alpha_G=float(spec["alpha_G"]),
-            alpha_B=float(spec["alpha_B"]),
-            G=BoundedCDF.from_dict(spec["G"]),
-            H=BoundedCDF.from_dict(spec["H"]),
+            **{k: read_field(k, float, spec[k]) for k in scalars},
+            G=read_field("G", BoundedCDF.from_dict, spec["G"]),
+            H=read_field("H", BoundedCDF.from_dict, spec["H"]),
         )
 
 

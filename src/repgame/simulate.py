@@ -41,6 +41,8 @@ OUTCOMES = tuple(
 
 _VARIANTS = ("mild", "severe", "no-concession")
 
+CHUNK = 1 << 16  # episodes per block of a streamed run
+
 
 @dataclass(frozen=True)
 class Strategy:
@@ -158,10 +160,14 @@ def play_episode(
 # -- vectorized engine -------------------------------------------------------
 
 
-def episode_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """(count, 4) uniforms; row i is counter block start+i of Philox(seed)."""
+def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must be in [0, 2**128), got {seed}")
+
+
+def episode_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """(count, 4) uniforms; row i is counter block start+i of Philox(seed)."""
+    _check_seed(seed)
     bg = Philox(key=seed)
     if start:
         bg.advance(start)  # one counter block == one episode of 4 draws
@@ -223,6 +229,30 @@ def simulate_arrays(params: ModelParams, eq, n: int, seed: int, start: int = 0) 
         "protested": protested,
         "success": success,
     }
+
+
+def simulate_blocks(params: ModelParams, eq, n: int, seed: int, start: int = 0):
+    """Episodes [start, start+n) as consecutive ``simulate_arrays`` blocks of
+    at most CHUNK episodes.
+
+    Philox is counter-based, so the blocks hold exactly the episodes of one
+    ``simulate_arrays(params, eq, n, seed, start)`` call. n and seed are
+    checked here, before the first block is drawn.
+    """
+    if n < 1:
+        raise DomainError(f"need at least one episode, got n={n}")
+    _check_seed(seed)
+    return (
+        simulate_arrays(params, eq, min(CHUNK, start + n - s), seed, s)
+        for s in range(start, start + n, CHUNK)
+    )
+
+
+def outcome_codes(arrays: dict) -> np.ndarray:
+    """Index into OUTCOMES of each episode of ``simulate_arrays`` output."""
+    return (
+        (arrays["theta"].astype(np.int64) * 4 + arrays["action"]) * 3 + arrays["observation"]
+    ) * 2 + arrays["protested"]
 
 
 @dataclass(frozen=True)
@@ -316,14 +346,15 @@ class SimStats:
         )
 
     @classmethod
+    def from_binned(cls, binned: np.ndarray) -> "SimStats":
+        """Stats of per-outcome episode counts, indexed like OUTCOMES."""
+        counts = {OUTCOMES[i]: int(binned[i]) for i in np.flatnonzero(binned)}
+        return cls.from_counts(int(binned.sum()), counts)
+
+    @classmethod
     def from_arrays(cls, arrays: dict) -> "SimStats":
         """Stats of the episode arrays returned by ``simulate_arrays``."""
-        code = (
-            (arrays["theta"].astype(np.int64) * 4 + arrays["action"]) * 3 + arrays["observation"]
-        ) * 2 + arrays["protested"]
-        binned = np.bincount(code, minlength=len(OUTCOMES))
-        counts = {OUTCOMES[i]: int(binned[i]) for i in np.flatnonzero(binned)}
-        return cls.from_counts(code.shape[0], counts)
+        return cls.from_binned(np.bincount(outcome_codes(arrays), minlength=len(OUTCOMES)))
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SimStats":
@@ -332,8 +363,12 @@ class SimStats:
 
 def run_simulation(params: ModelParams, eq, n: int, seed: int, start: int = 0) -> SimStats:
     """Play n independent episodes and aggregate; bit-reproducible given
-    (seed, n, params, equilibrium)."""
-    return SimStats.from_arrays(simulate_arrays(params, eq, n, seed, start))
+    (seed, n, params, equilibrium). Holds one block of episodes at a time."""
+    binned = sum(
+        np.bincount(outcome_codes(block), minlength=len(OUTCOMES))
+        for block in simulate_blocks(params, eq, n, seed, start)
+    )
+    return SimStats.from_binned(binned)
 
 
 # -- estimation --------------------------------------------------------------

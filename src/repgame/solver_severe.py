@@ -194,9 +194,15 @@ def _grid_scan_fixed_points(
 def solve_severe(
     params: ModelParams, tol: float = DEFAULT_TOL, scan: int = DEFAULT_SCAN
 ) -> SevereEquilibrium:
-    """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G)."""
+    """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G).
+
+    ``scan`` is the resolution of the 2-D multiplicity grid scan, at least 2;
+    0 skips it.
+    """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if scan == 1 or scan < 0:
+        raise DomainError(f"scan must be 0 (off) or at least 2, got {scan}")
     report = model.check_assumption_severe(params)
     if not report.ok:
         raise AssumptionError(
@@ -242,7 +248,7 @@ def solve_severe(
                 "source": "corner" if ocorner else "interior-scan",
             }
         )
-    if scan >= 2:  # scan < 2 disables the multiplicity diagnostics
+    if scan:  # scan 0 disables the multiplicity diagnostics
         note.extend(
             _grid_scan_fixed_points(params, scan, tol, [(b, g) for b, g, _ in candidates])
         )

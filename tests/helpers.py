@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 from repgame import BoundedCDF, ModelParams
+from repgame.cli import format_float
+from repgame.simulate import ACTIONS, OBSERVATIONS, THETAS
 
 
 def make_p1(**overrides) -> ModelParams:
@@ -143,3 +145,19 @@ def ks_distance(dist: BoundedCDF, samples: np.ndarray) -> float:
     upper = np.max(np.abs(np.arange(1, n + 1) / n - cdf))
     lower = np.max(np.abs(np.arange(0, n) / n - cdf))
     return float(max(upper, lower))
+
+
+def reference_episodes_csv(arrays: dict) -> str:
+    """Episode CSV of ``simulate_arrays`` output, encoded row by row with
+    ``format_float`` on each float: the reference for the block encoder of
+    ``repgame simulate --episodes-out``."""
+    columns = ("theta", "c", "rho", "action", "observation", "protested", "success")
+    rows = [",".join(columns) + "\n"]
+    for th, c, rho, ac, ob, pr, su in zip(*(arrays[k].tolist() for k in columns)):
+        # theta code 2 is N, an unorganized activist, whose cost c is left blank
+        rows.append(
+            f"{THETAS[th]},{'' if th == 2 else format_float(c)},{format_float(rho)},"
+            f"{ACTIONS[ac]},{OBSERVATIONS[ob]},{'true' if pr else 'false'},"
+            f"{'true' if su else 'false'}\n"
+        )
+    return "".join(rows)

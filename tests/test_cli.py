@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from helpers import make_p1, make_p2
-from repgame.cli import main
+from helpers import make_p1, make_p2, reference_episodes_csv
+from repgame import SimStats, SolverError, solve_mild
+from repgame.cli import _episode_rows, _solve_for_variant, main
+from repgame.simulate import CHUNK, outcome_codes, simulate_arrays
 
 
 @pytest.fixture
@@ -129,6 +132,32 @@ class TestSimulate:
         assert len(lines) == 51
         n_fields = [len(line.split(",")) for line in lines]
         assert set(n_fields) == {7}
+
+    @pytest.mark.parametrize("variant", ["mild", "severe", "no-concession"])
+    def test_streamed_csv_matches_reference(self, capsys, p1_config, p2_config, tmp_path, variant):
+        params, config = (make_p2(), p2_config) if variant == "severe" else (make_p1(), p1_config)
+        eq = _solve_for_variant(params, variant, tol=1e-10)
+        n = 2 * CHUNK + 3
+        csv_path = tmp_path / "episodes.csv"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--config", config, "--n", str(n), "--seed", "6",
+            "--variant", variant, "--episodes-out", str(csv_path),
+        )
+        assert code == 0
+        arrays = simulate_arrays(params, eq, n, seed=6)
+        assert csv_path.read_bytes() == reference_episodes_csv(arrays).encode("utf-8")
+        assert json.loads(out)["stats"]["counts"] == SimStats.from_arrays(arrays).counts
+
+    @pytest.mark.parametrize("theta, raises", [(0, True), (2, False)])
+    def test_non_finite_cost_in_block(self, theta, raises):
+        block = simulate_arrays(make_p1(), solve_mild(make_p1()), 20, seed=0)
+        block["theta"][7] = theta
+        block["c"][7] = np.nan
+        if raises:
+            with pytest.raises(SolverError, match=r"^non-finite value in output: nan$"):
+                _episode_rows(block, outcome_codes(block))
+        else:  # an unorganized activist's cost is never written
+            assert _episode_rows(block, outcome_codes(block)).count("\n") == 20
 
     def test_severe_variant(self, capsys, p2_config):
         code, out, _ = run_cli(
@@ -284,13 +313,21 @@ class TestVerifyFailurePath:
 
 class TestModuleInvocation:
     def test_python_dash_m(self, p1_config):
+        import os
         import subprocess
         import sys
 
+        import repgame
+
+        # the child imports the same package as this process, also when the
+        # test run put src/ on sys.path through pytest's pythonpath setting
+        src = os.path.dirname(os.path.dirname(repgame.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "repgame.cli", "solve-mild", "--config", p1_config],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["c_tilde"] == pytest.approx(0.3556411, abs=1e-6)
@@ -324,13 +361,24 @@ class TestConfigErrors:
             ("simulate", "--n", "100", "--seed", str(2**128)),
             ("verify", "--grid", "50", "--draws", "5", "--seed", "-1"),
             ("verify", "--grid", "50", "--draws", "0"),
+            ("simulate", "--n", "0", "--seed", "0"),
         ],
     )
-    def test_bad_seed_or_draws_exit_5(self, capsys, p1_config, argv):
-        code, out, err = run_cli(capsys, argv[0], "--config", p1_config, *argv[1:])
+    def test_bad_seed_or_draws_exit_5(self, capsys, tmp_path, p1_config, argv):
+        csv_path = tmp_path / "episodes.csv"
+        extra = ("--episodes-out", str(csv_path)) if argv[0] == "simulate" else ()
+        code, out, err = run_cli(capsys, argv[0], "--config", p1_config, *argv[1:], *extra)
         assert code == 5
         assert out == ""
         assert err.startswith("bad input: ") and err.count("\n") == 1
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("scan", ["1", "-5"])
+    def test_bad_scan_exit_5(self, capsys, p2_config, scan):
+        code, out, err = run_cli(capsys, "solve-severe", "--config", p2_config, "--scan", scan)
+        assert code == 5
+        assert out == ""
+        assert err.startswith("bad input: ") and "scan" in err and err.count("\n") == 1
 
     def test_non_finite_payoff_exit_5(self, capsys, tmp_path):
         path = tmp_path / "inf.json"
@@ -359,6 +407,7 @@ class TestConfigErrors:
         assert code == 5
         assert out == ""
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"bad.json: {key}" in err  # the message leads with the key
 
     @pytest.mark.parametrize("content", [b"\xff\xfe garbage", b'{"gamma": ' + b"1" * 5000 + b"}"])
     def test_unparsable_file_exit_5(self, capsys, tmp_path, content):

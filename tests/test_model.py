@@ -180,6 +180,19 @@ class TestParamsValidation:
             type(p1).from_dict(p1.to_dict())
         )
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("gamma", "abc", r"^gamma: could not convert"),
+            ("H", {"family": "piecewise_linear", "knots": [[0, 0], [1]]}, r"^H\.knots\[1\]: "),
+            ("G", {"family": "uniform", "lo": "x", "hi": 1}, r"^G\.lo: "),
+            ("H", {"family": "uniform", "lo": 1, "hi": 0}, r"^H: need lo < hi"),
+        ],
+    )
+    def test_wrong_value_names_key(self, p1, key, value, message):
+        with pytest.raises(DomainError, match=message):
+            type(p1).from_dict({**p1.to_dict(), key: value})
+
     def test_unknown_key_rejected(self, p1):
         spec = p1.to_dict()
         spec["extra"] = 1.0

@@ -20,12 +20,14 @@ from repgame import (
 )
 from repgame.simulate import (
     ACTIONS,
+    CHUNK,
     OBSERVATIONS,
     OUTCOMES,
     THETAS,
     episode_uniforms,
     equilibrium_posteriors,
     simulate_arrays,
+    simulate_blocks,
 )
 
 
@@ -37,6 +39,15 @@ def mild_eq():
 @pytest.fixture(scope="module")
 def severe_eq():
     return solve_severe(make_p2())
+
+
+def solved(variant, mild_eq, severe_eq):
+    """(params, equilibrium) of one simulation variant."""
+    if variant == "mild":
+        return make_p1(), mild_eq
+    if variant == "severe":
+        return make_p2(), severe_eq
+    return make_p1(), no_concession_equilibrium(make_p1())
 
 
 class TestRegimeAction:
@@ -131,6 +142,16 @@ class TestReproducibility:
             merged[key] = merged.get(key, 0) + cnt
         assert merged == full.counts
 
+    @pytest.mark.parametrize("start", [0, CHUNK - 5])
+    @pytest.mark.parametrize("variant", ["mild", "severe", "no-concession"])
+    def test_streamed_run_matches_one_shot(self, variant, start, mild_eq, severe_eq):
+        params, eq = solved(variant, mild_eq, severe_eq)
+        n = 2 * CHUNK + 3
+        one_shot = SimStats.from_arrays(simulate_arrays(params, eq, n, seed=4, start=start))
+        assert run_simulation(params, eq, n, seed=4, start=start) == one_shot
+        sizes = [block["c"].size for block in simulate_blocks(params, eq, n, 4, start)]
+        assert sizes == [CHUNK, CHUNK, 3]
+
     def test_episode_draws_depend_only_on_seed_and_index(self):
         np.testing.assert_array_equal(
             episode_uniforms(5, 100, 1), episode_uniforms(5, 0, 101)[100:101]
@@ -140,12 +161,7 @@ class TestReproducibility:
 class TestVectorizedAgainstReference:
     @pytest.mark.parametrize("variant", ["mild", "severe", "no-concession"])
     def test_cross_check(self, variant, mild_eq, severe_eq):
-        if variant == "mild":
-            params, eq = make_p1(), mild_eq
-        elif variant == "severe":
-            params, eq = make_p2(), severe_eq
-        else:
-            params, eq = make_p1(), no_concession_equilibrium(make_p1())
+        params, eq = solved(variant, mild_eq, severe_eq)
         strat = make_strategy(eq)
         post = equilibrium_posteriors(eq)
         n = 2_000
@@ -177,6 +193,11 @@ class TestVectorizedAgainstReference:
     def test_minimum_episode_count(self, mild_eq):
         with pytest.raises(DomainError):
             simulate_arrays(make_p1(), mild_eq, 0, seed=1)
+
+    @pytest.mark.parametrize("n, seed", [(0, 1), (10, -1)])
+    def test_blocks_checked_before_first_block(self, mild_eq, n, seed):
+        with pytest.raises(DomainError):
+            simulate_blocks(make_p1(), mild_eq, n, seed)  # raises on the call, not on next()
 
 
 class TestStats:
