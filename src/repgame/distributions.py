@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc, betaincinv
+from scipy.special import betainc, betaincinv, betaln
 
 from .errors import DomainError, read_field
 
@@ -29,6 +29,19 @@ def _maybe_scalar(out: np.ndarray, x) -> float | np.ndarray:
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def _newton_polish(a: float, b: float, p: np.ndarray, t: np.ndarray) -> None:
+    """One Newton step on betainc(a, b, t) = p, in place, where 0 < p < 1 and
+    0 < t < 1. betaincinv alone can miss by ~1e-9 (symmetric shapes near 1
+    at p near 0.5); a step is kept only if it is finite and inside (0, 1)."""
+    inner = (p > 0.0) & (p < 1.0) & (t > 0.0) & (t < 1.0)
+    ti, pi = t[inner], p[inner]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pdf = np.exp((a - 1.0) * np.log(ti) + (b - 1.0) * np.log1p(-ti) - betaln(a, b))
+        step = ti - (betainc(a, b, ti) - pi) / pdf
+    keep = np.isfinite(step) & (step > 0.0) & (step < 1.0)
+    t[np.flatnonzero(inner)[keep]] = step[keep]
 
 
 @dataclass(frozen=True)
@@ -100,6 +113,16 @@ class BoundedCDF:
 
     def cdf(self, x):
         """Clamped CDF: 0 below the support, 1 above, exact inside."""
+        if isinstance(x, float) and self.family != "piecewise_linear":
+            # scalar fast path (np.float64 is a float): the array path's IEEE
+            # operations without its numpy round trip; like np.clip, the
+            # clamp keeps -0.0 and NaN
+            t = (x - self.lo) / (self.hi - self.lo)
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            if self.family == "uniform":
+                return float(t)
+            a, b = self.params
+            return float(betainc(a, b, t))
         xs = np.asarray(x, dtype=float)
         if self.family == "uniform":
             out = np.clip((xs - self.lo) / (self.hi - self.lo), 0.0, 1.0)
@@ -123,14 +146,17 @@ class BoundedCDF:
             a, b = self.params
             unit = np.atleast_1d(np.asarray(ps, dtype=float))
             t = np.atleast_1d(betaincinv(a, b, unit))
-            bad = ~np.isfinite(t)
+            # betaincinv underflows to NaN deep in a tail, and at rare interior
+            # p returns exactly 0 or 1 (a = 1.1875, b = 2.0625 at p =
+            # cdf(0.15)); the mirrored form is stable there (the lost tail
+            # mass is below 1 ulp)
+            bad = ~np.isfinite(t) | ((t == 0.0) & (unit > 0.0)) | ((t == 1.0) & (unit < 1.0))
             if bad.any():
-                # betaincinv underflows to NaN deep in a tail; the mirrored
-                # form is stable there (the lost tail mass is below 1 ulp)
                 t[bad] = 1.0 - betaincinv(b, a, 1.0 - unit[bad])
                 still = ~np.isfinite(t)
                 if still.any():
                     t[still] = np.where(unit[still] >= 0.5, 1.0, 0.0)
+            _newton_polish(a, b, unit, t)
             out = self.lo + (self.hi - self.lo) * t.reshape(np.shape(ps))
         else:
             kx, kf = self._knot_arrays()

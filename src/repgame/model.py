@@ -194,11 +194,11 @@ def check_assumption_mild(params: ModelParams) -> AssumptionReport:
     cutoff implied by concealment at cost alpha_G.
     """
     be = beta_e(params)
-    h_at_alpha = params.H.cdf(params.alpha_G)
-    if h_at_alpha > 0.0:
-        nn_bound = be / (1.0 + (1.0 - params.gamma) / (params.gamma * h_at_alpha))
+    g_h = params.gamma * params.H.cdf(params.alpha_G)
+    if g_h > 0.0:
+        nn_bound = be / (1.0 + (1.0 - params.gamma) / g_h)
     else:
-        nn_bound = 0.0  # limit of the expression as H(alpha_G) -> 0
+        nn_bound = 0.0  # limit of the expression as gamma * H(alpha_G) -> 0
     clauses = (
         _strict_lt("alpha_G < alpha_B", params.alpha_G, params.alpha_B),
         _strict_lt("alpha_G < G(beta_e)", params.alpha_G, params.G.cdf(be)),

@@ -357,37 +357,61 @@ def effect_monotonicity_check(
 # -- randomized law checks ----------------------------------------------------
 
 
-def _draw_cost_dist(rng: np.random.Generator, lo_max: float, w_lo: float, w_hi: float) -> BoundedCDF:
-    lo = rng.uniform(0.0, lo_max)
-    width = rng.uniform(w_lo, w_hi)
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    # Generator.uniform's own formula on one next_double, bit for bit, without
+    # its per-call argument handling
+    return lo + (hi - lo) * rng.random()
+
+
+def _draw_cost_dist(rng: np.random.Generator, lo_max: float, w_lo: float, w_hi: float):
+    """Raw cost-distribution draw: (lo, hi, beta shapes, or () for uniform)."""
+    lo = _uniform(rng, 0.0, lo_max)
+    hi = lo + _uniform(rng, w_lo, w_hi)
     if rng.random() < 0.3:
-        return BoundedCDF.scaled_beta(lo, lo + width, rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
-    return BoundedCDF.uniform(lo, lo + width)
+        return lo, hi, (_uniform(rng, 0.5, 3.0), _uniform(rng, 0.5, 3.0))
+    return lo, hi, ()
+
+
+def _cost_dist(lo: float, hi: float, shapes: tuple) -> BoundedCDF:
+    return BoundedCDF.scaled_beta(lo, hi, *shapes) if shapes else BoundedCDF.uniform(lo, hi)
 
 
 def draw_params(rng: np.random.Generator, regime: str) -> ModelParams | None:
-    """One proposal draw; None when it fails type validity or the regime check."""
+    """One proposal draw; None when it fails type validity or the regime check.
+
+    Every float of the proposal is drawn first, in a fixed order. The clauses
+    that need no CDF are then tested on the raw floats: ``beta_G >
+    max(beta_B, 0)`` and the alpha orderings and H bounds of the regime. They
+    are exact copies of clauses of ``ModelParams`` and ``check_assumption_*``,
+    so the result and the rng use are what building and checking every
+    proposal gives. Only survivors are built and run through the full check,
+    which stays the authority.
+    """
     if regime == "mild":
-        beta_G = rng.uniform(0.3, 3.0)
-        beta_B = rng.uniform(-1.5, 0.8)
-        g_dist = _draw_cost_dist(rng, 0.3, 0.4, 1.6)
+        beta_G = _uniform(rng, 0.3, 3.0)
+        beta_B = _uniform(rng, -1.5, 0.8)
+        g_draw = _draw_cost_dist(rng, 0.3, 0.4, 1.6)
     else:
-        beta_G = rng.uniform(0.2, 1.2)
-        beta_B = rng.uniform(-1.0, 0.6)
-        g_dist = _draw_cost_dist(rng, 0.2, 0.8, 1.8)
-    try:
-        params = ModelParams(
-            gamma=rng.uniform(0.1, 0.9),
-            q=rng.uniform(0.1, 0.9),
-            beta_G=beta_G,
-            beta_B=beta_B,
-            alpha_G=rng.uniform(0.02, 0.98),
-            alpha_B=rng.uniform(0.02, 0.98),
-            G=g_dist,
-            H=_draw_cost_dist(rng, 0.5, 0.3, 1.5),
-        )
-    except DomainError:
+        beta_G = _uniform(rng, 0.2, 1.2)
+        beta_B = _uniform(rng, -1.0, 0.6)
+        g_draw = _draw_cost_dist(rng, 0.2, 0.8, 1.8)
+    gamma = _uniform(rng, 0.1, 0.9)
+    q = _uniform(rng, 0.1, 0.9)
+    alpha_G = _uniform(rng, 0.02, 0.98)
+    alpha_B = _uniform(rng, 0.02, 0.98)
+    h_draw = _draw_cost_dist(rng, 0.5, 0.3, 1.5)
+    h_lo, h_hi, _ = h_draw
+    if not beta_G > max(beta_B, 0.0):
         return None
+    if regime == "mild":
+        if not (alpha_G < alpha_B and alpha_G < h_hi and h_lo < alpha_G):
+            return None
+    elif not (alpha_B < alpha_G and alpha_G < h_hi):
+        return None
+    # the one ModelParams check these ranges can fail is the beta clause above
+    params = ModelParams(
+        gamma, q, beta_G, beta_B, alpha_G, alpha_B, _cost_dist(*g_draw), _cost_dist(*h_draw)
+    )
     report = (
         model.check_assumption_mild(params)
         if regime == "mild"

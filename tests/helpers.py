@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from repgame import BoundedCDF, ModelParams
+from repgame import BoundedCDF, DomainError, ModelParams, model
 from repgame.cli import format_float
 from repgame.simulate import ACTIONS, OBSERVATIONS, THETAS
 
@@ -161,3 +161,44 @@ def reference_episodes_csv(arrays: dict) -> str:
             f"{'true' if su else 'false'}\n"
         )
     return "".join(rows)
+
+
+def _reference_cost_dist(rng: np.random.Generator, lo_max: float, w_lo: float, w_hi: float) -> BoundedCDF:
+    lo = rng.uniform(0.0, lo_max)
+    width = rng.uniform(w_lo, w_hi)
+    if rng.random() < 0.3:
+        return BoundedCDF.scaled_beta(lo, lo + width, rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
+    return BoundedCDF.uniform(lo, lo + width)
+
+
+def reference_draw_params(rng: np.random.Generator, regime: str) -> ModelParams | None:
+    """Sign-law proposal that builds every draw with ``Generator.uniform`` and
+    runs the full assumption check on it: the reference for the prefiltered
+    ``repgame.verify.draw_params``."""
+    if regime == "mild":
+        beta_G = rng.uniform(0.3, 3.0)
+        beta_B = rng.uniform(-1.5, 0.8)
+        g_dist = _reference_cost_dist(rng, 0.3, 0.4, 1.6)
+    else:
+        beta_G = rng.uniform(0.2, 1.2)
+        beta_B = rng.uniform(-1.0, 0.6)
+        g_dist = _reference_cost_dist(rng, 0.2, 0.8, 1.8)
+    try:
+        params = ModelParams(
+            gamma=rng.uniform(0.1, 0.9),
+            q=rng.uniform(0.1, 0.9),
+            beta_G=beta_G,
+            beta_B=beta_B,
+            alpha_G=rng.uniform(0.02, 0.98),
+            alpha_B=rng.uniform(0.02, 0.98),
+            G=g_dist,
+            H=_reference_cost_dist(rng, 0.5, 0.3, 1.5),
+        )
+    except DomainError:
+        return None
+    report = (
+        model.check_assumption_mild(params)
+        if regime == "mild"
+        else model.check_assumption_severe(params)
+    )
+    return params if report.ok else None

@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import make_p1, make_p2, reference_episodes_csv
 from repgame import SimStats, SolverError, solve_mild
@@ -444,3 +450,75 @@ class TestConfigErrors:
         assert json.loads(out_path.read_text())["c_tilde"] == pytest.approx(
             0.3556411, abs=1e-6
         )
+
+
+# -- malformed and extreme configs -------------------------------------------
+
+_SCALAR_KEYS = ("gamma", "q", "beta_G", "beta_B", "alpha_G", "alpha_B")
+_DIST_KEYS = ("family", "lo", "hi", "a", "b", "knots")
+_HUGE_TINY = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-16, 1e6, 1e16, 1e300, 1e308, -1e308])
+_FINITE = st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=False, allow_infinity=False), _HUGE_TINY)
+_EXTREME = st.one_of(_HUGE_TINY, st.sampled_from([math.inf, -math.inf, math.nan]))
+_WRONG_TYPE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(-(10**400), 10**400),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=1),
+)
+_VALUE = st.one_of(st.floats(0.0, 1.0), st.floats(-3.0, 3.0), _EXTREME, st.floats(), _WRONG_TYPE)
+_KNOTS = st.lists(st.lists(st.one_of(st.floats(0.0, 1.0), _VALUE), max_size=3), max_size=5)
+_FAMILY = st.sampled_from(["uniform", "scaled_beta", "piecewise_linear", "normal", ""])
+_DIST = st.one_of(
+    st.fixed_dictionaries(
+        {"family": _FAMILY, "lo": _VALUE, "hi": _VALUE},
+        optional={"a": _VALUE, "b": _VALUE, "knots": _KNOTS, "extra": _VALUE},
+    ),
+    st.fixed_dictionaries({"family": st.just("piecewise_linear"), "knots": _KNOTS}),
+    _WRONG_TYPE,
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """p1 or p2 with one to three mutations: dropped or extra keys, wrong
+    types, non-finite, huge and tiny numbers, bad families and knots; now
+    and then a document that is not an object at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(_WRONG_TYPE)
+    cfg = copy.deepcopy(draw(st.sampled_from([make_p1().to_dict(), make_p2().to_dict()])))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["number"] * 4 + ["drop", "set", "extra", "dist", "dist_key"]))
+        if op == "number":
+            # keeps the config well-typed, so it reaches the checks and solvers
+            key = draw(st.sampled_from(_SCALAR_KEYS + ("G", "H")))
+            if key in _SCALAR_KEYS:
+                cfg[key] = draw(_FINITE)
+            elif isinstance(cfg.get(key), dict) and cfg[key].get("family") != "piecewise_linear":
+                cfg[key][draw(st.sampled_from(["lo", "hi"]))] = draw(_FINITE)
+        elif op == "drop" and cfg:
+            del cfg[draw(st.sampled_from(sorted(cfg)))]
+        elif op == "set":
+            cfg[draw(st.sampled_from(_SCALAR_KEYS))] = draw(_VALUE)
+        elif op == "extra":
+            cfg[draw(st.text(min_size=1, max_size=6))] = draw(_VALUE)
+        elif op == "dist":
+            cfg[draw(st.sampled_from("GH"))] = draw(_DIST)
+        elif isinstance(cfg.get(dist := draw(st.sampled_from("GH"))), dict):
+            cfg[dist][draw(st.sampled_from(_DIST_KEYS))] = draw(st.one_of(_VALUE, _KNOTS, _FAMILY))
+    return cfg
+
+
+@given(
+    cfg=mutated_configs(),
+    argv=st.sampled_from([("check",), ("solve-mild",), ("solve-severe", "--scan", "0")]),
+)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_config_exits_with_documented_code(tmp_path, cfg, argv):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], "--config", str(path), *argv[1:]])
+    assert code in (0, 2, 3, 4, 5), err.getvalue()

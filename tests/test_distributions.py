@@ -150,6 +150,44 @@ def test_cdf_monotone(d, x, y):
     assert d.cdf(lo) <= d.cdf(hi) + 1e-15
 
 
+@given(
+    d=families,
+    x=st.one_of(
+        st.floats(-1.0, 5.0),
+        st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    ),
+    as_numpy=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_scalar_cdf_matches_array_path(d, x, as_numpy):
+    # the scalar fast path must give the array path's bits, as a Python float
+    arg = np.float64(x) if as_numpy else x
+    got = d.cdf(arg)
+    want = d.cdf(np.array([x]))[0]
+    assert type(got) is float
+    assert np.array_equal(np.float64(got).view(np.uint64), want.view(np.uint64))
+
+
+def test_scalar_cdf_keeps_negative_zero():
+    assert str(BoundedCDF.uniform(0.0, 1.0).cdf(-0.0)) == "-0.0"
+
+
+@pytest.mark.parametrize(
+    "a, b, x, p",
+    [
+        # p = cdf(0.5); betaincinv alone returns 0.4999999996755613, 3.2e-10 off
+        (1.0625, 1.0625, 0.5, 0.5000000000000001),
+        # betaincinv alone returns exactly 0 and 1 at these interior p
+        (1.1875, 2.0625, 0.15000000000000002, 0.21760810950394924),
+        (1.5, 1.125, 0.8, 0.7601445496759371),
+    ],
+)
+def test_scaled_beta_quantile_hard_cases(a, b, x, p):
+    d = BoundedCDF.scaled_beta(0.0, 1.0, a, b)
+    assert abs(d.quantile(p) - x) <= 1e-15
+    assert abs(d.quantile(np.array([p]))[0] - x) <= 1e-15
+
+
 @given(d=families, t=st.floats(1e-6, 1.0 - 1e-6))
 @settings(max_examples=300, deadline=None)
 def test_quantile_cdf_round_trip(d, t):

@@ -136,6 +136,12 @@ class TestAssumptionMild:
     def test_pure_predicate(self, p1):
         assert check_assumption_mild(p1) == check_assumption_mild(p1)
 
+    def test_clause6_bound_when_gamma_h_underflows(self):
+        # H(alpha_G) = 5e-324 > 0, but gamma * H(alpha_G) rounds to 0: the
+        # bound takes its limit 0 instead of dividing by zero
+        report = check_assumption_mild(make_p1(alpha_G=5e-324))
+        assert report.clauses[5].rhs == 0.0 and not report.clauses[5].passed
+
 
 class TestAssumptionSevere:
     def test_p2_passes_all_five(self, p2):

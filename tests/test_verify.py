@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import make_p1, make_p2
+from helpers import make_p1, make_p2, reference_draw_params
 from repgame import (
     AssumptionError,
     BoundedCDF,
@@ -18,7 +18,7 @@ from repgame import (
     solve_mild,
     solve_severe,
 )
-from repgame.verify import draw_params
+from repgame.verify import _uniform, draw_params
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +233,40 @@ class TestSignLaws:
     def test_unknown_regime(self):
         with pytest.raises(DomainError):
             sign_law_check("both")
+
+
+class TestDrawParams:
+    @pytest.mark.parametrize("regime", ["mild", "severe"])
+    def test_matches_reference(self, regime):
+        # same proposals, same accept/reject decisions, same rng stream as
+        # building and fully checking every draw
+        accepted = 0
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(1000):
+                got, want = draw_params(rng, regime), reference_draw_params(ref_rng, regime)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.to_dict() == want.to_dict()
+                    accepted += 1
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert accepted > 0
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (0.0, 0.2), (0.0, 0.3), (0.0, 0.5), (0.3, 1.5), (0.4, 1.6), (0.8, 1.8),
+            (0.5, 3.0), (0.3, 3.0), (0.2, 1.2), (-1.5, 0.8), (-1.0, 0.6),
+            (0.1, 0.9), (0.02, 0.98),
+        ],
+    )
+    def test_uniform_is_generator_uniform(self, lo, hi):
+        # bit for bit: a numpy release that changes Generator.uniform's
+        # formula must fail here rather than silently change verify's draws
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = np.array([_uniform(rng, lo, hi) for _ in range(5000)])
+        want = np.array([ref_rng.uniform(lo, hi) for _ in range(5000)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestRejections:
