@@ -33,16 +33,12 @@ from .model import (
     rho_tilde,
 )
 from .simulate import (
-    EpisodeRecord,
     EstimationReport,
     SimStats,
     Strategy,
     estimate_from_sim,
     estimate_plugin,
     make_strategy,
-    play_episode,
-    public_action,
-    regime_action,
     run_simulation,
 )
 from .solver_mild import (

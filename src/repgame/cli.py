@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scan",
         type=int,
         default=400,
-        help="multiplicity grid-scan resolution, at least 2; 0 turns the scan off",
+        help="multiplicity grid-scan resolution, 2 to 2000; 0 turns the scan off",
     )
     p.set_defaults(func=_cmd_solve_severe)
 

@@ -13,11 +13,24 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc, betaincinv, betaln
 
 from .errors import DomainError, read_field
 
 FAMILIES = ("uniform", "scaled_beta", "piecewise_linear")
+
+betainc = betaincinv = betaln = None  # bound by _load_beta_functions
+
+
+def _load_beta_functions() -> None:
+    """Bind scipy's incomplete-beta functions as module globals.
+
+    Importing scipy.special costs about half of a cold CLI start, and only
+    scaled_beta needs it, so it is deferred to the first scaled_beta built;
+    the evaluation paths then read plain globals at no per-call cost.
+    """
+    global betainc, betaincinv, betaln
+    if betainc is None:
+        from scipy.special import betainc, betaincinv, betaln
 
 
 def _knot(pair) -> tuple[float, float]:
@@ -75,6 +88,7 @@ class BoundedCDF:
             a, b = self.params
             if not (0 < a < np.inf and 0 < b < np.inf):
                 raise DomainError(f"beta shapes must be finite and positive, got ({a}, {b})")
+            _load_beta_functions()
         else:
             knots = self.params
             if len(knots) < 2:

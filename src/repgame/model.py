@@ -122,9 +122,6 @@ class Belief:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.mu_G, self.mu_B, self.mu_N)
 
-    def to_dict(self) -> dict:
-        return {"mu_G": self.mu_G, "mu_B": self.mu_B, "mu_N": self.mu_N}
-
 
 def prior(params: ModelParams) -> Belief:
     """Common prior over types: (gamma*q, gamma*(1-q), 1-gamma)."""

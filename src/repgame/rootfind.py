@@ -18,6 +18,11 @@ MAX_ITER = 200
 _EPS = 2.220446049250313e-16
 
 
+def _stop_width(a: float, b: float) -> float:
+    """Bracket width at which find_root stops: a few ulps of max(1, |a|, |b|)."""
+    return 4.0 * _EPS * max(1.0, abs(a), abs(b))
+
+
 def find_root(
     f: Callable[[float], float],
     lo: float,
@@ -47,7 +52,7 @@ def find_root(
     width_prev = b - a
     for _ in range(max_iter):
         width = b - a
-        if width <= 4.0 * _EPS * max(1.0, abs(a), abs(b)):
+        if width <= _stop_width(a, b):
             break
         if width > 0.5 * width_prev2:
             x = 0.5 * (a + b)  # slow progress: force bisection
@@ -66,3 +71,28 @@ def find_root(
             a, fa = x, fx
         width_prev2, width_prev = width_prev, b - a
     return 0.5 * (a + b)
+
+
+def ulp_bracket(
+    f: Callable[[float], float], x: float, lo: float, hi: float
+) -> tuple[float, float] | None:
+    """Adjacent floats a < b near find_root's answer x with f(a) <= 0 < f(b),
+    for f increasing on [lo, hi]; None if find_root's final bracket around x
+    holds no sign change (the root finder did not converge).
+
+    find_root stops at a few ulps of max(1, |a|, |b|), which is many ulps of
+    a root far below 1. Plain bisection here resolves a root of any
+    magnitude to one ulp: at most about 1,100 steps, for a subnormal root.
+    """
+    w = _stop_width(x, x)
+    a, b = max(lo, x - w), min(hi, x + w)
+    if not f(a) <= 0.0 < f(b):
+        return None
+    while True:
+        m = a + 0.5 * (b - a)
+        if not a < m < b:
+            return a, b
+        if f(m) <= 0.0:
+            a = m
+        else:
+            b = m

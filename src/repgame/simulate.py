@@ -69,17 +69,6 @@ class Strategy:
             raise DomainError("mild strategy needs a reveal_mix probability")
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
-    theta: str
-    c: float | None
-    rho: float
-    action: str
-    observation: str
-    protested: bool
-    success: bool
-
-
 def make_strategy(eq) -> Strategy:
     if isinstance(eq, MildEquilibrium):
         return Strategy("mild", (eq.c_tilde,), eq.kappa)
@@ -93,68 +82,6 @@ def make_strategy(eq) -> Strategy:
 def equilibrium_posteriors(eq) -> tuple[Belief, Belief]:
     """(mu_R, mu_NN) pair the public plays against."""
     return eq.mu_R, eq.mu_NN
-
-
-def regime_action(theta: str, c: float, strategy: Strategy, u: float) -> str:
-    """Action of a type-(theta, c) regime; u drives the mild reveal mix.
-
-    The knife edge c equal to the cutoff is assigned to conceal
-    (measure-zero and payoff-equivalent).
-    """
-    if theta == "N":
-        raise DomainError("an unorganized activist leaves the regime no move")
-    if theta not in ("G", "B"):
-        raise DomainError(f"unknown activist type {theta!r}")
-    if strategy.variant == "mild":
-        if c <= strategy.thresholds[0]:
-            return "conceal"
-        if theta == "B":
-            return "reveal"
-        return "reveal" if u < strategy.reveal_mix else "concede"
-    if strategy.variant == "severe":
-        c_B, c_G = strategy.thresholds
-        if theta == "B":
-            return "conceal" if c <= c_B else "concede"
-        return "conceal" if c <= c_G else "reveal"
-    # no-concession
-    return "conceal" if c <= strategy.thresholds[0] else "reveal"
-
-
-def public_action(
-    observation: str,
-    rho: float,
-    posteriors: tuple[Belief, Belief],
-    params: ModelParams,
-) -> bool:
-    """Protest decision: cost below the cutoff at the relevant posterior."""
-    mu_R, mu_NN = posteriors
-    if observation == "concession":
-        return False
-    if observation == "R":
-        return rho <= model.rho_tilde(mu_R, params)
-    if observation == "NN":
-        return rho <= model.rho_tilde(mu_NN, params)
-    raise DomainError(f"unknown observation {observation!r}")
-
-
-def play_episode(
-    params: ModelParams,
-    strategy: Strategy,
-    posteriors: tuple[Belief, Belief],
-    theta: str,
-    c: float | None,
-    rho: float,
-    u_mix: float = 0.0,
-) -> EpisodeRecord:
-    """One episode from already-drawn primitives (reference path)."""
-    if theta == "N":
-        action, observation = "none", "NN"
-    else:
-        action = regime_action(theta, c, strategy, u_mix)
-        observation = {"reveal": "R", "conceal": "NN", "concede": "concession"}[action]
-    protested = public_action(observation, rho, posteriors, params)
-    success = protested and theta != "N" and action != "concede"
-    return EpisodeRecord(theta, c if theta != "N" else None, rho, action, observation, protested, success)
 
 
 # -- vectorized engine -------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import model
 from .errors import AssumptionError, DomainError, InconsistentInputsError, SolverError
 from .model import Belief, ModelParams
-from .rootfind import find_root
+from .rootfind import find_root, ulp_bracket
 
 DEFAULT_TOL = 1e-10
 _BRACKET_PAD = 1e-14
@@ -40,7 +40,9 @@ class MildEquilibrium:
     activist. p_R, p_NN, p_prior are protest probabilities after revealed
     repression, after no news, and under the prior. D = p_prior - p_R is
     the deterrence (positive) or backlash (negative) effect; D_lower =
-    p_NN - p_R = -c_tilde is its always-negative estimable lower bound.
+    p_NN - p_R = -c_tilde is its always-negative estimable lower bound,
+    stored as -c_tilde: p_NN and p_R both sit near alpha_G, so their
+    difference keeps no digits of a threshold below alpha_G's precision.
     """
 
     c_tilde: float
@@ -110,6 +112,31 @@ def _threshold_residual(params: ModelParams, be: float, c: float) -> float:
     return params.G.cdf(gp * be) + c - params.alpha_G
 
 
+def _certified_root(f, lo: float, hi: float, tol: float, what: str) -> tuple[float, float]:
+    """(c, |f(c)|) for the root c of an increasing f on [lo, hi].
+
+    A residual above tol is retried on the float nearest the root, which a
+    tiny root (a huge beta_G) needs. If even that misses tol, f jumps by
+    more than tol between adjacent floats, so no float root meets tol: the
+    inputs are at fault, not the solver.
+    """
+    c = find_root(f, lo, hi)
+    residual = abs(f(c))
+    if residual <= tol:
+        return c, residual
+    bracket = ulp_bracket(f, c, lo, hi)
+    if bracket is None:
+        raise SolverError(f"{what} residual {residual:.3e} exceeds tol {tol:.3e}")
+    c = min(bracket, key=lambda x: abs(f(x)))
+    residual = abs(f(c))
+    if residual > tol:
+        raise DomainError(
+            f"{what} equation is ill-conditioned at these inputs: best attainable "
+            f"residual {residual:.3e} exceeds tol {tol:.3e}"
+        )
+    return c, residual
+
+
 def _validate_tol(tol: float) -> None:
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -145,12 +172,8 @@ def solve_threshold(params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool
         raise SolverError(f"threshold equation not bracketed: f({lo})={f_lo}, f({hi})={f_hi}")
     pad_lo, pad_hi = lo + _BRACKET_PAD, hi - _BRACKET_PAD
     if f(pad_lo) < 0.0 < f(pad_hi):
-        c_tilde = find_root(f, pad_lo, pad_hi)
-    else:
-        c_tilde = find_root(f, lo, hi)  # root hugs an endpoint
-    residual = abs(f(c_tilde))
-    if residual > tol:
-        raise SolverError(f"threshold residual {residual:.3e} exceeds tol {tol:.3e}")
+        lo, hi = pad_lo, pad_hi
+    c_tilde, _ = _certified_root(f, lo, hi, tol, "threshold")
     if not relaxed and not params.H.lo < c_tilde < params.alpha_G:
         raise SolverError(f"threshold {c_tilde} escaped ({params.H.lo}, {params.alpha_G})")
     return c_tilde
@@ -250,7 +273,7 @@ def solve_mild(
         p_NN=p_NN,
         p_prior=p_prior,
         D=p_prior - p_R,
-        D_lower=p_NN - p_R,
+        D_lower=-c_tilde,  # = p_NN - p_R, certified above
         residual=residual,
     )
 
@@ -320,8 +343,8 @@ def effect_D_mild(params: ModelParams, eq: MildEquilibrium) -> float:
 
 
 def bound_D_lower(eq: MildEquilibrium) -> float:
-    """Estimable lower bound on D: p_NN - p_R, always negative (= -c_tilde)."""
-    return eq.p_NN - eq.p_R
+    """Estimable lower bound on D: p_NN - p_R = -c_tilde, always negative."""
+    return eq.D_lower
 
 
 def limit_H_degenerate(params: ModelParams) -> DegenerateLimits:
@@ -368,10 +391,7 @@ def no_concession_equilibrium(params: ModelParams, tol: float = DEFAULT_TOL) -> 
             f"no-concession variant needs G(beta_e) > c_lo, got {g_at_be} <= {params.H.lo}"
         )
     f = lambda c: params.G.cdf(_gamma_prime(params.H.cdf(c), params.gamma) * be) + c - g_at_be
-    c_tilde = find_root(f, params.H.lo, g_at_be)
-    residual = abs(f(c_tilde))
-    if residual > tol:
-        raise SolverError(f"no-concession residual {residual:.3e} exceeds tol {tol:.3e}")
+    c_tilde, residual = _certified_root(f, params.H.lo, g_at_be, tol, "no-concession")
     q = params.q
     gp = _gamma_prime(params.H.cdf(c_tilde), params.gamma)
     mu_R = Belief(q, 1.0 - q, 0.0)

@@ -36,6 +36,7 @@ from .solver_mild import RepressionProbabilities
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SCAN = 400
+MAX_SCAN = 2_000  # the scan holds several scan x scan float arrays
 _SCAN_1D = 2048
 
 
@@ -196,13 +197,13 @@ def solve_severe(
 ) -> SevereEquilibrium:
     """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G).
 
-    ``scan`` is the resolution of the 2-D multiplicity grid scan, at least 2;
-    0 skips it.
+    ``scan`` is the resolution of the 2-D multiplicity grid scan, 2 to
+    MAX_SCAN; 0 skips it.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    if scan == 1 or scan < 0:
-        raise DomainError(f"scan must be 0 (off) or at least 2, got {scan}")
+    if scan == 1 or not 0 <= scan <= MAX_SCAN:
+        raise DomainError(f"scan must be 0 (off) or 2 to {MAX_SCAN}, got {scan}")
     report = model.check_assumption_severe(params)
     if not report.ok:
         raise AssumptionError(

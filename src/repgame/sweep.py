@@ -25,6 +25,9 @@ from .solver_severe import severe_repression_probabilities, solve_severe
 
 SWEEP_AXES = ("H_lo", "G_lo", "q", "gamma", "beta_B", "alpha_G")
 VARIANTS = ("mild", "severe")
+# np.linspace raises a bare ValueError on a count it cannot allocate; a grid
+# this size already takes minutes of solves
+MAX_STEPS = 1_000_000
 
 MILD_COLUMNS = (
     "axis_value",
@@ -110,8 +113,8 @@ class SweepSpec:
             raise DomainError(f"unknown sweep variant {self.variant!r}")
         if not self.start < self.end:
             raise DomainError("need start < end")
-        if self.steps < 2:
-            raise DomainError("need at least 2 steps")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise DomainError(f"need 2 to {MAX_STEPS} steps, got {self.steps}")
         # endpoints must at least be type-valid; assumption validity is per point
         apply_axis(self.base, self.axis, self.start)
         apply_axis(self.base, self.axis, self.end)

@@ -31,6 +31,7 @@ from .solver_severe import SevereEquilibrium, effect_D_severe, solve_severe
 from .sweep import apply_axis
 
 DEFAULT_GRID = 1000
+MAX_GRID = 1_000_000  # as sweep.MAX_STEPS: np.linspace cannot take any count
 MONOTONE_SLACK = 1e-12
 
 
@@ -96,8 +97,8 @@ def best_response_check(params: ModelParams, eq, grid: int = DEFAULT_GRID) -> Re
     protest thresholds come from the equilibrium's stored posteriors, so a
     deliberately perturbed threshold shows up as positive regret.
     """
-    if grid < 2:
-        raise DomainError("grid must be at least 2")
+    if not 2 <= grid <= MAX_GRID:
+        raise DomainError(f"grid must be 2 to {MAX_GRID}, got {grid}")
     variant = _variant_of(eq)
     p_R = model.protest_prob(eq.mu_R, params)
     p_NN = model.protest_prob(eq.mu_NN, params)
@@ -164,7 +165,7 @@ def identity_suite(params: ModelParams, eq) -> dict:
         )
         gaps["p_R_minus_alpha_G"] = abs(eq.p_R - params.alpha_G)
         gaps["p_NN_minus_indifference"] = abs(eq.p_NN - (params.alpha_G - eq.c_tilde))
-        gaps["D_lower_plus_c_tilde"] = abs(eq.D_lower + eq.c_tilde)
+        gaps["D_lower_plus_c_tilde"] = abs(eq.p_NN - eq.p_R + eq.c_tilde)  # estimable form
         gaps["reveal_probability"] = eq.prob_revealed  # must stay positive: on-path reveal
     elif isinstance(eq, SevereEquilibrium):
         p_nn = model.protest_prob(eq.mu_NN, params)

@@ -8,10 +8,11 @@ independent of the solver paths they certify.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from repgame import BoundedCDF, DomainError, ModelParams, model
+from repgame import Belief, BoundedCDF, DomainError, ModelParams, Strategy, model
 from repgame.cli import format_float
 from repgame.simulate import ACTIONS, OBSERVATIONS, THETAS
 
@@ -145,6 +146,80 @@ def ks_distance(dist: BoundedCDF, samples: np.ndarray) -> float:
     upper = np.max(np.abs(np.arange(1, n + 1) / n - cdf))
     lower = np.max(np.abs(np.arange(0, n) / n - cdf))
     return float(max(upper, lower))
+
+
+@dataclass(frozen=True)
+class EpisodeRecord:
+    theta: str
+    c: float | None
+    rho: float
+    action: str
+    observation: str
+    protested: bool
+    success: bool
+
+
+def regime_action(theta: str, c: float, strategy: Strategy, u: float) -> str:
+    """Action of a type-(theta, c) regime; u drives the mild reveal mix.
+
+    The knife edge c equal to the cutoff is assigned to conceal
+    (measure-zero and payoff-equivalent).
+    """
+    if theta == "N":
+        raise DomainError("an unorganized activist leaves the regime no move")
+    if theta not in ("G", "B"):
+        raise DomainError(f"unknown activist type {theta!r}")
+    if strategy.variant == "mild":
+        if c <= strategy.thresholds[0]:
+            return "conceal"
+        if theta == "B":
+            return "reveal"
+        return "reveal" if u < strategy.reveal_mix else "concede"
+    if strategy.variant == "severe":
+        c_B, c_G = strategy.thresholds
+        if theta == "B":
+            return "conceal" if c <= c_B else "concede"
+        return "conceal" if c <= c_G else "reveal"
+    # no-concession
+    return "conceal" if c <= strategy.thresholds[0] else "reveal"
+
+
+def public_action(
+    observation: str,
+    rho: float,
+    posteriors: tuple[Belief, Belief],
+    params: ModelParams,
+) -> bool:
+    """Protest decision: cost below the cutoff at the relevant posterior."""
+    mu_R, mu_NN = posteriors
+    if observation == "concession":
+        return False
+    if observation == "R":
+        return rho <= model.rho_tilde(mu_R, params)
+    if observation == "NN":
+        return rho <= model.rho_tilde(mu_NN, params)
+    raise DomainError(f"unknown observation {observation!r}")
+
+
+def play_episode(
+    params: ModelParams,
+    strategy: Strategy,
+    posteriors: tuple[Belief, Belief],
+    theta: str,
+    c: float | None,
+    rho: float,
+    u_mix: float = 0.0,
+) -> EpisodeRecord:
+    """One episode from already-drawn primitives, decided branch by branch:
+    the scalar reference for ``repgame.simulate.simulate_arrays``."""
+    if theta == "N":
+        action, observation = "none", "NN"
+    else:
+        action = regime_action(theta, c, strategy, u_mix)
+        observation = {"reveal": "R", "conceal": "NN", "concede": "concession"}[action]
+    protested = public_action(observation, rho, posteriors, params)
+    success = protested and theta != "N" and action != "concede"
+    return EpisodeRecord(theta, c if theta != "N" else None, rho, action, observation, protested, success)
 
 
 def reference_episodes_csv(arrays: dict) -> str:

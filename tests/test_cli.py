@@ -1,8 +1,12 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_p1, make_p2, reference_episodes_csv
-from repgame import SimStats, SolverError, solve_mild
+import repgame
+from repgame import BoundedCDF, SimStats, SolverError, solve_mild
 from repgame.cli import _episode_rows, _solve_for_variant, main
 from repgame.simulate import CHUNK, outcome_codes, simulate_arrays
 
@@ -87,6 +92,45 @@ class TestSolveCommands:
         code, out, _ = run_cli(capsys, "solve-mild", "--config", p1_config, "--tol", "1e-12")
         assert code == 0
         assert json.loads(out)["residual"] <= 1e-12
+
+
+def _p1_with(tmp_path, beta_G: float) -> str:
+    path = tmp_path / "p1_beta_G.json"
+    path.write_text(json.dumps(make_p1(beta_G=beta_G).to_dict()))
+    return str(path)
+
+
+_SOLVE_COMMANDS = [("solve-mild",), ("simulate", "--n", "1000", "--seed", "0")]
+
+
+class TestHugePayoffs:
+    @pytest.mark.parametrize("beta_G", [1e6, 1e308])
+    @pytest.mark.parametrize("argv", _SOLVE_COMMANDS)
+    def test_solves(self, capsys, tmp_path, beta_G, argv):
+        code, out, err = run_cli(capsys, argv[0], "--config", _p1_with(tmp_path, beta_G), *argv[1:])
+        assert code == 0, err
+        payload = json.loads(out)
+        if argv[0] == "solve-mild":
+            assert 0.0 < payload["c_tilde"] < 2e-6 and payload["residual"] <= 1e-10
+            assert payload["D_lower"] == pytest.approx(-payload["c_tilde"], rel=1e-9, abs=0.0)
+        else:
+            assert payload["stats"]["n_episodes"] == 1000
+
+    @pytest.mark.parametrize("beta_G", [2.5, 1e308])
+    @pytest.mark.parametrize("argv", _SOLVE_COMMANDS)
+    def test_tol_below_float_resolution_exits_5(self, capsys, tmp_path, beta_G, argv):
+        config = _p1_with(tmp_path, beta_G)
+        code, out, err = run_cli(capsys, argv[0], "--config", config, *argv[1:], "--tol", "1e-20")
+        assert code == 5 and out == ""
+        assert err.startswith("bad input: threshold equation is ill-conditioned")
+
+    def test_genuine_non_convergence_exits_3(self, capsys, p1_config, monkeypatch):
+        from repgame import solver_mild
+
+        monkeypatch.setattr(solver_mild, "find_root", lambda f, lo, hi: hi)
+        code, out, err = run_cli(capsys, "solve-mild", "--config", p1_config)
+        assert code == 3 and out == ""
+        assert err.startswith("solver failure: threshold residual")
 
 
 class TestDeterminism:
@@ -317,26 +361,99 @@ class TestVerifyFailurePath:
         assert json.loads(out)["ok"] is False
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports the same package
+    as this process, also when the test run put src/ on sys.path through
+    pytest's pythonpath setting."""
+    src = os.path.dirname(os.path.dirname(repgame.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+# Runs each argv of the JSON list in argv[1] through main in this interpreter,
+# and prints per command its exit code, stdout, and whether scipy is loaded.
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from repgame.cli import main
+results = [{"scipy": "scipy" in sys.modules}]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append({"code": code, "out": out.getvalue(), "scipy": "scipy" in sys.modules})
+print(json.dumps(results))
+"""
+
+
+def _run_fresh(commands: list[list[str]]) -> list[dict]:
+    proc = _fresh_python("-c", _RUN_COMMANDS, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestModuleInvocation:
     def test_python_dash_m(self, p1_config):
-        import os
-        import subprocess
-        import sys
-
-        import repgame
-
-        # the child imports the same package as this process, also when the
-        # test run put src/ on sys.path through pytest's pythonpath setting
-        src = os.path.dirname(os.path.dirname(repgame.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repgame.cli", "solve-mild", "--config", p1_config],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _fresh_python("-m", "repgame.cli", "solve-mild", "--config", p1_config)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["c_tilde"] == pytest.approx(0.3556411, abs=1e-6)
+
+
+class TestDeferredScipyImport:
+    """scipy.special is imported only when a scaled_beta distribution is built."""
+
+    def test_uniform_and_piecewise_configs_never_load_scipy(self, p1_config, tmp_path):
+        pwl = tmp_path / "p1_pwl.json"
+        knots = [(0.0, 0.0), (0.5, 0.7), (1.0, 1.0)]
+        pwl.write_text(json.dumps(make_p1(G=BoundedCDF.piecewise_linear(knots)).to_dict()))
+        results = _run_fresh([
+            ["check", "--config", p1_config],
+            ["solve-mild", "--config", p1_config],
+            ["simulate", "--config", p1_config, "--n", "1000", "--seed", "0"],
+            ["check", "--config", str(pwl)],
+        ])
+        assert [r["scipy"] for r in results] == [False] * 5
+        assert [r["code"] for r in results[1:]] == [0] * 4
+
+    def test_scaled_beta_config_loads_scipy_with_identical_output(self, capsys, tmp_path):
+        config = tmp_path / "p1_beta.json"
+        config.write_text(json.dumps(make_p1(H=BoundedCDF.scaled_beta(0.0, 1.0, 2.0, 2.0)).to_dict()))
+        commands = [
+            ["solve-mild", "--config", str(config)],
+            ["simulate", "--config", str(config), "--n", "1000", "--seed", "3",
+             "--episodes-out", str(tmp_path / "fresh.csv")],
+        ]
+        results = _run_fresh(commands)
+        assert [r["scipy"] for r in results] == [False, True, True]
+        commands[1][-1] = str(tmp_path / "here.csv")
+        for argv, fresh in zip(commands, results[1:]):
+            assert run_cli(capsys, *argv) == (fresh["code"], fresh["out"], "")
+        assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            'BoundedCDF.from_dict({"family": "scaled_beta", "lo": 0.0, "hi": 2.0, "a": 2.0, "b": 3.0})',
+            'dataclasses.replace(BoundedCDF.uniform(0.0, 2.0), family="scaled_beta", params=(2.0, 3.0))',
+        ],
+    )
+    def test_every_scaled_beta_constructor_loads_scipy(self, build):
+        script = (
+            "import dataclasses, sys\n"
+            "import numpy as np\n"
+            "from repgame import BoundedCDF\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"d = {build}\n"
+            "print(repr([d.cdf(0.7), d.cdf(np.array([0.3, 1.9])).tolist(), d.quantile(0.4)]))\n"
+        )
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        d = eval(build, {"BoundedCDF": BoundedCDF, "dataclasses": dataclasses})
+        assert proc.stdout == repr([d.cdf(0.7), d.cdf(np.array([0.3, 1.9])).tolist(), d.quantile(0.4)]) + "\n"
 
 
 class TestConfigErrors:
@@ -379,12 +496,19 @@ class TestConfigErrors:
         assert err.startswith("bad input: ") and err.count("\n") == 1
         assert not csv_path.exists()
 
-    @pytest.mark.parametrize("scan", ["1", "-5"])
+    @pytest.mark.parametrize("scan", ["1", "-5", "2001", "1" + "0" * 20])
     def test_bad_scan_exit_5(self, capsys, p2_config, scan):
         code, out, err = run_cli(capsys, "solve-severe", "--config", p2_config, "--scan", scan)
         assert code == 5
         assert out == ""
         assert err.startswith("bad input: ") and "scan" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", ["1", "1000001", "1" + "0" * 20])
+    def test_bad_grid_exit_5(self, capsys, p1_config, grid):
+        code, out, err = run_cli(capsys, "verify", "--config", p1_config, "--grid", grid, "--draws", "5")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("bad input: ") and "grid" in err and err.count("\n") == 1
 
     def test_non_finite_payoff_exit_5(self, capsys, tmp_path):
         path = tmp_path / "inf.json"
@@ -522,3 +646,54 @@ def test_malformed_config_exits_with_documented_code(tmp_path, cfg, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([argv[0], "--config", str(path), *argv[1:]])
     assert code in (0, 2, 3, 4, 5), err.getvalue()
+
+
+def _exit_code(argv) -> tuple[int, str]:
+    """main's exit code, or argparse's for a flag it rejects, with stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# --steps values that finish at once: beyond the cap, below 2, or not an integer
+_STEPS = st.sampled_from(
+    ["-9223372036854775808", "-1", "0", "1", "3", "1000001", str(2**63), "1" + "0" * 400, "1e9", "nan"]
+)
+
+
+@given(
+    cfg=st.one_of(mutated_configs(), st.sampled_from([make_p1().to_dict(), make_p2().to_dict()])),
+    axis=st.sampled_from(["H_lo", "G_lo", "q", "gamma", "beta_B", "alpha_G"]),
+    start=st.one_of(st.floats(0.0, 1.0), _EXTREME),
+    end=st.one_of(st.floats(0.0, 1.0), _EXTREME),
+    steps=st.one_of(st.just("3"), _STEPS),
+    tail=st.sampled_from([(), ("--variant", "severe"), ("--format", "json")]),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sweep_extreme_flags_exit_with_documented_code(tmp_path, cfg, axis, start, end, steps, tail):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    code, err = _exit_code(
+        ["sweep", "--config", str(path), "--axis", axis, f"--start={start!r}",
+         f"--end={end!r}", f"--steps={steps}", *tail]
+    )
+    assert code in (0, 2, 3, 4, 5), err
+    assert "Traceback" not in err
+
+
+_ESTIMATE_FLAGS = ("--q-hat", "--q-prime-hat", "--p-hat", "--p-r-hat", "--p-nn-hat")
+
+
+@given(
+    values=st.lists(st.one_of(st.none(), st.floats(0.0, 1.0), _EXTREME), min_size=5, max_size=5)
+)
+@settings(max_examples=100, deadline=None)
+def test_estimate_extreme_flags_exit_with_documented_code(values):
+    argv = [f"{flag}={v!r}" for flag, v in zip(_ESTIMATE_FLAGS, values) if v is not None]
+    code, err = _exit_code(["estimate", *argv])
+    assert code in (0, 2, 3, 4, 5), err
+    assert "Traceback" not in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_p1, make_p2
+from helpers import make_p1, make_p2, play_episode, public_action, regime_action
 from repgame import (
     Belief,
     DomainError,
@@ -11,9 +11,6 @@ from repgame import (
     estimate_from_sim,
     make_strategy,
     no_concession_equilibrium,
-    play_episode,
-    public_action,
-    regime_action,
     run_simulation,
     solve_mild,
     solve_severe,

@@ -15,6 +15,7 @@ from repgame import (
     BoundedCDF,
     DomainError,
     InconsistentInputsError,
+    SolverError,
     bound_D_lower,
     effect_D_mild,
     estimator_H,
@@ -25,6 +26,7 @@ from repgame import (
     solve_mild,
     solve_no_concession,
 )
+from repgame import solver_mild
 from repgame.verify import draw_params
 
 # Frozen oracle values for the benchmark parameters. With uniform G and H the
@@ -244,3 +246,35 @@ class TestRejections:
         assert params.H.cdf(eq.c_tilde) == 0.0
         with pytest.raises(AssumptionError):
             solve_mild(params)  # strict mode still refuses
+
+
+class TestHugePayoffs:
+    """A huge beta_G puts the threshold far below 1, where find_root's
+    absolute stopping width spans many ulps of the root."""
+
+    @pytest.mark.parametrize("beta_G", [1e6, 1e16, 1e308])
+    def test_threshold_resolved(self, beta_G):
+        p = make_p1(beta_G=beta_G)
+        g, a = p.gamma, p.alpha_G
+        be = p.q * beta_G + (1.0 - p.q) * p.beta_B
+        # uniform G and H with G's argument below 1: g c^2 + B c - a (1 - g) = 0,
+        # whose quadratic term is below 1e-11 relative here
+        linear = a * (1.0 - g) / (g * be + 1.0 - g - g * a)
+        eq = solve_mild(p)
+        assert eq.residual <= 1e-10
+        assert eq.c_tilde == pytest.approx(linear, rel=1e-9, abs=0.0)
+        assert eq.D_lower == bound_D_lower(eq) == pytest.approx(-linear, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("beta_G", [1e6, 1e308])
+    def test_no_concession_threshold_resolved(self, beta_G):
+        assert no_concession_equilibrium(make_p1(beta_G=beta_G)).residual <= 1e-10
+
+    @pytest.mark.parametrize("beta_G", [2.5, 1e308])
+    def test_tol_below_float_resolution_is_a_domain_error(self, beta_G):
+        with pytest.raises(DomainError, match="ill-conditioned.*best attainable residual"):
+            solve_mild(make_p1(beta_G=beta_G), tol=1e-20)
+
+    def test_genuine_non_convergence_is_a_solver_error(self, p1, monkeypatch):
+        monkeypatch.setattr(solver_mild, "find_root", lambda f, lo, hi: hi)
+        with pytest.raises(SolverError, match="threshold residual"):
+            solve_mild(p1)
