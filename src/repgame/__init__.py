@@ -35,10 +35,8 @@ from .model import (
 from .simulate import (
     EstimationReport,
     SimStats,
-    Strategy,
     estimate_from_sim,
     estimate_plugin,
-    make_strategy,
     run_simulation,
 )
 from .solver_mild import (

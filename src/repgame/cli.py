@@ -79,12 +79,22 @@ def canonical_json(obj) -> str:
     return _dumps(obj) + "\n"
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """``path`` open for writing; failing to open or write it is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    with _writing(out_path) as fh:
+        fh.write(text)
 
 
 # -- config -------------------------------------------------------------------
@@ -180,7 +190,7 @@ def _cmd_simulate(args) -> int:
     blocks = simulate.simulate_blocks(params, eq, args.n, args.seed)  # rejects n and seed here
     binned = 0
     path = args.episodes_out
-    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as csv:
+    with _writing(path) if path else contextlib.nullcontext() as csv:
         if csv is not None:
             csv.write(_EPISODE_HEADER)
         for block in blocks:
@@ -209,13 +219,13 @@ def _cmd_estimate(args) -> int:
         try:
             with open(args.stats, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, not UTF-8, huge integer
             raise ConfigError(f"{args.stats}: {exc}") from exc
         if isinstance(raw, dict) and "stats" in raw:
             raw = raw["stats"]  # the whole payload of simulate --out
         try:
             stats = simulate.SimStats.from_dict(raw)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (DomainError, OverflowError) as exc:  # OverflowError: counts beyond float range
             raise ConfigError(f"{args.stats}: not a stats file: {exc}") from exc
         report = simulate.estimate_from_sim(stats)
     else:

@@ -26,62 +26,30 @@ from numpy.random import Generator, Philox
 
 from . import model
 from .errors import DomainError, EstimationError
-from .model import Belief, ModelParams
+from .model import ModelParams
 from .solver_mild import MildEquilibrium, NoConcessionEquilibrium
 from .solver_severe import SevereEquilibrium
 
 THETAS = ("G", "B", "N")
 ACTIONS = ("none", "concede", "reveal", "conceal")
 OBSERVATIONS = ("R", "NN", "concession")
-# "theta,action,observation,protested" key of each outcome code
-# ((theta * 4 + action) * 3 + observation) * 2 + protested
-OUTCOMES = tuple(
-    ",".join(k) for k in itertools.product(THETAS, ACTIONS, OBSERVATIONS, ("false", "true"))
-)
-
-_VARIANTS = ("mild", "severe", "no-concession")
+# outcome code ((theta * 4 + action) * 3 + observation) * 2 + protested is the
+# index into OUTCOMES, the "theta,action,observation,protested" keys, and into
+# the per-field columns below, all from one product
+_PRODUCT = tuple(itertools.product(THETAS, ACTIONS, OBSERVATIONS, ("false", "true")))
+OUTCOMES = tuple(",".join(k) for k in _PRODUCT)
+_THETA, _, _OBSERVATION, _PROTESTED = (np.array(column) for column in zip(*_PRODUCT))
+_OUTCOME_INDEX = {key: code for code, key in enumerate(OUTCOMES)}
+# SimStats frequency: (event, conditioning event), as masks over OUTCOMES
+_FREQUENCIES = {
+    "p_hat_revealed": (_OBSERVATION == "R", _THETA != "N"),
+    "p_hat_R": (_PROTESTED == "true", _OBSERVATION == "R"),
+    "p_hat_NN": (_PROTESTED == "true", _OBSERVATION == "NN"),
+    "q_hat": (_THETA == "G", _THETA != "N"),
+    "q_hat_prime": (_THETA == "G", _OBSERVATION == "R"),
+}
 
 CHUNK = 1 << 16  # episodes per block of a streamed run
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """Regime strategy implied by a solved equilibrium.
-
-    ``thresholds`` holds the concealment cutoffs: (c_tilde,) for the mild
-    and no-concession variants, (c_tilde_B, c_tilde_G) for severe.
-    ``reveal_mix`` is the mild-variant probability that a good-type regime
-    above the cutoff reveals rather than concedes (equal to kappa, which
-    reproduces the equilibrium reveal likelihood ratio); None otherwise.
-    """
-
-    variant: str
-    thresholds: tuple[float, ...]
-    reveal_mix: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise DomainError(f"unknown strategy variant {self.variant!r}")
-        want = 2 if self.variant == "severe" else 1
-        if len(self.thresholds) != want:
-            raise DomainError(f"{self.variant} strategy needs {want} threshold(s)")
-        if self.variant == "mild" and self.reveal_mix is None:
-            raise DomainError("mild strategy needs a reveal_mix probability")
-
-
-def make_strategy(eq) -> Strategy:
-    if isinstance(eq, MildEquilibrium):
-        return Strategy("mild", (eq.c_tilde,), eq.kappa)
-    if isinstance(eq, SevereEquilibrium):
-        return Strategy("severe", (eq.c_tilde_B, eq.c_tilde_G))
-    if isinstance(eq, NoConcessionEquilibrium):
-        return Strategy("no-concession", (eq.c_tilde,))
-    raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
-
-
-def equilibrium_posteriors(eq) -> tuple[Belief, Belief]:
-    """(mu_R, mu_NN) pair the public plays against."""
-    return eq.mu_R, eq.mu_NN
 
 
 # -- vectorized engine -------------------------------------------------------
@@ -102,11 +70,14 @@ def episode_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def simulate_arrays(params: ModelParams, eq, n: int, seed: int, start: int = 0) -> dict:
-    """Vectorized episode arrays for episodes [start, start+n)."""
+    """Vectorized episode arrays for episodes [start, start+n) played under a
+    MildEquilibrium, SevereEquilibrium or NoConcessionEquilibrium.
+
+    A regime conceals at a cost c up to its cutoff (the knife edge is
+    measure-zero and payoff-equivalent) and otherwise reveals or concedes.
+    """
     if n < 1:
         raise DomainError(f"need at least one episode, got n={n}")
-    strategy = make_strategy(eq)
-    mu_R, mu_NN = equilibrium_posteriors(eq)
     u = episode_uniforms(seed, start, n)
 
     g, q = params.gamma, params.q
@@ -118,21 +89,24 @@ def simulate_arrays(params: ModelParams, eq, n: int, seed: int, start: int = 0) 
 
     organized = theta != 2
     good = theta == 0
-    action = np.zeros(n, dtype=np.int8)  # none
-    if strategy.variant == "severe":
-        c_B, c_G = strategy.thresholds
-        conceal = organized & (c <= np.where(good, c_G, c_B))
-        reveal = organized & ~conceal & good
-        concede = organized & ~conceal & ~good
+    if isinstance(eq, SevereEquilibrium):
+        cutoff = np.where(good, eq.c_tilde_G, eq.c_tilde_B)
+        reveals = good  # revealed repression identifies the good type
+    elif isinstance(eq, MildEquilibrium):
+        cutoff = eq.c_tilde
+        # the good type reveals with probability kappa, which reproduces the
+        # equilibrium reveal likelihood ratio, and concedes otherwise
+        reveals = ~good | (u[:, 3] < eq.kappa)
+    elif isinstance(eq, NoConcessionEquilibrium):
+        cutoff = eq.c_tilde
+        reveals = np.True_  # every type above its cutoff reveals
     else:
-        conceal = organized & (c <= strategy.thresholds[0])
-        if strategy.variant == "mild":
-            mix = u[:, 3] < strategy.reveal_mix
-            reveal = organized & ~conceal & (~good | mix)
-            concede = organized & ~conceal & good & ~mix
-        else:
-            reveal = organized & ~conceal
-            concede = np.zeros(n, dtype=bool)
+        raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
+    conceal = organized & (c <= cutoff)
+    in_open = organized & ~conceal
+    reveal = in_open & reveals
+    concede = in_open & ~reveals
+    action = np.zeros(n, dtype=np.int8)  # none
     action[concede] = 1
     action[reveal] = 2
     action[conceal] = 3
@@ -141,8 +115,8 @@ def simulate_arrays(params: ModelParams, eq, n: int, seed: int, start: int = 0) 
     observation[reveal] = 0  # R
     observation[concede] = 2  # concession
 
-    rho_cut_R = model.rho_tilde(mu_R, params)
-    rho_cut_NN = model.rho_tilde(mu_NN, params)
+    rho_cut_R = model.rho_tilde(eq.mu_R, params)
+    rho_cut_NN = model.rho_tilde(eq.mu_NN, params)
     protested = np.where(
         observation == 0, rho <= rho_cut_R, (observation == 1) & (rho <= rho_cut_NN)
     )
@@ -182,18 +156,24 @@ def outcome_codes(arrays: dict) -> np.ndarray:
     ) * 2 + arrays["protested"]
 
 
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SimStats:
     """Empirical frequencies and binomial standard errors from one run.
 
-    ``counts`` maps "theta,action,observation,protested" to episode counts.
-    Frequencies with empty denominators are None. p_hat_revealed, q_hat and
-    their errors condition on organized episodes; q_hat_prime conditions on
-    revealed-repression episodes; p_hat_R / p_hat_NN on the observation.
+    ``counts`` holds the episode count of each outcome, indexed like
+    OUTCOMES. Each frequency is the share of its event within its
+    conditioning event (_FREQUENCIES); with no conditioning episodes it and
+    its error are None.
     """
 
     n_episodes: int
-    counts: dict
+    counts: tuple[int, ...]
     p_hat_revealed: float | None
     p_hat_R: float | None
     p_hat_NN: float | None
@@ -205,78 +185,23 @@ class SimStats:
     se_q_hat: float | None
     se_q_hat_prime: float | None
 
-    def _sum(self, theta=None, action=None, observation=None, protested=None) -> int:
-        total = 0
-        for key, cnt in self.counts.items():
-            th, ac, ob, pr = key.split(",")
-            if theta is not None and th != theta:
-                continue
-            if action is not None and ac != action:
-                continue
-            if observation is not None and ob != observation:
-                continue
-            if protested is not None and pr != ("true" if protested else "false"):
-                continue
-            total += cnt
-        return total
-
-    @property
-    def n_organized(self) -> int:
-        return self._sum(theta="G") + self._sum(theta="B")
-
-    @property
-    def n_revealed(self) -> int:
-        return self._sum(observation="R")
-
-    @property
-    def n_no_news(self) -> int:
-        return self._sum(observation="NN")
-
     def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "counts": dict(sorted(self.counts.items()))}
+        """Fields as JSON values; ``counts`` maps each outcome key with a
+        non-zero count to it, in key order."""
+        counts = {key: n for key, n in sorted(zip(OUTCOMES, self.counts)) if n}
+        return {**dataclasses.asdict(self), "counts": counts}
 
     @classmethod
-    def from_counts(cls, n_episodes: int, counts: dict) -> "SimStats":
-        if sum(counts.values()) != n_episodes:
-            raise DomainError("episode counts do not sum to n_episodes")
-        stub = cls(
-            n_episodes, counts, None, None, None, None, None, None, None, None, None, None
-        )
-
-        def freq(num: int, den: int):
-            if den == 0:
-                return None, None
-            p = num / den
-            return p, float(np.sqrt(p * (1.0 - p) / den))
-
-        n_org = stub.n_organized
-        n_rev = stub.n_revealed
-        n_nn = stub.n_no_news
-        p_rev, se_rev = freq(n_rev, n_org)
-        p_r, se_r = freq(stub._sum(observation="R", protested=True), n_rev)
-        p_nn, se_nn = freq(stub._sum(observation="NN", protested=True), n_nn)
-        q_hat, se_q = freq(stub._sum(theta="G"), n_org)
-        q_p, se_qp = freq(stub._sum(theta="G", observation="R"), n_rev)
-        return cls(
-            n_episodes=n_episodes,
-            counts=counts,
-            p_hat_revealed=p_rev,
-            p_hat_R=p_r,
-            p_hat_NN=p_nn,
-            q_hat=q_hat,
-            q_hat_prime=q_p,
-            se_p_hat_revealed=se_rev,
-            se_p_hat_R=se_r,
-            se_p_hat_NN=se_nn,
-            se_q_hat=se_q,
-            se_q_hat_prime=se_qp,
-        )
-
-    @classmethod
-    def from_binned(cls, binned: np.ndarray) -> "SimStats":
+    def from_binned(cls, binned) -> "SimStats":
         """Stats of per-outcome episode counts, indexed like OUTCOMES."""
-        counts = {OUTCOMES[i]: int(binned[i]) for i in np.flatnonzero(binned)}
-        return cls.from_counts(int(binned.sum()), counts)
+        counts = tuple(int(n) for n in binned)
+        fields = {}
+        for name, (event, within) in _FREQUENCIES.items():
+            den = sum(itertools.compress(counts, within))
+            p = sum(itertools.compress(counts, event & within)) / den if den else None
+            fields[name] = p
+            fields[f"se_{name}"] = None if p is None else float(np.sqrt(p * (1.0 - p) / den))
+        return cls(n_episodes=sum(counts), counts=counts, **fields)
 
     @classmethod
     def from_arrays(cls, arrays: dict) -> "SimStats":
@@ -285,7 +210,22 @@ class SimStats:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SimStats":
-        return cls.from_counts(int(spec["n_episodes"]), {k: int(v) for k, v in spec["counts"].items()})
+        """Stats of a ``to_dict`` object. Its frequencies and errors are
+        recomputed from ``n_episodes`` and ``counts``, which must be
+        non-negative integers keyed by OUTCOMES and summing to n_episodes."""
+        if not isinstance(spec, dict) or not isinstance(spec.get("counts"), dict):
+            raise DomainError("need an object with a counts object")
+        unknown = spec.keys() - {field.name for field in dataclasses.fields(cls)}
+        if unknown:
+            raise DomainError(f"unknown keys {sorted(unknown)}")
+        binned = [0] * len(OUTCOMES)
+        for key, n in spec["counts"].items():
+            if key not in _OUTCOME_INDEX:
+                raise DomainError(f"unknown outcome {key!r}")
+            binned[_OUTCOME_INDEX[key]] = _count(f"counts[{key!r}]", n)
+        if sum(binned) != _count("n_episodes", spec.get("n_episodes")):
+            raise DomainError("episode counts do not sum to n_episodes")
+        return cls.from_binned(binned)
 
 
 def run_simulation(params: ModelParams, eq, n: int, seed: int, start: int = 0) -> SimStats:
@@ -375,7 +315,7 @@ def estimate_from_sim(stats: SimStats) -> EstimationReport:
     q_hat_prime >= q_hat is flagged rather than rejected (finite-sample
     noise), and the report is still emitted.
     """
-    if stats.n_revealed == 0:
+    if stats.q_hat_prime is None:
         raise EstimationError("estimator undefined: no revealed-repression episodes")
     if stats.q_hat is None or not 0.0 < stats.q_hat < 1.0:
         raise EstimationError(f"estimator undefined: q_hat={stats.q_hat}")

@@ -20,6 +20,7 @@ equals alpha_G - c_tilde.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import model
@@ -137,9 +138,11 @@ def _certified_root(f, lo: float, hi: float, tol: float, what: str) -> tuple[flo
     return c, residual
 
 
-def _validate_tol(tol: float) -> None:
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+def validate_tol(tol: float) -> None:
+    """Reject a tol that is not finite and positive: an infinite tol would
+    pass every residual guard."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
 
 
 def solve_threshold(params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool = False) -> float:
@@ -151,7 +154,7 @@ def solve_threshold(params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool
     H-dependent clauses necessarily fail; the root c_tilde = alpha_G (no
     concealment ever pays) is then legitimate.
     """
-    _validate_tol(tol)
+    validate_tol(tol)
     report = model.check_assumption_mild(params)
     if relaxed:
         bad = [c.name for c in report.clauses[:2] + report.clauses[4:5] if not c.passed]
@@ -383,7 +386,7 @@ def solve_no_concession(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
 
 
 def no_concession_equilibrium(params: ModelParams, tol: float = DEFAULT_TOL) -> NoConcessionEquilibrium:
-    _validate_tol(tol)
+    validate_tol(tol)
     be = model.beta_e(params)
     g_at_be = params.G.cdf(be)
     if not g_at_be > params.H.lo:

@@ -32,7 +32,7 @@ from . import model
 from .errors import AssumptionError, DomainError, SolverError
 from .model import Belief, ModelParams
 from .rootfind import find_root
-from .solver_mild import RepressionProbabilities
+from .solver_mild import RepressionProbabilities, validate_tol
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SCAN = 400
@@ -200,8 +200,7 @@ def solve_severe(
     ``scan`` is the resolution of the 2-D multiplicity grid scan, 2 to
     MAX_SCAN; 0 skips it.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    validate_tol(tol)
     if scan == 1 or not 0 <= scan <= MAX_SCAN:
         raise DomainError(f"scan must be 0 (off) or 2 to {MAX_SCAN}, got {scan}")
     report = model.check_assumption_severe(params)

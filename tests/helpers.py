@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repgame import Belief, BoundedCDF, DomainError, ModelParams, Strategy, model
+from repgame import (
+    BoundedCDF,
+    DomainError,
+    MildEquilibrium,
+    ModelParams,
+    NoConcessionEquilibrium,
+    SevereEquilibrium,
+    model,
+)
 from repgame.cli import format_float
 from repgame.simulate import ACTIONS, OBSERVATIONS, THETAS
 
@@ -159,8 +167,9 @@ class EpisodeRecord:
     success: bool
 
 
-def regime_action(theta: str, c: float, strategy: Strategy, u: float) -> str:
-    """Action of a type-(theta, c) regime; u drives the mild reveal mix.
+def regime_action(theta: str, c: float, eq, u: float) -> str:
+    """Action of a type-(theta, c) regime under a solved equilibrium; u
+    drives the mild reveal mix.
 
     The knife edge c equal to the cutoff is assigned to conceal
     (measure-zero and payoff-equivalent).
@@ -169,42 +178,36 @@ def regime_action(theta: str, c: float, strategy: Strategy, u: float) -> str:
         raise DomainError("an unorganized activist leaves the regime no move")
     if theta not in ("G", "B"):
         raise DomainError(f"unknown activist type {theta!r}")
-    if strategy.variant == "mild":
-        if c <= strategy.thresholds[0]:
+    if isinstance(eq, MildEquilibrium):
+        if c <= eq.c_tilde:
             return "conceal"
         if theta == "B":
             return "reveal"
-        return "reveal" if u < strategy.reveal_mix else "concede"
-    if strategy.variant == "severe":
-        c_B, c_G = strategy.thresholds
+        return "reveal" if u < eq.kappa else "concede"
+    if isinstance(eq, SevereEquilibrium):
         if theta == "B":
-            return "conceal" if c <= c_B else "concede"
-        return "conceal" if c <= c_G else "reveal"
-    # no-concession
-    return "conceal" if c <= strategy.thresholds[0] else "reveal"
+            return "conceal" if c <= eq.c_tilde_B else "concede"
+        return "conceal" if c <= eq.c_tilde_G else "reveal"
+    if isinstance(eq, NoConcessionEquilibrium):
+        return "conceal" if c <= eq.c_tilde else "reveal"
+    raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
 
 
-def public_action(
-    observation: str,
-    rho: float,
-    posteriors: tuple[Belief, Belief],
-    params: ModelParams,
-) -> bool:
-    """Protest decision: cost below the cutoff at the relevant posterior."""
-    mu_R, mu_NN = posteriors
+def public_action(observation: str, rho: float, eq, params: ModelParams) -> bool:
+    """Protest decision: cost below the cutoff at the equilibrium posterior
+    of the observation."""
     if observation == "concession":
         return False
     if observation == "R":
-        return rho <= model.rho_tilde(mu_R, params)
+        return rho <= model.rho_tilde(eq.mu_R, params)
     if observation == "NN":
-        return rho <= model.rho_tilde(mu_NN, params)
+        return rho <= model.rho_tilde(eq.mu_NN, params)
     raise DomainError(f"unknown observation {observation!r}")
 
 
 def play_episode(
     params: ModelParams,
-    strategy: Strategy,
-    posteriors: tuple[Belief, Belief],
+    eq,
     theta: str,
     c: float | None,
     rho: float,
@@ -215,11 +218,49 @@ def play_episode(
     if theta == "N":
         action, observation = "none", "NN"
     else:
-        action = regime_action(theta, c, strategy, u_mix)
+        action = regime_action(theta, c, eq, u_mix)
         observation = {"reveal": "R", "conceal": "NN", "concede": "concession"}[action]
-    protested = public_action(observation, rho, posteriors, params)
+    protested = public_action(observation, rho, eq, params)
     success = protested and theta != "N" and action != "concede"
     return EpisodeRecord(theta, c if theta != "N" else None, rho, action, observation, protested, success)
+
+
+def reference_frequencies(counts: dict) -> dict:
+    """SimStats frequencies and errors of outcome counts keyed like OUTCOMES,
+    found by splitting and testing each key in turn: the reference for the
+    index masks of ``repgame.simulate.SimStats.from_binned``."""
+
+    def total(*tests) -> int:
+        return sum(n for key, n in counts.items() if all(t(key.split(",")) for t in tests))
+
+    def organized(fields):
+        return fields[0] != "N"
+
+    def good(fields):
+        return fields[0] == "G"
+
+    def revealed(fields):
+        return fields[2] == "R"
+
+    def no_news(fields):
+        return fields[2] == "NN"
+
+    def protested(fields):
+        return fields[3] == "true"
+
+    frequencies = {}
+    for name, event, within in (
+        ("p_hat_revealed", revealed, organized),
+        ("p_hat_R", protested, revealed),
+        ("p_hat_NN", protested, no_news),
+        ("q_hat", good, organized),
+        ("q_hat_prime", good, revealed),
+    ):
+        den = total(within)
+        p = total(event, within) / den if den else None
+        frequencies[name] = p
+        frequencies[f"se_{name}"] = None if p is None else float(np.sqrt(p * (1.0 - p) / den))
+    return frequencies
 
 
 def reference_episodes_csv(arrays: dict) -> str:

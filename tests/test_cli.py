@@ -17,7 +17,7 @@ from helpers import make_p1, make_p2, reference_episodes_csv
 import repgame
 from repgame import BoundedCDF, SimStats, SolverError, solve_mild
 from repgame.cli import _episode_rows, _solve_for_variant, main
-from repgame.simulate import CHUNK, outcome_codes, simulate_arrays
+from repgame.simulate import CHUNK, OUTCOMES, outcome_codes, simulate_arrays
 
 
 @pytest.fixture
@@ -92,6 +92,22 @@ class TestSolveCommands:
         code, out, _ = run_cli(capsys, "solve-mild", "--config", p1_config, "--tol", "1e-12")
         assert code == 0
         assert json.loads(out)["residual"] <= 1e-12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve-mild",),
+            ("solve-severe",),
+            ("simulate", "--n", "10", "--seed", "0"),
+            ("verify", "--grid", "50", "--draws", "5"),
+        ],
+    )
+    def test_non_finite_tol_exits_5(self, capsys, p1_config, p2_config, argv):
+        config = p2_config if argv[0] == "solve-severe" else p1_config
+        for tol in ("inf", "-inf", "nan"):  # an infinite tol would pass every residual guard
+            code, out, err = run_cli(capsys, argv[0], "--config", config, *argv[1:], f"--tol={tol}")
+            assert code == 5 and out == ""
+            assert err.startswith("bad input: tol must be finite and positive") and err.count("\n") == 1
 
 
 def _p1_with(tmp_path, beta_G: float) -> str:
@@ -196,7 +212,7 @@ class TestSimulate:
         assert code == 0
         arrays = simulate_arrays(params, eq, n, seed=6)
         assert csv_path.read_bytes() == reference_episodes_csv(arrays).encode("utf-8")
-        assert json.loads(out)["stats"]["counts"] == SimStats.from_arrays(arrays).counts
+        assert json.loads(out)["stats"]["counts"] == SimStats.from_arrays(arrays).to_dict()["counts"]
 
     @pytest.mark.parametrize("theta, raises", [(0, True), (2, False)])
     def test_non_finite_cost_in_block(self, theta, raises):
@@ -225,6 +241,36 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert payload["stats"]["q_hat_prime"] == 1.0  # reveal identifies good types
+
+
+@pytest.fixture(scope="module")
+def sim_payload(tmp_path_factory) -> dict:
+    """The object ``simulate --out`` writes for 2,000 p1 episodes."""
+    config = tmp_path_factory.mktemp("sim") / "p1.json"
+    config.write_text(json.dumps(make_p1().to_dict()))
+    out = config.with_name("sim.json")
+    argv = ["simulate", "--config", str(config), "--n", "2000", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    return json.loads(out.read_text())
+
+
+_REVEAL = "G,reveal,R,true"  # an outcome with a non-zero count in sim_payload
+
+
+def _set(key, value):
+    def mutate(stats):
+        stats[key] = value
+    return mutate
+
+
+def _set_count(key, value):
+    """Sets one count, keeping n_episodes the sum of the counts where a
+    number allows it, so that only the check on the count itself can fail."""
+    def mutate(stats):
+        number = round(value) if isinstance(value, (int, float)) else 0
+        stats["n_episodes"] += number - stats["counts"].get(key, 0)
+        stats["counts"][key] = value
+    return mutate
 
 
 class TestEstimate:
@@ -261,6 +307,45 @@ class TestEstimate:
         assert payload["H_hat"] == pytest.approx(0.355641, abs=1e-5)
         assert payload["D_lower_hat"] == pytest.approx(-0.3556411, abs=1e-6)
         assert payload["se_total_hat"] is None  # no counts, no errors
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _set_count(_REVEAL, -3),
+            _set_count("X,bogus,R,maybe", 0),
+            _set_count(_REVEAL, 30.9),
+            _set_count(_REVEAL, 30.0),
+            _set_count(_REVEAL, True),
+            _set_count(_REVEAL, "5"),
+            _set_count(_REVEAL, 10**400),  # beyond float range
+            _set("n_episodes", 30.9),
+            lambda stats: stats.update(n_episodes=True, counts={_REVEAL: 1}),
+            _set("n_episodes", 1999),
+            _set("counts", [1, 2]),
+            _set("bogus", 1),
+            lambda stats: stats.pop("n_episodes"),
+        ],
+        ids=[
+            "negative", "unknown-outcome", "fractional", "float", "bool", "string", "huge",
+            "fractional-n", "bool-n", "wrong-sum", "counts-list", "extra-key", "no-n",
+        ],
+    )
+    def test_malformed_stats_exit_5(self, capsys, tmp_path, sim_payload, mutate):
+        stats = copy.deepcopy(sim_payload["stats"])
+        mutate(stats)
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(stats))
+        code, out, err = run_cli(capsys, "estimate", "--stats", str(path))
+        assert code == 5 and out == ""
+        assert err.startswith(f"config error: {path}: not a stats file: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe garbage", b'{"n_episodes": ' + b"1" * 5000 + b"}"])
+    def test_unparsable_stats_file_exit_5(self, capsys, tmp_path, content):
+        path = tmp_path / "stats.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "estimate", "--stats", str(path))
+        assert code == 5 and out == ""
+        assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
 
     def test_missing_inputs_exit_5(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--q-hat", "0.6")
@@ -564,6 +649,27 @@ class TestConfigErrors:
         assert out == ""
         assert err.startswith("config error: ") and "finite" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "p1", "--out"),
+            ("solve-mild", "p1", "--out"),
+            ("solve-severe", "p2", "--out"),
+            ("simulate", "p1", "--n", "10", "--seed", "0", "--out"),
+            ("simulate", "p1", "--n", "10", "--seed", "0", "--episodes-out"),
+            ("sweep", "p1", "--axis", "q", "--start", "0.6", "--end", "0.7", "--steps", "3", "--out"),
+            ("verify", "p1", "--grid", "50", "--draws", "5", "--out"),
+            ("estimate", None, "--q-hat", "0.65", "--q-prime-hat", "0.45", "--p-hat", "0.4", "--out"),
+        ],
+    )
+    def test_unwritable_output_exit_5(self, capsys, tmp_path, p1_config, p2_config, argv):
+        command, config, *rest = argv
+        missing = tmp_path / "missing" / "out"  # the last flag names it
+        configs = {"p1": ("--config", p1_config), "p2": ("--config", p2_config), None: ()}
+        code, out, err = run_cli(capsys, command, *configs[config], *rest, str(missing))
+        assert code == 5 and out == ""
+        assert err.startswith(f"config error: {missing}: ") and err.count("\n") == 1
+
     def test_out_flag_writes_file(self, capsys, p1_config, tmp_path):
         out_path = tmp_path / "eq.json"
         code, out, _ = run_cli(
@@ -695,5 +801,68 @@ _ESTIMATE_FLAGS = ("--q-hat", "--q-prime-hat", "--p-hat", "--p-r-hat", "--p-nn-h
 def test_estimate_extreme_flags_exit_with_documented_code(values):
     argv = [f"{flag}={v!r}" for flag, v in zip(_ESTIMATE_FLAGS, values) if v is not None]
     code, err = _exit_code(["estimate", *argv])
+    assert code in (0, 2, 3, 4, 5), err
+    assert "Traceback" not in err
+
+
+_COUNT = st.one_of(
+    st.integers(0, 3000),
+    st.integers(-3, -1),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from([2**63, 10**308, 10**400]),
+    _WRONG_TYPE,
+)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_estimate_mutated_stats_exits_with_documented_code(tmp_path, sim_payload, data):
+    """``estimate --stats`` on a ``simulate --out`` payload, or its stats
+    object, with one to three mutations: dropped, renamed and extra keys at
+    either level, and counts or n_episodes set to negative, float, bool,
+    huge or wrong-typed values."""
+    doc = copy.deepcopy(sim_payload)
+    stats = doc["stats"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from([d for d in (stats, stats.get("counts")) if isinstance(d, dict)]))
+        op = data.draw(st.sampled_from(["drop", "rename", "extra", "value"]))
+        if op == "extra" or not target:
+            target[data.draw(st.one_of(st.sampled_from(OUTCOMES), st.text(max_size=6)))] = data.draw(_COUNT)
+            continue
+        key = data.draw(st.sampled_from(sorted(target)))
+        if op == "drop":
+            del target[key]
+        elif op == "rename":
+            new_key = data.draw(st.one_of(st.sampled_from(OUTCOMES + tuple(stats)), st.text(max_size=6)))
+            target[new_key] = target.pop(key)
+        else:
+            target[key] = data.draw(_COUNT)
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(doc if data.draw(st.booleans()) else stats))
+    code, err = _exit_code(["estimate", "--stats", str(path)])
+    assert code in (0, 2, 3, 4, 5), err
+    assert "Traceback" not in err
+
+
+_SEED = st.one_of(
+    st.integers(0, 2**128 - 1),
+    st.sampled_from([-1, -(2**128), 2**64, 2**128 - 1, 2**128, 10**400]),
+)
+
+
+@given(
+    variant=st.sampled_from(["mild", "severe", "no-concession"]),
+    config=st.sampled_from(["p1", "p2"]),
+    n=st.one_of(st.integers(1, 2000), st.sampled_from([0, -1])),
+    seed=_SEED,
+    tol=st.one_of(st.just(1e-10), _EXTREME),
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_simulate_extreme_flags_exit_with_documented_code(p1_config, p2_config, variant, config, n, seed, tol):
+    path = p1_config if config == "p1" else p2_config
+    code, err = _exit_code(
+        ["simulate", "--config", path, "--variant", variant, f"--n={n}", f"--seed={seed}", f"--tol={tol!r}"]
+    )
     assert code in (0, 2, 3, 4, 5), err
     assert "Traceback" not in err

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_p1, make_p2, play_episode, public_action, regime_action
+from helpers import (
+    make_p1,
+    make_p2,
+    play_episode,
+    public_action,
+    reference_frequencies,
+    regime_action,
+)
 from repgame import (
     Belief,
     DomainError,
     EstimationError,
     SimStats,
-    Strategy,
     estimate_from_sim,
-    make_strategy,
     no_concession_equilibrium,
     run_simulation,
     solve_mild,
@@ -22,7 +29,6 @@ from repgame.simulate import (
     OUTCOMES,
     THETAS,
     episode_uniforms,
-    equilibrium_posteriors,
     simulate_arrays,
     simulate_blocks,
 )
@@ -49,58 +55,51 @@ def solved(variant, mild_eq, severe_eq):
 
 class TestRegimeAction:
     def test_mild_conceals_below_threshold(self, mild_eq):
-        strat = make_strategy(mild_eq)
-        assert regime_action("B", 0.2, strat, 0.9) == "conceal"
+        assert regime_action("B", 0.2, mild_eq, 0.9) == "conceal"
 
     def test_mild_good_type_mixes(self, mild_eq):
-        strat = make_strategy(mild_eq)
-        assert regime_action("G", 0.9, strat, 0.3) == "reveal"  # 0.3 < kappa
-        assert regime_action("G", 0.9, strat, 0.5) == "concede"  # 0.5 > kappa
-        assert regime_action("B", 0.9, strat, 0.5) == "reveal"
+        assert regime_action("G", 0.9, mild_eq, 0.3) == "reveal"  # 0.3 < kappa
+        assert regime_action("G", 0.9, mild_eq, 0.5) == "concede"  # 0.5 > kappa
+        assert regime_action("B", 0.9, mild_eq, 0.5) == "reveal"
 
     def test_knife_edge_conceals(self, mild_eq):
-        strat = make_strategy(mild_eq)
-        assert regime_action("G", mild_eq.c_tilde, strat, 0.0) == "conceal"
+        assert regime_action("G", mild_eq.c_tilde, mild_eq, 0.0) == "conceal"
 
     def test_severe_differential_thresholds(self, severe_eq):
-        strat = make_strategy(severe_eq)
-        assert regime_action("B", 0.5, strat, 0.0) == "concede"  # 0.5 > c_tilde_B
-        assert regime_action("G", 0.5, strat, 0.0) == "conceal"  # 0.5 < c_tilde_G
-        assert regime_action("G", 0.8, strat, 0.0) == "reveal"
-        assert regime_action("B", 0.1, strat, 0.0) == "conceal"
+        assert regime_action("B", 0.5, severe_eq, 0.0) == "concede"  # 0.5 > c_tilde_B
+        assert regime_action("G", 0.5, severe_eq, 0.0) == "conceal"  # 0.5 < c_tilde_G
+        assert regime_action("G", 0.8, severe_eq, 0.0) == "reveal"
+        assert regime_action("B", 0.1, severe_eq, 0.0) == "conceal"
 
     def test_no_concession_variant(self):
         eq = no_concession_equilibrium(make_p1())
-        strat = make_strategy(eq)
-        assert regime_action("G", 0.5, strat, 0.99) == "conceal"
-        assert regime_action("B", 0.7, strat, 0.0) == "reveal"
+        assert regime_action("G", 0.5, eq, 0.99) == "conceal"
+        assert regime_action("B", 0.7, eq, 0.0) == "reveal"
 
     def test_unorganized_has_no_move(self, mild_eq):
         with pytest.raises(DomainError):
-            regime_action("N", 0.5, make_strategy(mild_eq), 0.0)
+            regime_action("N", 0.5, mild_eq, 0.0)
 
 
 class TestPublicAction:
     def test_protests_after_reveal_below_cutoff(self, mild_eq):
         p1 = make_p1()
-        post = equilibrium_posteriors(mild_eq)
-        assert public_action("R", 0.3, post, p1) is True  # cutoff 0.6
-        assert public_action("R", 0.7, post, p1) is False
+        assert public_action("R", 0.3, mild_eq, p1) is True  # cutoff 0.6
+        assert public_action("R", 0.7, mild_eq, p1) is False
 
     def test_no_news_cutoff_is_lower(self, mild_eq):
         p1 = make_p1()
-        post = equilibrium_posteriors(mild_eq)
-        assert public_action("NN", 0.3, post, p1) is False  # cutoff ~0.2444
-        assert public_action("NN", 0.2, post, p1) is True
+        assert public_action("NN", 0.3, mild_eq, p1) is False  # cutoff ~0.2444
+        assert public_action("NN", 0.2, mild_eq, p1) is True
 
     def test_concession_never_protests(self, mild_eq):
-        assert public_action("concession", 0.0, equilibrium_posteriors(mild_eq), make_p1()) is False
+        assert public_action("concession", 0.0, mild_eq, make_p1()) is False
 
 
 class TestPlayEpisode:
     def test_forced_unorganized_path(self, mild_eq):
         p1 = make_p1()
-        rec = play_episode(p1, make_strategy(mild_eq), equilibrium_posteriors(mild_eq), "N", None, 0.9)
+        rec = play_episode(p1, mild_eq, "N", None, 0.9)
         assert rec.action == "none"
         assert rec.observation == "NN"
         assert rec.c is None
@@ -108,11 +107,9 @@ class TestPlayEpisode:
 
     def test_success_requires_protest_and_no_concession(self, mild_eq):
         p1 = make_p1()
-        strat = make_strategy(mild_eq)
-        post = equilibrium_posteriors(mild_eq)
-        rec = play_episode(p1, strat, post, "G", 0.1, 0.05)
+        rec = play_episode(p1, mild_eq, "G", 0.1, 0.05)
         assert rec.action == "conceal" and rec.protested and rec.success
-        rec = play_episode(p1, strat, post, "G", 0.9, 0.05, u_mix=0.9)
+        rec = play_episode(p1, mild_eq, "G", 0.9, 0.05, u_mix=0.9)
         assert rec.action == "concede" and not rec.protested and not rec.success
 
 
@@ -134,10 +131,7 @@ class TestReproducibility:
         full = run_simulation(p1, mild_eq, 10_000, seed=9)
         head = run_simulation(p1, mild_eq, 3_777, seed=9, start=0)
         tail = run_simulation(p1, mild_eq, 6_223, seed=9, start=3_777)
-        merged = dict(head.counts)
-        for key, cnt in tail.counts.items():
-            merged[key] = merged.get(key, 0) + cnt
-        assert merged == full.counts
+        assert tuple(a + b for a, b in zip(head.counts, tail.counts)) == full.counts
 
     @pytest.mark.parametrize("start", [0, CHUNK - 5])
     @pytest.mark.parametrize("variant", ["mild", "severe", "no-concession"])
@@ -159,8 +153,6 @@ class TestVectorizedAgainstReference:
     @pytest.mark.parametrize("variant", ["mild", "severe", "no-concession"])
     def test_cross_check(self, variant, mild_eq, severe_eq):
         params, eq = solved(variant, mild_eq, severe_eq)
-        strat = make_strategy(eq)
-        post = equilibrium_posteriors(eq)
         n = 2_000
         arrays = simulate_arrays(params, eq, n, seed=3)
         u = episode_uniforms(3, 0, n)
@@ -172,7 +164,7 @@ class TestVectorizedAgainstReference:
             )
             c = params.H.quantile(u[i, 1]) if theta != "N" else None
             rho = params.G.quantile(u[i, 2])
-            rec = play_episode(params, strat, post, theta, c, rho, u_mix=u[i, 3])
+            rec = play_episode(params, eq, theta, c, rho, u_mix=u[i, 3])
             assert thetas[arrays["theta"][i]] == rec.theta
             assert actions[arrays["action"][i]] == rec.action
             assert bool(arrays["protested"][i]) == rec.protested
@@ -191,6 +183,10 @@ class TestVectorizedAgainstReference:
         with pytest.raises(DomainError):
             simulate_arrays(make_p1(), mild_eq, 0, seed=1)
 
+    def test_rejects_non_equilibrium(self):
+        with pytest.raises(DomainError, match="not a solved equilibrium: Belief"):
+            simulate_arrays(make_p1(), Belief(1.0, 0.0, 0.0), 10, seed=1)
+
     @pytest.mark.parametrize("n, seed", [(0, 1), (10, -1)])
     def test_blocks_checked_before_first_block(self, mild_eq, n, seed):
         with pytest.raises(DomainError):
@@ -200,7 +196,8 @@ class TestVectorizedAgainstReference:
 class TestStats:
     def test_counts_sum_to_n(self, mild_eq):
         stats = run_simulation(make_p1(), mild_eq, 30_000, seed=5)
-        assert sum(stats.counts.values()) == stats.n_episodes == 30_000
+        assert len(stats.counts) == len(OUTCOMES)
+        assert sum(stats.counts) == stats.n_episodes == 30_000
 
     def test_frequencies_near_analytic_targets(self, mild_eq):
         p1 = make_p1()
@@ -238,6 +235,20 @@ class TestStats:
         stats = run_simulation(make_p1(), mild_eq, 10_000, seed=8)
         assert SimStats.from_dict(stats.to_dict()) == stats
 
+    @given(
+        counts=st.dictionaries(
+            st.sampled_from(OUTCOMES),
+            st.one_of(st.integers(0, 5), st.integers(0, 10**6), st.integers(0, 10**300)),
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_masks_match_key_by_key_reference(self, counts):
+        stats = SimStats.from_binned([counts.get(key, 0) for key in OUTCOMES])
+        assert stats.n_episodes == sum(counts.values())
+        expected = reference_frequencies(counts)
+        assert {name: getattr(stats, name) for name in expected} == expected  # bit for bit
+        assert stats.to_dict()["counts"] == {k: n for k, n in sorted(counts.items()) if n}
+
     def test_outcome_table_matches_code_layout(self):
         # code = ((theta * 4 + action) * 3 + observation) * 2 + protested
         assert len(OUTCOMES) == 72
@@ -250,7 +261,7 @@ class TestStats:
 
     def test_severe_run_has_no_bad_reveals(self, severe_eq):
         stats = run_simulation(make_p2(), severe_eq, 50_000, seed=2)
-        assert stats._sum(theta="B", observation="R") == 0
+        assert [k for k, n in zip(OUTCOMES, stats.counts) if n and k.startswith("B,") and ",R," in k] == []
         assert 0 < stats.q_hat_prime == 1.0
 
 
@@ -265,39 +276,26 @@ class TestEstimateFromSim:
         assert report.flags == ()
 
     def test_requires_revealed_episodes(self):
-        stats = SimStats.from_counts(
-            10, {"G,conceal,NN,false": 4, "B,conceal,NN,true": 3, "N,none,NN,false": 3}
+        stats = SimStats.from_dict(
+            {
+                "n_episodes": 10,
+                "counts": {"G,conceal,NN,false": 4, "B,conceal,NN,true": 3, "N,none,NN,false": 3},
+            }
         )
         with pytest.raises(EstimationError):
             estimate_from_sim(stats)
 
     def test_reversed_updating_is_flagged_not_fatal(self):
-        stats = SimStats.from_counts(
-            100,
+        stats = SimStats.from_dict(
             {
-                "G,reveal,R,false": 30,
-                "B,reveal,R,true": 10,
-                "B,conceal,NN,false": 20,
-                "N,none,NN,false": 40,
-            },
+                "n_episodes": 100,
+                "counts": {
+                    "G,reveal,R,false": 30,
+                    "B,reveal,R,true": 10,
+                    "B,conceal,NN,false": 20,
+                    "N,none,NN,false": 40,
+                },
+            }
         )
         report = estimate_from_sim(stats)
         assert any("inconsistent-sample" in f for f in report.flags)
-
-
-class TestStrategyValidation:
-    def test_variant_checked(self):
-        with pytest.raises(DomainError):
-            Strategy("odd", (0.5,))
-
-    def test_threshold_arity(self):
-        with pytest.raises(DomainError):
-            Strategy("severe", (0.5,))
-
-    def test_mild_needs_mix(self):
-        with pytest.raises(DomainError):
-            Strategy("mild", (0.5,))
-
-    def test_make_strategy_rejects_non_equilibrium(self):
-        with pytest.raises(DomainError):
-            make_strategy(Belief(1.0, 0.0, 0.0))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -235,8 +236,11 @@ class TestRejections:
         assert exc.value.report.failed_clauses() == ["alpha_G < alpha_B"]
 
     def test_bad_tol(self, p1):
-        with pytest.raises(DomainError):
-            solve_mild(p1, tol=0.0)
+        for tol in (0.0, -1.0, math.inf, math.nan):  # an infinite tol would pass every guard
+            with pytest.raises(DomainError, match="tol must be finite and positive"):
+                solve_mild(p1, tol=tol)
+            with pytest.raises(DomainError, match="tol must be finite and positive"):
+                no_concession_equilibrium(p1, tol=tol)
 
     def test_relaxed_mode_allows_boundary_root(self, p1):
         # concealment costs entirely above alpha_G: threshold pins at alpha_G

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -236,8 +237,9 @@ class TestRejections:
             solve_severe(dataclasses.replace(p2, alpha_B=0.96))
 
     def test_bad_tol(self, p2):
-        with pytest.raises(DomainError):
-            solve_severe(p2, tol=-1.0)
+        for tol in (0.0, -1.0, math.inf, math.nan):  # an infinite tol would pass every guard
+            with pytest.raises(DomainError, match="tol must be finite and positive"):
+                solve_severe(p2, tol=tol)
 
     def test_scan_zero_skips_diagnostics(self, p2):
         eq = solve_severe(p2, scan=0)
