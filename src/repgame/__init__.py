@@ -19,6 +19,7 @@ from .errors import (
     InconsistentInputsError,
     RepgameError,
     SolverError,
+    WorkerError,
 )
 from .model import (
     AssumptionReport,

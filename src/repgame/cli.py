@@ -6,8 +6,8 @@ distribution objects); unknown keys are rejected. All output is
 deterministic given the config (and seed): stable key order and fixed
 12-significant-digit float formatting make repeated runs byte-identical.
 
-Exit codes: 0 success, 2 assumption violated, 3 solver failure,
-4 verification failure, 5 bad config.
+Exit codes: 0 success, 2 assumption violated, 3 solver failure (or a
+simulation worker process that died), 4 verification failure, 5 bad config.
 """
 
 from __future__ import annotations
@@ -187,30 +187,33 @@ def _episode_rows(block: dict, codes: np.ndarray) -> str:
 def _cmd_simulate(args) -> int:
     params = load_params(args.config)
     eq = _solve_for_variant(params, args.variant, args.tol)
-    blocks = simulate.simulate_blocks(params, eq, args.n, args.seed)  # rejects n and seed here
-    binned = 0
     path = args.episodes_out
-    with _writing(path) if path else contextlib.nullcontext() as csv:
-        if csv is not None:
-            csv.write(_EPISODE_HEADER)
-        for block in blocks:
-            codes = simulate.outcome_codes(block)
-            binned = binned + np.bincount(codes, minlength=len(simulate.OUTCOMES))
+    blocks = simulate.play_blocks(  # rejects n and seed here
+        params, eq, args.n, args.seed, encode=_episode_rows if path else None
+    )
+    binned = 0
+    # --out is opened first, so that a path it cannot write costs no episodes
+    with _writing(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+        with contextlib.closing(blocks), _writing(path) if path else contextlib.nullcontext() as csv:
             if csv is not None:
-                csv.write(_episode_rows(block, codes))
-    stats = simulate.SimStats.from_binned(binned)
-    try:
-        estimates = simulate.estimate_from_sim(stats).to_dict()
-    except EstimationError as exc:
-        estimates = {"error": str(exc)}
-    payload = {
-        "variant": args.variant,
-        "n": args.n,
-        "seed": args.seed,
-        "stats": stats.to_dict(),
-        "estimates": estimates,
-    }
-    _emit(canonical_json(payload), args.out)
+                csv.write(_EPISODE_HEADER)
+            for counts, rows in blocks:
+                binned = binned + counts
+                if csv is not None:
+                    csv.write(rows)
+        stats = simulate.SimStats.from_binned(binned)
+        try:
+            estimates = simulate.estimate_from_sim(stats).to_dict()
+        except EstimationError as exc:
+            estimates = {"error": str(exc)}
+        payload = {
+            "variant": args.variant,
+            "n": args.n,
+            "seed": args.seed,
+            "stats": stats.to_dict(),
+            "estimates": estimates,
+        }
+        out.write(canonical_json(payload))
     return EXIT_OK
 
 
@@ -406,7 +409,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RepgameError as exc:  # pragma: no cover - safety net
+    except RepgameError as exc:  # WorkerError, and a safety net for the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

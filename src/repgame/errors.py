@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: assumption violations map to 2, solver
-failures to 3, verification failures to 4, and configuration problems to 5.
+failures and a dead worker process to 3, verification failures to 4, and
+configuration problems to 5.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ class AssumptionError(RepgameError):
 
 class SolverError(RepgameError):
     """A root or fixed point could not be located or certified."""
+
+
+class WorkerError(RepgameError):
+    """A worker process of a parallel simulation run died."""
 
 
 class EmptySweepError(RepgameError):

@@ -17,15 +17,20 @@ assumes.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import itertools
+import os
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import model
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, WorkerError
 from .model import ModelParams
 from .solver_mild import MildEquilibrium, NoConcessionEquilibrium
 from .solver_severe import SevereEquilibrium
@@ -38,7 +43,7 @@ OBSERVATIONS = ("R", "NN", "concession")
 # the per-field columns below, all from one product
 _PRODUCT = tuple(itertools.product(THETAS, ACTIONS, OBSERVATIONS, ("false", "true")))
 OUTCOMES = tuple(",".join(k) for k in _PRODUCT)
-_THETA, _, _OBSERVATION, _PROTESTED = (np.array(column) for column in zip(*_PRODUCT))
+_THETA, _ACTION, _OBSERVATION, _PROTESTED = (np.array(column) for column in zip(*_PRODUCT))
 _OUTCOME_INDEX = {key: code for code, key in enumerate(OUTCOMES)}
 # SimStats frequency: (event, conditioning event), as masks over OUTCOMES
 _FREQUENCIES = {
@@ -48,6 +53,15 @@ _FREQUENCIES = {
     "q_hat": (_THETA == "G", _THETA != "N"),
     "q_hat_prime": (_THETA == "G", _OBSERVATION == "R"),
 }
+# outcomes the game can produce, as a mask over OUTCOMES: exactly the
+# unorganized activists take no action, each action has one observation, and
+# no one protests a concession
+_SEEN_AFTER = {"none": "NN", "concede": "concession", "reveal": "R", "conceal": "NN"}
+_POSSIBLE = (
+    ((_THETA == "N") == (_ACTION == "none"))
+    & (_OBSERVATION == [_SEEN_AFTER[a] for a in _ACTION])
+    & ~((_ACTION == "concede") & (_PROTESTED == "true"))
+)
 
 CHUNK = 1 << 16  # episodes per block of a streamed run
 
@@ -132,21 +146,89 @@ def simulate_arrays(params: ModelParams, eq, n: int, seed: int, start: int = 0) 
     }
 
 
-def simulate_blocks(params: ModelParams, eq, n: int, seed: int, start: int = 0):
-    """Episodes [start, start+n) as consecutive ``simulate_arrays`` blocks of
-    at most CHUNK episodes.
+def _play_block(params: ModelParams, eq, seed: int, end: int, encode, start: int):
+    """(per-outcome counts, encode(arrays, codes) or None) of the episodes
+    [start, min(start + CHUNK, end))."""
+    arrays = simulate_arrays(params, eq, min(CHUNK, end - start), seed, start)
+    codes = outcome_codes(arrays)
+    binned = np.bincount(codes, minlength=len(OUTCOMES))
+    return binned, None if encode is None else encode(arrays, codes)
 
-    Philox is counter-based, so the blocks hold exactly the episodes of one
-    ``simulate_arrays(params, eq, n, seed, start)`` call. n and seed are
-    checked here, before the first block is drawn.
+
+def _worker_count(n_blocks: int) -> int:
+    """Processes to play n_blocks on: one per usable CPU and at most one per
+    block, or 1 (this process alone) where processes cannot be forked."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, n_blocks)
+
+
+def play_blocks(params: ModelParams, eq, n: int, seed: int, start: int = 0, encode=None):
+    """(binned, text) per block of at most CHUNK episodes of [start, start+n),
+    in block order.
+
+    ``binned`` counts each block's episodes by outcome, indexed like
+    OUTCOMES; ``text`` is ``encode(arrays, codes)`` of the block's
+    ``simulate_arrays`` output and ``outcome_codes``, or None without
+    ``encode``. Philox is counter-based, so the blocks hold exactly the
+    episodes of one ``simulate_arrays(params, eq, n, seed, start)`` call
+    wherever they are played: on a pool of forked processes, one per usable
+    CPU, with at most two blocks per process in flight besides the one
+    being yielded, or here when there is one block or one process. n and seed are checked on the call, before
+    the first block is played. Close the generator to stop the pool early.
     """
     if n < 1:
         raise DomainError(f"need at least one episode, got n={n}")
     _check_seed(seed)
-    return (
-        simulate_arrays(params, eq, min(CHUNK, start + n - s), seed, s)
-        for s in range(start, start + n, CHUNK)
+    starts = range(start, start + n, CHUNK)
+    job = functools.partial(_play_block, params, eq, seed, start + n, encode)
+    workers = _worker_count(-(-n // CHUNK))
+    if workers == 1:
+        return (job(s) for s in starts)
+    return _pooled(job, starts, workers)
+
+
+def _watch_parent(parent: int) -> None:
+    """Initializer of a pool worker: Ctrl-C is left to the parent, which
+    shuts the pool down, and the worker exits once the parent is gone, so a
+    killed run leaves no process behind."""
+    import signal  # only a pool worker needs it, so an import of repgame skips it
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pooled(job, starts: range, workers: int):
+    """``map(job, starts)`` on ``workers`` forked processes."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_watch_parent,
+        initargs=(os.getpid(),),
     )
+    try:
+        pending = collections.deque()
+        for s in starts:
+            pending.append(pool.submit(job, s))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a simulation worker process died: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def outcome_codes(arrays: dict) -> np.ndarray:
@@ -212,7 +294,8 @@ class SimStats:
     def from_dict(cls, spec: dict) -> "SimStats":
         """Stats of a ``to_dict`` object. Its frequencies and errors are
         recomputed from ``n_episodes`` and ``counts``, which must be
-        non-negative integers keyed by OUTCOMES and summing to n_episodes."""
+        non-negative integers keyed by OUTCOMES and summing to n_episodes; an
+        outcome the game cannot produce must have no count."""
         if not isinstance(spec, dict) or not isinstance(spec.get("counts"), dict):
             raise DomainError("need an object with a counts object")
         unknown = spec.keys() - {field.name for field in dataclasses.fields(cls)}
@@ -222,7 +305,10 @@ class SimStats:
         for key, n in spec["counts"].items():
             if key not in _OUTCOME_INDEX:
                 raise DomainError(f"unknown outcome {key!r}")
-            binned[_OUTCOME_INDEX[key]] = _count(f"counts[{key!r}]", n)
+            code = _OUTCOME_INDEX[key]
+            binned[code] = _count(f"counts[{key!r}]", n)
+            if binned[code] and not _POSSIBLE[code]:
+                raise DomainError(f"outcome {key!r} cannot occur in the game")
         if sum(binned) != _count("n_episodes", spec.get("n_episodes")):
             raise DomainError("episode counts do not sum to n_episodes")
         return cls.from_binned(binned)
@@ -230,12 +316,9 @@ class SimStats:
 
 def run_simulation(params: ModelParams, eq, n: int, seed: int, start: int = 0) -> SimStats:
     """Play n independent episodes and aggregate; bit-reproducible given
-    (seed, n, params, equilibrium). Holds one block of episodes at a time."""
-    binned = sum(
-        np.bincount(outcome_codes(block), minlength=len(OUTCOMES))
-        for block in simulate_blocks(params, eq, n, seed, start)
-    )
-    return SimStats.from_binned(binned)
+    (seed, n, params, equilibrium). Holds the blocks in flight of
+    ``play_blocks`` at a time."""
+    return SimStats.from_binned(sum(binned for binned, _ in play_blocks(params, eq, n, seed, start)))
 
 
 # -- estimation --------------------------------------------------------------

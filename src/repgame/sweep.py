@@ -159,15 +159,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             rows.append(SweepRow(axis_value=value, assumption_ok=False))
             continue
         if mild:
-            found = dataclasses.asdict(solve_mild(trial))
+            eq = solve_mild(trial)
+            found = {c: getattr(eq, c) for c in cols[2:]}
         else:
             eq = solve_severe(trial, scan=0)  # multiplicity diagnostics off in bulk
-            found = {
-                **dataclasses.asdict(eq),
-                **dataclasses.asdict(severe_repression_probabilities(eq, trial)),
-                "D_lower": eq.p_NN - eq.p_R,
-            }
-        rows.append(SweepRow(value, True, **{c: found[c] for c in cols[2:]}))
+            probs = severe_repression_probabilities(eq, trial)
+            found = {c: getattr(probs if c.startswith("prob_") else eq, c) for c in cols[2:-1]}
+            found["D_lower"] = eq.p_NN - eq.p_R
+        rows.append(SweepRow(value, True, **found))
         any_valid = True
     if not any_valid:
         raise EmptySweepError(f"no valid grid point on {spec.axis} in [{spec.start}, {spec.end}]")

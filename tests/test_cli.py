@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import dataclasses
@@ -5,8 +6,11 @@ import io
 import json
 import math
 import os
+import select
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import make_p1, make_p2, reference_episodes_csv
 import repgame
-from repgame import BoundedCDF, SimStats, SolverError, solve_mild
+from repgame import BoundedCDF, SimStats, SolverError, simulate, solve_mild
 from repgame.cli import _episode_rows, _solve_for_variant, main
 from repgame.simulate import CHUNK, OUTCOMES, outcome_codes, simulate_arrays
 
@@ -243,6 +247,106 @@ class TestSimulate:
         assert payload["stats"]["q_hat_prime"] == 1.0  # reveal identifies good types
 
 
+def _force_workers(monkeypatch, count: int) -> None:
+    """Play simulate blocks on up to ``count`` processes, whatever the CPUs."""
+    monkeypatch.setattr(simulate, "_worker_count", lambda n_blocks: min(count, n_blocks))
+
+
+def _die(*args):
+    os._exit(1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block pool forks its workers")
+class TestBlockPool:
+    @pytest.mark.parametrize("n", [CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("variant", ["mild", "severe", "no-concession"])
+    def test_one_worker_writes_the_same_bytes(
+        self, capsys, monkeypatch, tmp_path, p1_config, p2_config, variant, n
+    ):
+        config = p2_config if variant == "severe" else p1_config
+        argv = ["simulate", "--config", config, "--variant", variant, "--n", str(n), "--seed", "6"]
+        runs = []
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers)
+            csv_path, out_path = tmp_path / f"episodes{workers}.csv", tmp_path / f"sim{workers}.json"
+            printed = run_cli(capsys, *argv, "--episodes-out", str(csv_path))
+            written = run_cli(capsys, *argv, "--out", str(out_path))
+            runs.append((printed, written, csv_path.read_bytes(), out_path.read_bytes()))
+        assert runs[0] == runs[1]
+        (code, _, _), _, episodes, _ = runs[0]
+        assert code == 0 and episodes.count(b"\n") == n + 1
+
+    def test_non_finite_cost_in_later_block_exits_3(self, capsys, monkeypatch, tmp_path, p1_config):
+        play = simulate.simulate_arrays
+
+        def poisoned(params, eq, n, seed, start=0):
+            arrays = play(params, eq, n, seed, start)
+            if start >= CHUNK:
+                arrays["c"][:] = np.nan
+            return arrays
+
+        monkeypatch.setattr(simulate, "simulate_arrays", poisoned)
+        runs = []
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers)
+            csv_path = tmp_path / f"episodes{workers}.csv"
+            result = run_cli(
+                capsys, "simulate", "--config", p1_config, "--n", str(3 * CHUNK), "--seed", "0",
+                "--episodes-out", str(csv_path),
+            )
+            runs.append((result, csv_path.read_bytes()))
+        assert runs[0] == runs[1]
+        result, episodes = runs[0]
+        assert result == (3, "", "solver failure: non-finite value in output: nan\n")
+        assert episodes.count(b"\n") == 1 + CHUNK  # the header and the first block
+
+    def test_dead_worker_exits_3_in_one_line(self, capsys, monkeypatch, p1_config):
+        monkeypatch.setattr(simulate, "_play_block", _die)
+        _force_workers(monkeypatch, 2)
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", p1_config, "--n", str(CHUNK + 1), "--seed", "0"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: a simulation worker process died: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(simulate._worker_count(2) < 2, reason="one process plays every block here")
+    def test_killed_run_leaves_no_worker(self, p1_config, tmp_path):
+        csv_path = tmp_path / "episodes.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repgame.cli", "simulate", "--config", p1_config,
+             "--n", str(1000 * CHUNK), "--seed", "0", "--episodes-out", str(csv_path)],
+            stdout=subprocess.PIPE,
+            env=_fresh_env(),
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not csv_path.exists() or csv_path.stat().st_size < CHUNK:  # a block is written
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.kill()
+            proc.wait(timeout=10)
+            # the workers share the run's stdout: it ends once the last one exits
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready and proc.stdout.read() == b""
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)  # what is left of the run's session
+            proc.stdout.close()
+
+    def test_one_block_starts_no_process(self, capsys, monkeypatch, p1_config):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        argv = ["simulate", "--config", p1_config, "--seed", "0"]
+        assert run_cli(capsys, *argv, "--n", str(CHUNK))[0] == 0
+        _force_workers(monkeypatch, 2)  # two blocks do take their pool from there
+        with pytest.raises(AssertionError, match="a process pool was started"):
+            main(argv + ["--n", str(CHUNK + 1)])
+
+
 @pytest.fixture(scope="module")
 def sim_payload(tmp_path_factory) -> dict:
     """The object ``simulate --out`` writes for 2,000 p1 episodes."""
@@ -324,10 +428,13 @@ class TestEstimate:
             _set("counts", [1, 2]),
             _set("bogus", 1),
             lambda stats: stats.pop("n_episodes"),
+            _set_count("N,reveal,R,true", 100),  # an unorganized activist repressed
+            _set_count("G,concede,concession,true", 1),  # a protest after a concession
         ],
         ids=[
             "negative", "unknown-outcome", "fractional", "float", "bool", "string", "huge",
             "fractional-n", "bool-n", "wrong-sum", "counts-list", "extra-key", "no-n",
+            "impossible-outcome", "protested-concession",
         ],
     )
     def test_malformed_stats_exit_5(self, capsys, tmp_path, sim_payload, mutate):
@@ -446,18 +553,17 @@ class TestVerifyFailurePath:
         assert json.loads(out)["ok"] is False
 
 
-def _fresh_python(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a new interpreter that imports the same package
-    as this process, also when the test run put src/ on sys.path through
+def _fresh_env() -> dict:
+    """Environment of a new interpreter that imports the same package as
+    this process, also when the test run put src/ on sys.path through
     pytest's pythonpath setting."""
     src = os.path.dirname(os.path.dirname(repgame.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter (see ``_fresh_env``)."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_fresh_env())
 
 
 # Runs each argv of the JSON list in argv[1] through main in this interpreter,
@@ -489,7 +595,18 @@ class TestModuleInvocation:
 
 
 class TestDeferredScipyImport:
-    """scipy.special is imported only when a scaled_beta distribution is built."""
+    """scipy.special is imported only when a scaled_beta distribution is
+    built, and the process-pool modules only when a simulation uses a pool."""
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        script = (
+            "import sys\n"
+            "import repgame.cli\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+        )
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_uniform_and_piecewise_configs_never_load_scipy(self, p1_config, tmp_path):
         pwl = tmp_path / "p1_pwl.json"
@@ -655,7 +772,7 @@ class TestConfigErrors:
             ("check", "p1", "--out"),
             ("solve-mild", "p1", "--out"),
             ("solve-severe", "p2", "--out"),
-            ("simulate", "p1", "--n", "10", "--seed", "0", "--out"),
+            ("simulate", "p1", "--n", str(2 * CHUNK), "--seed", "0", "--episodes-out", "episodes.csv", "--out"),
             ("simulate", "p1", "--n", "10", "--seed", "0", "--episodes-out"),
             ("sweep", "p1", "--axis", "q", "--start", "0.6", "--end", "0.7", "--steps", "3", "--out"),
             ("verify", "p1", "--grid", "50", "--draws", "5", "--out"),
@@ -666,9 +783,12 @@ class TestConfigErrors:
         command, config, *rest = argv
         missing = tmp_path / "missing" / "out"  # the last flag names it
         configs = {"p1": ("--config", p1_config), "p2": ("--config", p2_config), None: ()}
+        episodes = tmp_path / "episodes.csv"
+        rest = [str(episodes) if arg == "episodes.csv" else arg for arg in rest]
         code, out, err = run_cli(capsys, command, *configs[config], *rest, str(missing))
         assert code == 5 and out == ""
         assert err.startswith(f"config error: {missing}: ") and err.count("\n") == 1
+        assert not episodes.exists()  # --out is opened before any episode is played
 
     def test_out_flag_writes_file(self, capsys, p1_config, tmp_path):
         out_path = tmp_path / "eq.json"

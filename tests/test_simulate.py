@@ -28,9 +28,11 @@ from repgame.simulate import (
     OBSERVATIONS,
     OUTCOMES,
     THETAS,
+    _POSSIBLE,
     episode_uniforms,
+    outcome_codes,
+    play_blocks,
     simulate_arrays,
-    simulate_blocks,
 )
 
 
@@ -140,7 +142,7 @@ class TestReproducibility:
         n = 2 * CHUNK + 3
         one_shot = SimStats.from_arrays(simulate_arrays(params, eq, n, seed=4, start=start))
         assert run_simulation(params, eq, n, seed=4, start=start) == one_shot
-        sizes = [block["c"].size for block in simulate_blocks(params, eq, n, 4, start)]
+        sizes = [int(binned.sum()) for binned, _ in play_blocks(params, eq, n, 4, start)]
         assert sizes == [CHUNK, CHUNK, 3]
 
     def test_episode_draws_depend_only_on_seed_and_index(self):
@@ -190,7 +192,32 @@ class TestVectorizedAgainstReference:
     @pytest.mark.parametrize("n, seed", [(0, 1), (10, -1)])
     def test_blocks_checked_before_first_block(self, mild_eq, n, seed):
         with pytest.raises(DomainError):
-            simulate_blocks(make_p1(), mild_eq, n, seed)  # raises on the call, not on next()
+            play_blocks(make_p1(), mild_eq, n, seed)  # raises on the call, not on next()
+
+
+class TestPossibleOutcomes:
+    def test_mask_holds_the_twelve_playable_outcomes(self):
+        expected = {"N,none,NN,false", "N,none,NN,true"}
+        for theta in ("G", "B"):
+            expected.add(f"{theta},concede,concession,false")
+            for action, observation in (("reveal", "R"), ("conceal", "NN")):
+                expected |= {f"{theta},{action},{observation},{p}" for p in ("false", "true")}
+        assert {key for key, possible in zip(OUTCOMES, _POSSIBLE) if possible} == expected
+
+    def test_every_simulated_outcome_is_possible(self, mild_eq, severe_eq):
+        """All three variants on every config each solves, 200,000 episodes
+        apiece: together they produce each possible outcome and no other."""
+        p1, p2 = make_p1(), make_p2()
+        runs = [
+            (p1, mild_eq),
+            (p1, no_concession_equilibrium(p1)),
+            (p2, severe_eq),
+            (p2, no_concession_equilibrium(p2)),
+        ]
+        seen = set()
+        for params, eq in runs:
+            seen.update(np.unique(outcome_codes(simulate_arrays(params, eq, 200_000, seed=11))).tolist())
+        assert seen == set(np.flatnonzero(_POSSIBLE).tolist())
 
 
 class TestStats:
