@@ -66,7 +66,15 @@ CASES = {
          "--episodes-out", "episodes.csv"],
         ("episodes.csv",),
     ),
+    "simulate_corner_severe": (
+        "corner",
+        ["simulate", "--variant", "severe", "--n", "500", "--seed", "0",
+         "--episodes-out", "episodes.csv"],
+        ("episodes.csv",),
+    ),
     "verify_p1": ("p1", ["verify", "--grid", "200", "--draws", "20"], ()),
+    "verify_p2": ("p2", ["verify", "--grid", "200", "--draws", "20"], ()),
+    "verify_corner": ("corner", ["verify", "--grid", "200", "--draws", "20"], ()),
 }
 
 

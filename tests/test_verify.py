@@ -14,6 +14,7 @@ from repgame import (
     fosd_comparative_statics_check,
     degenerate_cost_limit_check,
     effect_monotonicity_check,
+    no_concession_equilibrium,
     sign_law_check,
     solve_mild,
     solve_severe,
@@ -103,6 +104,25 @@ class TestCertificate:
         assert cert.bayes_gap <= 1e-10
         assert cert.identity_gaps["reveal_probability"] > 0.0
         assert cert.identity_gaps["gap_identity"] <= 1e-10
+
+    def test_severe_corner_certificate(self):
+        # the bad type's pinned threshold: every bad type concedes
+        params = make_p2(gamma=0.6, alpha_B=0.3, H=BoundedCDF.scaled_beta(0.0, 1.0, 0.3, 3.0))
+        eq = solve_severe(params)
+        assert eq.corner
+        cert = certify_equilibrium(params, eq, grid=500)
+        assert cert.max_regret <= 1e-9
+        assert cert.bayes_gap <= 1e-10
+        assert cert.identity_gaps["no_news_type_odds"] <= 1e-12
+
+    @pytest.mark.parametrize("make", [make_p1, make_p2], ids=["p1", "p2"])
+    def test_no_concession_certificate(self, make):
+        params = make()
+        eq = no_concession_equilibrium(params)
+        assert best_response_check(params, eq, grid=500).max_regret <= 1e-9
+        report = bayes_consistency_check(params, eq)
+        assert report.bayes_gap <= 1e-10
+        assert report.identity_gaps["no_news_type_odds"] <= 1e-12
 
     def test_random_equilibria_certify(self):
         rng = np.random.default_rng(23)
