@@ -53,7 +53,6 @@ from .solver_mild import (
     repression_probabilities,
     solve_mild,
     solve_no_concession,
-    unconditional_probabilities,
 )
 from .solver_severe import (
     SevereEquilibrium,
@@ -61,6 +60,7 @@ from .solver_severe import (
     posterior_nn_severe,
     severe_repression_probabilities,
     solve_severe,
+    strategy,
 )
 from .sweep import SweepRow, SweepSpec, apply_axis, run_sweep
 from .verify import (

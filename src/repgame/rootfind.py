@@ -23,12 +23,7 @@ def _stop_width(a: float, b: float) -> float:
     return 4.0 * _EPS * max(1.0, abs(a), abs(b))
 
 
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    max_iter: int = MAX_ITER,
-) -> float:
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi], where f(lo) and f(hi) have opposite signs.
 
     Converges the bracket down to a few ulps (well below any tolerance used
@@ -50,7 +45,7 @@ def find_root(
     a, b = lo, hi
     width_prev2 = 2.0 * (b - a)
     width_prev = b - a
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         width = b - a
         if width <= _stop_width(a, b):
             break

@@ -32,8 +32,7 @@ from numpy.random import Generator, Philox
 from . import model
 from .errors import DomainError, EstimationError, WorkerError
 from .model import ModelParams
-from .solver_mild import MildEquilibrium, NoConcessionEquilibrium
-from .solver_severe import SevereEquilibrium
+from .solver_severe import strategy
 
 THETAS = ("G", "B", "N")
 ACTIONS = ("none", "concede", "reveal", "conceal")
@@ -84,8 +83,8 @@ def episode_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def simulate_arrays(params: ModelParams, eq, n: int, seed: int, start: int = 0) -> dict:
-    """Vectorized episode arrays for episodes [start, start+n) played under a
-    MildEquilibrium, SevereEquilibrium or NoConcessionEquilibrium.
+    """Vectorized episode arrays for episodes [start, start+n) played under
+    the solved equilibrium eq, by its ``strategy``.
 
     A regime conceals at a cost c up to its cutoff (the knife edge is
     measure-zero and payoff-equivalent) and otherwise reveals or concedes.
@@ -102,21 +101,11 @@ def simulate_arrays(params: ModelParams, eq, n: int, seed: int, start: int = 0) 
     rho = params.G.quantile(u[:, 2])
 
     organized = theta != 2
-    good = theta == 0
-    if isinstance(eq, SevereEquilibrium):
-        cutoff = np.where(good, eq.c_tilde_G, eq.c_tilde_B)
-        reveals = good  # revealed repression identifies the good type
-    elif isinstance(eq, MildEquilibrium):
-        cutoff = eq.c_tilde
-        # the good type reveals with probability kappa, which reproduces the
-        # equilibrium reveal likelihood ratio, and concedes otherwise
-        reveals = ~good | (u[:, 3] < eq.kappa)
-    elif isinstance(eq, NoConcessionEquilibrium):
-        cutoff = eq.c_tilde
-        reveals = np.True_  # every type above its cutoff reveals
-    else:
-        raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
-    conceal = organized & (c <= cutoff)
+    good, bad = theta == 0, theta == 1
+    _, (c_G, c_B), (r_G, r_B) = strategy(eq)
+    conceal = (good & (c <= c_G)) | (bad & (c <= c_B))
+    u3 = u[:, 3]  # the reveal mix: u3 < 1 always and u3 < 0 never
+    reveals = (good & (u3 < r_G)) | (bad & (u3 < r_B))
     in_open = organized & ~conceal
     reveal = in_open & reveals
     concede = in_open & ~reveals

@@ -20,7 +20,6 @@ equals alpha_G - c_tilde.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import model
@@ -29,6 +28,7 @@ from .model import Belief, ModelParams
 from .rootfind import find_root, ulp_bracket
 
 DEFAULT_TOL = 1e-10
+MAX_TOL = 1e-6
 _BRACKET_PAD = 1e-14
 _IDENTITY_TOL = 1e-12
 
@@ -139,10 +139,10 @@ def _certified_root(f, lo: float, hi: float, tol: float, what: str) -> tuple[flo
 
 
 def validate_tol(tol: float) -> None:
-    """Reject a tol that is not finite and positive: an infinite tol would
-    pass every residual guard."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
+    """Reject a tol that is not in (0, MAX_TOL]: a huge one would pass every
+    residual guard, and 10 * tol overflows to inf from about 1.8e307."""
+    if not 0.0 < tol <= MAX_TOL:
+        raise DomainError(f"tol must be finite and positive, at most {MAX_TOL:g}, got {tol}")
 
 
 def solve_threshold(params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool = False) -> float:
@@ -279,17 +279,6 @@ def solve_mild(
         D_lower=-c_tilde,  # = p_NN - p_R, certified above
         residual=residual,
     )
-
-
-def unconditional_probabilities(eq: MildEquilibrium, params: ModelParams) -> dict:
-    """Repression probabilities not conditioned on an organized activist."""
-    g = params.gamma
-    return {
-        "prob_revealed": g * eq.prob_revealed,
-        "prob_concealed": g * eq.prob_concealed,
-        "prob_total": g * eq.prob_total,
-        "prob_concession": g * eq.prob_concession,
-    }
 
 
 # -- measurement ------------------------------------------------------------

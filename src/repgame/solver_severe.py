@@ -32,7 +32,7 @@ from . import model
 from .errors import AssumptionError, DomainError, SolverError
 from .model import Belief, ModelParams
 from .rootfind import find_root
-from .solver_mild import RepressionProbabilities, validate_tol
+from .solver_mild import MildEquilibrium, NoConcessionEquilibrium, RepressionProbabilities, validate_tol
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SCAN = 400
@@ -60,6 +60,22 @@ class SevereEquilibrium:
     multiplicity_note: tuple[dict, ...]
     residual_B: float
     residual_G: float
+
+
+def strategy(eq) -> tuple[str, tuple[float, float], tuple[float, float]]:
+    """The regime's play at a solved equilibrium: ``(variant, (c_G, c_B),
+    (r_G, r_B))``. A type conceals at a cost up to its cutoff c and above it
+    reveals with probability r and concedes otherwise."""
+    if isinstance(eq, MildEquilibrium):
+        # the good type reveals with probability kappa, which reproduces the
+        # equilibrium reveal likelihood ratio
+        return "mild", (eq.c_tilde, eq.c_tilde), (eq.kappa, 1.0)
+    if isinstance(eq, SevereEquilibrium):
+        # revealed repression identifies the good type
+        return "severe", (eq.c_tilde_G, eq.c_tilde_B), (1.0, 0.0)
+    if isinstance(eq, NoConcessionEquilibrium):
+        return "no-concession", (eq.c_tilde, eq.c_tilde), (1.0, 1.0)
+    raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
 
 
 def posterior_nn_severe(c_B: float, c_G: float, params: ModelParams) -> Belief:

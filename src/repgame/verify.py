@@ -21,13 +21,12 @@ from .errors import AssumptionError, DomainError, RepgameError
 from .model import Belief, ModelParams
 from .solver_mild import (
     MildEquilibrium,
-    NoConcessionEquilibrium,
     estimator_H,
     estimator_total,
     limit_H_degenerate,
     solve_mild,
 )
-from .solver_severe import SevereEquilibrium, effect_D_severe, solve_severe
+from .solver_severe import SevereEquilibrium, effect_D_severe, solve_severe, strategy
 from .sweep import apply_axis
 
 DEFAULT_GRID = 1000
@@ -62,30 +61,17 @@ def _available_payoffs(params: ModelParams, p_R: float, p_NN: float, theta: str,
     return payoffs
 
 
-def _prescribed_actions(eq, theta: str, c: float) -> tuple[str, ...]:
-    if isinstance(eq, MildEquilibrium):
-        if c <= eq.c_tilde:
-            return ("conceal",)
-        return ("reveal",) if theta == "B" else ("reveal", "concede")
-    if isinstance(eq, SevereEquilibrium):
-        if theta == "B":
-            if eq.corner:
-                # pinned threshold is not an indifference point: the conceal
-                # set is empty on the support, so ties go to concede
-                return ("concede",)
-            return ("conceal",) if c <= eq.c_tilde_B else ("concede",)
-        return ("conceal",) if c <= eq.c_tilde_G else ("reveal",)
-    if isinstance(eq, NoConcessionEquilibrium):
-        return ("conceal",) if c <= eq.c_tilde else ("reveal",)
-    raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
+def _prescribed_actions(cutoff: float, reveal: float, lo: float, c: float) -> tuple[str, ...]:
+    """Actions of a type with this cutoff and reveal probability at cost c.
 
-
-def _variant_of(eq) -> str:
-    if isinstance(eq, MildEquilibrium):
-        return "mild"
-    if isinstance(eq, SevereEquilibrium):
-        return "severe"
-    return "no-concession"
+    A type that mixes (0 < reveal < 1) is prescribed both open actions. A
+    cutoff pinned at the support's lower edge lo (the severe corner) is not
+    an indifference point: it conceals no type, so ties there take the open
+    action.
+    """
+    if c <= cutoff and cutoff > lo:
+        return ("conceal",)
+    return ("reveal",) * (reveal > 0.0) + ("concede",) * (reveal < 1.0)
 
 
 def best_response_check(params: ModelParams, eq, grid: int = DEFAULT_GRID) -> RegretReport:
@@ -99,16 +85,16 @@ def best_response_check(params: ModelParams, eq, grid: int = DEFAULT_GRID) -> Re
     """
     if not 2 <= grid <= MAX_GRID:
         raise DomainError(f"grid must be 2 to {MAX_GRID}, got {grid}")
-    variant = _variant_of(eq)
+    variant, cutoffs, reveals = strategy(eq)
     p_R = model.protest_prob(eq.mu_R, params)
     p_NN = model.protest_prob(eq.mu_NN, params)
     cs = np.linspace(params.H.lo, params.H.hi, grid)
     max_regret = 0.0
     worst: tuple[str, float] | None = None
-    for theta in ("G", "B"):
+    for theta, cutoff, reveal in zip(("G", "B"), cutoffs, reveals):
         for c in cs:
             payoffs = _available_payoffs(params, p_R, p_NN, theta, float(c), variant)
-            prescribed = _prescribed_actions(eq, theta, float(c))
+            prescribed = _prescribed_actions(cutoff, reveal, params.H.lo, float(c))
             regret = max(payoffs.values()) - min(payoffs[a] for a in prescribed)
             if regret > max_regret:
                 max_regret = regret
@@ -119,27 +105,14 @@ def best_response_check(params: ModelParams, eq, grid: int = DEFAULT_GRID) -> Re
 def bayes_consistency_check(params: ModelParams, eq) -> RegretReport:
     """Recompute posteriors from the strategy by direct Bayes rule."""
     g, q = params.gamma, params.q
-    if isinstance(eq, MildEquilibrium):
-        h = params.H.cdf(eq.c_tilde)
-        not_h = 1.0 - h
-        mu_nn = Belief.normalized(g * q * h, g * (1.0 - q) * h, 1.0 - g)
-        mu_r = Belief.normalized(g * q * eq.kappa * not_h, g * (1.0 - q) * not_h, 0.0)
-        # no news carries no type information: posterior odds stay q/(1-q)
-        ratio_gap = abs(mu_nn.mu_G * (1.0 - q) - mu_nn.mu_B * q)
-    elif isinstance(eq, SevereEquilibrium):
-        h_G = params.H.cdf(eq.c_tilde_G)
-        h_B = params.H.cdf(eq.c_tilde_B)
-        mu_nn = Belief.normalized(g * q * h_G, g * (1.0 - q) * h_B, 1.0 - g)
-        mu_r = Belief.normalized(g * q * (1.0 - h_G), 0.0, 0.0)
-        # differential concealment: odds scale by H(c_G)/H(c_B)
-        ratio_gap = abs(mu_nn.mu_G * (1.0 - q) * h_B - mu_nn.mu_B * q * h_G)
-    elif isinstance(eq, NoConcessionEquilibrium):
-        h = params.H.cdf(eq.c_tilde)
-        mu_nn = Belief.normalized(g * q * h, g * (1.0 - q) * h, 1.0 - g)
-        mu_r = Belief(q, 1.0 - q, 0.0)
-        ratio_gap = abs(mu_nn.mu_G * (1.0 - q) - mu_nn.mu_B * q)
-    else:
-        raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
+    _, (c_G, c_B), (r_G, r_B) = strategy(eq)
+    h_G, h_B = params.H.cdf(c_G), params.H.cdf(c_B)
+    mu_nn = Belief.normalized(g * q * h_G, g * (1.0 - q) * h_B, 1.0 - g)
+    w_r = (g * q * r_G * (1.0 - h_G), g * (1.0 - q) * r_B * (1.0 - h_B), 0.0)
+    # where no type reveals, R is off path and Bayes rule leaves mu_R free
+    mu_r = Belief.normalized(*w_r) if sum(w_r) > 0.0 else eq.mu_R
+    # no news scales the prior type odds q/(1-q) by H(c_G)/H(c_B)
+    ratio_gap = abs(mu_nn.mu_G * (1.0 - q) * h_B - mu_nn.mu_B * q * h_G)
     gap = max(
         abs(a - b)
         for a, b in zip(mu_nn.as_tuple() + mu_r.as_tuple(), eq.mu_NN.as_tuple() + eq.mu_R.as_tuple())

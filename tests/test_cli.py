@@ -108,7 +108,8 @@ class TestSolveCommands:
     )
     def test_non_finite_tol_exits_5(self, capsys, p1_config, p2_config, argv):
         config = p2_config if argv[0] == "solve-severe" else p1_config
-        for tol in ("inf", "-inf", "nan"):  # an infinite tol would pass every residual guard
+        # an infinite or huge tol would pass every residual guard
+        for tol in ("inf", "-inf", "nan", "1e308", "1"):
             code, out, err = run_cli(capsys, argv[0], "--config", config, *argv[1:], f"--tol={tol}")
             assert code == 5 and out == ""
             assert err.startswith("bad input: tol must be finite and positive") and err.count("\n") == 1

@@ -237,7 +237,7 @@ class TestRejections:
             solve_severe(dataclasses.replace(p2, alpha_B=0.96))
 
     def test_bad_tol(self, p2):
-        for tol in (0.0, -1.0, math.inf, math.nan):  # an infinite tol would pass every guard
+        for tol in (0.0, -1.0, 1e308, math.inf, math.nan):  # a huge tol would pass every guard
             with pytest.raises(DomainError, match="tol must be finite and positive"):
                 solve_severe(p2, tol=tol)
 

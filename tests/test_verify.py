@@ -115,9 +115,18 @@ class TestCertificate:
         assert cert.bayes_gap <= 1e-10
         assert cert.identity_gaps["no_news_type_odds"] <= 1e-12
 
-    @pytest.mark.parametrize("make", [make_p1, make_p2], ids=["p1", "p2"])
-    def test_no_concession_certificate(self, make):
-        params = make()
+    @pytest.mark.parametrize(
+        "params",
+        [
+            make_p1(),
+            make_p2(),
+            # every type conceals, H(c_tilde) = 1: R is off path, so Bayes
+            # rule restricts only the no-news posterior
+            make_p1(H=BoundedCDF.uniform(0.0, 0.1)),
+        ],
+        ids=["p1", "p2", "no-reveal"],
+    )
+    def test_no_concession_certificate(self, params):
         eq = no_concession_equilibrium(params)
         assert best_response_check(params, eq, grid=500).max_regret <= 1e-9
         report = bayes_consistency_check(params, eq)
