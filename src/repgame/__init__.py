@@ -44,21 +44,20 @@ from .solver_mild import (
     DegenerateLimits,
     MildEquilibrium,
     NoConcessionEquilibrium,
-    bound_D_lower,
     effect_D_mild,
     estimator_H,
     estimator_total,
     limit_H_degenerate,
     no_concession_equilibrium,
-    repression_probabilities,
     solve_mild,
     solve_no_concession,
 )
 from .solver_severe import (
     SevereEquilibrium,
+    bound_D_lower,
     effect_D_severe,
     posterior_nn_severe,
-    severe_repression_probabilities,
+    repression_probabilities,
     solve_severe,
     strategy,
 )

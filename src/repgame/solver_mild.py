@@ -195,38 +195,28 @@ def reveal_likelihood_ratio(params: ModelParams) -> float:
     return (1.0 - params.q) / params.q * num / den
 
 
-def repression_probabilities(eq: "MildEquilibrium", params: ModelParams) -> RepressionProbabilities:
-    """The six equilibrium repression/concession probabilities.
-
-    Recomputed from (c_tilde, kappa) and cross-checked against the
-    equivalent closed forms written directly in the payoff parameters.
-    """
-    h_mass = params.H.cdf(eq.c_tilde)
-    return _probabilities_from(params, eq.c_tilde, eq.kappa, h_mass)
-
-
-def _probabilities_from(
-    params: ModelParams, c_tilde: float, kappa: float, h_mass: float
+def _probabilities(
+    q: float, masses: tuple[float, float], reveals: tuple[float, float]
 ) -> RepressionProbabilities:
-    q = params.q
-    not_concealed = 1.0 - h_mass
-    rev_B = not_concealed
-    rev_G = kappa * not_concealed
-    revealed = (kappa * q + 1.0 - q) * not_concealed
-    concealed = h_mass
-    total = 1.0 - q * (1.0 - kappa) * not_concealed
-    concession = 1.0 - total
+    """Repression/concession probabilities, conditional on an organized
+    activist, of the play that conceals type t with probability masses[t] =
+    H(c_t) and otherwise reveals it with probability reveals[t].
 
-    g_inv = params.G.quantile(params.alpha_G)
-    be = model.beta_e(params)
-    revealed_alt = (params.beta_G - params.beta_B) / (params.beta_G - g_inv) * (1.0 - q) * not_concealed
-    total_alt = 1.0 - (be - g_inv) / (params.beta_G - g_inv) * not_concealed
-    if abs(revealed - revealed_alt) > _IDENTITY_TOL or abs(total - total_alt) > _IDENTITY_TOL:
-        raise SolverError(
-            f"probability closed forms disagree: revealed {revealed} vs {revealed_alt}, "
-            f"total {total} vs {total_alt}"
-        )
-    return RepressionProbabilities(rev_G, rev_B, revealed, concealed, total, concession)
+    Total is one minus the concession mass of each type, not revealed plus
+    concealed, so that revealed + concealed = total stays a check.
+    """
+    (h_G, h_B), (r_G, r_B) = masses, reveals
+    rev_G = r_G * (1.0 - h_G)
+    rev_B = r_B * (1.0 - h_B)
+    total = 1.0 - (q * (1.0 - r_G) * (1.0 - h_G) + (1.0 - q) * (1.0 - r_B) * (1.0 - h_B))
+    return RepressionProbabilities(
+        prob_revealed_given_G=rev_G,
+        prob_revealed_given_B=rev_B,
+        prob_revealed=q * rev_G + (1.0 - q) * rev_B,
+        prob_concealed=q * h_G + (1.0 - q) * h_B,
+        prob_total=total,
+        prob_concession=1.0 - total,
+    )
 
 
 def solve_mild(
@@ -248,7 +238,18 @@ def solve_mild(
     mu_NN = Belief(gp * q, gp * (1.0 - q), 1.0 - gp)
     kappa = reveal_likelihood_ratio(params)
     mu_R = Belief.normalized(kappa * q, 1.0 - q, 0.0)
-    probs = _probabilities_from(params, c_tilde, kappa, h_mass)
+    probs = _probabilities(q, (h_mass, h_mass), (kappa, 1.0))
+    # the same probabilities written directly in the payoff parameters
+    g_inv = params.G.quantile(params.alpha_G)
+    not_concealed = 1.0 - h_mass
+    revealed_alt = (params.beta_G - params.beta_B) / (params.beta_G - g_inv) * (1.0 - q) * not_concealed
+    total_alt = 1.0 - (be - g_inv) / (params.beta_G - g_inv) * not_concealed
+    revealed, total = probs.prob_revealed, probs.prob_total
+    if abs(revealed - revealed_alt) > _IDENTITY_TOL or abs(total - total_alt) > _IDENTITY_TOL:
+        raise SolverError(
+            f"probability closed forms disagree: revealed {revealed} vs {revealed_alt}, "
+            f"total {total} vs {total_alt}"
+        )
 
     p_R = model.protest_prob(mu_R, params)
     p_NN = model.protest_prob(mu_NN, params)
@@ -266,12 +267,7 @@ def solve_mild(
         mu_R=mu_R,
         mu_NN=mu_NN,
         q_prime=mu_R.mu_G,
-        prob_revealed_given_G=probs.prob_revealed_given_G,
-        prob_revealed_given_B=probs.prob_revealed_given_B,
-        prob_revealed=probs.prob_revealed,
-        prob_concealed=probs.prob_concealed,
-        prob_total=probs.prob_total,
-        prob_concession=probs.prob_concession,
+        **vars(probs),
         p_R=p_R,
         p_NN=p_NN,
         p_prior=p_prior,
@@ -332,11 +328,6 @@ def effect_D_mild(params: ModelParams, eq: MildEquilibrium) -> float:
     """Deterrence/backlash effect D = p_prior - p_R (= G(gamma*beta_e) - alpha_G)."""
     p_prior = params.G.cdf(params.gamma * model.beta_e(params))
     return p_prior - eq.p_R
-
-
-def bound_D_lower(eq: MildEquilibrium) -> float:
-    """Estimable lower bound on D: p_NN - p_R = -c_tilde, always negative."""
-    return eq.D_lower
 
 
 def limit_H_degenerate(params: ModelParams) -> DegenerateLimits:

@@ -32,7 +32,13 @@ from . import model
 from .errors import AssumptionError, DomainError, SolverError
 from .model import Belief, ModelParams
 from .rootfind import find_root
-from .solver_mild import MildEquilibrium, NoConcessionEquilibrium, RepressionProbabilities, validate_tol
+from .solver_mild import (
+    MildEquilibrium,
+    NoConcessionEquilibrium,
+    RepressionProbabilities,
+    _probabilities,
+    validate_tol,
+)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SCAN = 400
@@ -78,6 +84,23 @@ def strategy(eq) -> tuple[str, tuple[float, float], tuple[float, float]]:
     raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
 
 
+def repression_probabilities(eq, params: ModelParams) -> RepressionProbabilities:
+    """The six repression/concession probabilities of ``strategy(eq)``,
+    conditional on an organized activist."""
+    _, (c_G, c_B), reveals = strategy(eq)
+    return _probabilities(params.q, (params.H.cdf(c_G), params.H.cdf(c_B)), reveals)
+
+
+def bound_D_lower(eq) -> float:
+    """Estimable lower bound on D: p_NN - p_R = -c_G, always negative.
+
+    The good type is indifferent between concealing and revealing at its
+    cutoff c_G. The closed form keeps the digits that the difference of two
+    nearby protest probabilities loses.
+    """
+    return -strategy(eq)[1][0]
+
+
 def posterior_nn_severe(c_B: float, c_G: float, params: ModelParams) -> Belief:
     """No-news posterior when the two types conceal at different thresholds.
 
@@ -103,23 +126,6 @@ def _p_nn(params: ModelParams, c_B, c_G):
     num = g * (h_G * q * params.beta_G + h_B * (1.0 - q) * params.beta_B)
     den = g * (h_G * q + h_B * (1.0 - q)) + 1.0 - g
     return params.G.cdf(num / den)
-
-
-def severe_repression_probabilities(eq: "SevereEquilibrium", params: ModelParams):
-    """Repression/concession probabilities conditional on an organized activist."""
-    q = params.q
-    h_G = params.H.cdf(eq.c_tilde_G)
-    h_B = params.H.cdf(eq.c_tilde_B)
-    revealed = q * (1.0 - h_G)
-    concealed = q * h_G + (1.0 - q) * h_B
-    return RepressionProbabilities(
-        prob_revealed_given_G=1.0 - h_G,
-        prob_revealed_given_B=0.0,
-        prob_revealed=revealed,
-        prob_concealed=concealed,
-        prob_total=revealed + concealed,
-        prob_concession=(1.0 - q) * (1.0 - h_B),
-    )
 
 
 def effect_D_severe(params: ModelParams) -> float:

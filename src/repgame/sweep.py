@@ -21,7 +21,7 @@ from .distributions import BoundedCDF
 from .errors import DomainError, EmptySweepError
 from .model import ModelParams
 from .solver_mild import solve_mild
-from .solver_severe import severe_repression_probabilities, solve_severe
+from .solver_severe import bound_D_lower, repression_probabilities, solve_severe
 
 SWEEP_AXES = ("H_lo", "G_lo", "q", "gamma", "beta_B", "alpha_G")
 VARIANTS = ("mild", "severe")
@@ -145,9 +145,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per grid point; raises EmptySweepError if nothing is valid."""
     rows: list[SweepRow] = []
     any_valid = False
-    mild = spec.variant == "mild"
-    cols = MILD_COLUMNS if mild else SEVERE_COLUMNS
-    check = model.check_assumption_mild if mild else model.check_assumption_severe
+    if spec.variant == "mild":
+        cols, check, solve = MILD_COLUMNS, model.check_assumption_mild, solve_mild
+    else:
+        cols, check = SEVERE_COLUMNS, model.check_assumption_severe
+        solve = lambda p: solve_severe(p, scan=0)  # multiplicity diagnostics off in bulk
     for value in np.linspace(spec.start, spec.end, spec.steps):
         value = float(value)
         try:
@@ -158,15 +160,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         if not check(trial).ok:
             rows.append(SweepRow(axis_value=value, assumption_ok=False))
             continue
-        if mild:
-            eq = solve_mild(trial)
-            found = {c: getattr(eq, c) for c in cols[2:]}
-        else:
-            eq = solve_severe(trial, scan=0)  # multiplicity diagnostics off in bulk
-            probs = severe_repression_probabilities(eq, trial)
-            found = {c: getattr(probs if c.startswith("prob_") else eq, c) for c in cols[2:-1]}
-            found["D_lower"] = eq.p_NN - eq.p_R
-        rows.append(SweepRow(value, True, **found))
+        eq = solve(trial)
+        probs = repression_probabilities(eq, trial)
+        found = {c: getattr(probs if c.startswith("prob_") else eq, c) for c in cols[2:-1]}
+        rows.append(SweepRow(value, True, D_lower=bound_D_lower(eq), **found))
         any_valid = True
     if not any_valid:
         raise EmptySweepError(f"no valid grid point on {spec.axis} in [{spec.start}, {spec.end}]")

@@ -19,14 +19,8 @@ from . import model
 from .distributions import BoundedCDF, fosd_dominates
 from .errors import AssumptionError, DomainError, RepgameError
 from .model import Belief, ModelParams
-from .solver_mild import (
-    MildEquilibrium,
-    estimator_H,
-    estimator_total,
-    limit_H_degenerate,
-    solve_mild,
-)
-from .solver_severe import SevereEquilibrium, effect_D_severe, solve_severe, strategy
+from .solver_mild import estimator_H, estimator_total, limit_H_degenerate, solve_mild
+from .solver_severe import effect_D_severe, repression_probabilities, solve_severe, strategy
 from .sweep import apply_axis
 
 DEFAULT_GRID = 1000
@@ -121,39 +115,48 @@ def bayes_consistency_check(params: ModelParams, eq) -> RegretReport:
 
 
 def identity_suite(params: ModelParams, eq) -> dict:
-    """Residuals of the closed-form identities at a solved equilibrium."""
-    gaps: dict[str, float] = {}
-    if isinstance(eq, MildEquilibrium):
-        gaps["revealed_plus_concealed_minus_total"] = abs(
-            eq.prob_revealed + eq.prob_concealed - eq.prob_total
+    """Residuals of the closed-form identities at a solved equilibrium.
+
+    Every variant is checked for revealed + concealed = total first and
+    reports its on-path reveal probability last; the identities between
+    are the variant's own indifference conditions.
+    """
+    variant, (c_G, c_B), _ = strategy(eq)
+    probs = repression_probabilities(eq, params)
+    gaps = {
+        "revealed_plus_concealed_minus_total": abs(
+            probs.prob_revealed + probs.prob_concealed - probs.prob_total
         )
+    }
+    if variant == "mild":
         gaps["estimator_total_vs_prob_total"] = abs(
-            estimator_total(params.q, eq.q_prime, eq.prob_revealed) - eq.prob_total
+            estimator_total(params.q, eq.q_prime, probs.prob_revealed) - probs.prob_total
         )
         gaps["estimator_H_vs_concealed"] = abs(
-            estimator_H(params.q, eq.q_prime, eq.prob_revealed) - params.H.cdf(eq.c_tilde)
+            estimator_H(params.q, eq.q_prime, probs.prob_revealed) - params.H.cdf(c_G)
         )
         gaps["q_prime_odds"] = abs(
             eq.q_prime / (1.0 - eq.q_prime) - eq.kappa * params.q / (1.0 - params.q)
         )
         gaps["p_R_minus_alpha_G"] = abs(eq.p_R - params.alpha_G)
-        gaps["p_NN_minus_indifference"] = abs(eq.p_NN - (params.alpha_G - eq.c_tilde))
-        gaps["D_lower_plus_c_tilde"] = abs(eq.p_NN - eq.p_R + eq.c_tilde)  # estimable form
-        gaps["reveal_probability"] = eq.prob_revealed  # must stay positive: on-path reveal
-    elif isinstance(eq, SevereEquilibrium):
+        gaps["p_NN_minus_indifference"] = abs(eq.p_NN - (params.alpha_G - c_G))
+        gaps["D_lower_plus_c_tilde"] = abs(eq.p_NN - eq.p_R + c_G)  # estimable form
+    elif variant == "severe":
         p_nn = model.protest_prob(eq.mu_NN, params)
         g_beta_G = params.G.cdf(params.beta_G)
-        gaps["indifference_G"] = abs(g_beta_G - p_nn - eq.c_tilde_G)
+        gaps["indifference_G"] = abs(g_beta_G - p_nn - c_G)
         if eq.corner:
-            gaps["corner_slack_B"] = max(params.alpha_B - p_nn - eq.c_tilde_B, 0.0)
+            gaps["corner_slack_B"] = max(params.alpha_B - p_nn - c_B, 0.0)
         else:
-            gaps["indifference_B"] = abs(params.alpha_B - p_nn - eq.c_tilde_B)
-            gaps["gap_identity"] = abs((eq.c_tilde_G - eq.c_tilde_B) - (g_beta_G - params.alpha_B))
+            gaps["indifference_B"] = abs(params.alpha_B - p_nn - c_B)
+            gaps["gap_identity"] = abs((c_G - c_B) - (g_beta_G - params.alpha_B))
         gaps["p_R_minus_G_beta_G"] = abs(eq.p_R - g_beta_G)
-        h_G = params.H.cdf(eq.c_tilde_G)
-        gaps["reveal_probability"] = params.q * (1.0 - h_G)
-    else:
-        raise DomainError(f"identity suite expects a mild or severe equilibrium")
+    else:  # no-concession: revealing keeps the prior type mix, so p_R = G(beta_e)
+        g_beta_e = params.G.cdf(model.beta_e(params))
+        gaps["D_lower_plus_c_tilde"] = abs(eq.p_NN - eq.p_R + c_G)
+        gaps["p_R_minus_G_beta_e"] = abs(eq.p_R - g_beta_e)
+        gaps["p_NN_minus_indifference"] = abs(eq.p_NN - (g_beta_e - c_G))
+    gaps["reveal_probability"] = probs.prob_revealed  # positive while reveal is on path
     return gaps
 
 

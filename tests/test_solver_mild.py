@@ -23,7 +23,6 @@ from repgame import (
     estimator_total,
     limit_H_degenerate,
     no_concession_equilibrium,
-    repression_probabilities,
     solve_mild,
     solve_no_concession,
 )
@@ -95,12 +94,6 @@ class TestSolveMildP1:
             KAPPA_P1 * (1.0 - C_TILDE_P1), abs=1e-10
         )
         assert eq.prob_concession == pytest.approx(1.0 - eq.prob_total, abs=1e-15)
-
-    def test_recomputed_probabilities_match(self, p1):
-        eq = solve_mild(p1)
-        probs = repression_probabilities(eq, p1)
-        assert probs.prob_revealed == eq.prob_revealed
-        assert probs.prob_total == eq.prob_total
 
     def test_effects(self, p1):
         eq = solve_mild(p1)

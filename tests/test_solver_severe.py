@@ -1,10 +1,14 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repgame
 from helpers import (
+    make_p1,
     make_p2,
     quad_root_positive,
     severe_grid_argmin,
@@ -16,11 +20,15 @@ from repgame import (
     Belief,
     BoundedCDF,
     DomainError,
+    bound_D_lower,
     effect_D_severe,
+    no_concession_equilibrium,
     posterior_nn_severe,
+    repression_probabilities,
     rho_tilde,
-    severe_repression_probabilities,
+    solve_mild,
     solve_severe,
+    strategy,
 )
 from repgame.rootfind import find_root
 from repgame.solver_severe import _scan_roots_1d
@@ -114,17 +122,65 @@ class TestSolveSevereP2:
         assert eq.residual_G <= 1e-10
         assert eq.multiplicity_note == ()
 
-    def test_probabilities(self, p2):
-        eq = solve_severe(p2)
-        probs = severe_repression_probabilities(eq, p2)
-        h_B, h_G = C_B_P2, C_G_P2  # uniform H on [0, 1]
-        assert probs.prob_revealed == pytest.approx(0.5 * (1 - h_G), abs=1e-8)
-        assert probs.prob_concealed == pytest.approx(0.5 * h_G + 0.5 * h_B, abs=1e-8)
-        assert probs.prob_total == pytest.approx(
-            probs.prob_revealed + probs.prob_concealed, abs=1e-15
-        )
-        assert probs.prob_revealed_given_B == 0.0
-        assert probs.prob_concession == pytest.approx(0.5 * (1 - h_B), abs=1e-8)
+
+class TestStrategy:
+    @pytest.mark.parametrize(
+        "make, solve",
+        [(make_p1, solve_mild), (make_p2, solve_severe), (make_p1, no_concession_equilibrium)],
+        ids=["mild", "severe", "no-concession"],
+    )
+    def test_repression_probabilities(self, make, solve):
+        params = make()
+        eq = solve(params)
+        probs = repression_probabilities(eq, params)
+        variant, (c_G, _), _ = strategy(eq)
+        if variant == "mild":
+            # the stored fields come from the same formula
+            for field in dataclasses.fields(probs):
+                assert getattr(probs, field.name) == getattr(eq, field.name), field.name
+        elif variant == "severe":
+            h_B, h_G = C_B_P2, C_G_P2  # uniform H on [0, 1]
+            assert probs.prob_revealed == pytest.approx(0.5 * (1 - h_G), abs=1e-8)
+            assert probs.prob_concealed == pytest.approx(0.5 * h_G + 0.5 * h_B, abs=1e-8)
+            assert probs.prob_total == pytest.approx(
+                probs.prob_revealed + probs.prob_concealed, abs=1e-15
+            )
+            assert probs.prob_revealed_given_B == 0.0
+            assert probs.prob_concession == pytest.approx(0.5 * (1 - h_B), abs=1e-8)
+        else:
+            # every type conceals or reveals
+            assert probs.prob_total == 1.0
+            assert probs.prob_concession == 0.0
+            assert probs.prob_concealed == pytest.approx(params.H.cdf(c_G), abs=1e-15)
+            assert probs.prob_revealed_given_G == probs.prob_revealed_given_B
+        # the good type is indifferent between concealing and revealing at c_G
+        assert bound_D_lower(eq) == -c_G
+        assert bound_D_lower(eq) == pytest.approx(eq.p_NN - eq.p_R, abs=1e-12)
+
+    def test_only_strategy_dispatches_on_equilibrium_class(self):
+        classes = {"MildEquilibrium", "SevereEquilibrium", "NoConcessionEquilibrium"}
+        sites = []
+
+        class Finder(ast.NodeVisitor):
+            scope = "<module>"
+
+            def visit_FunctionDef(self, node):
+                outer, self.scope = self.scope, node.name
+                self.generic_visit(node)
+                self.scope = outer
+
+            def visit_Call(self, node):
+                if isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                    named = {
+                        getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])
+                    }
+                    if named & classes:
+                        sites.append((path.name, self.scope))
+                self.generic_visit(node)
+
+        for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
+            Finder().visit(ast.parse(path.read_text(encoding="utf-8")))
+        assert sites and set(sites) == {("solver_severe.py", "strategy")}, sites
 
 
 class TestEffect:

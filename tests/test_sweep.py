@@ -66,6 +66,8 @@ class TestRowContents:
                 row.prob_total, abs=1e-12
             )
             assert row.D < 0.0
+            assert row.D_lower == -row.c_tilde_G
+            assert row.D_lower == pytest.approx(row.p_NN - row.p_R, abs=1e-12)
 
 
 class TestValidation:

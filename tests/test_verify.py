@@ -116,22 +116,26 @@ class TestCertificate:
         assert cert.identity_gaps["no_news_type_odds"] <= 1e-12
 
     @pytest.mark.parametrize(
-        "params",
+        "params, reveals",
         [
-            make_p1(),
-            make_p2(),
+            (make_p1(), True),
+            (make_p2(), True),
             # every type conceals, H(c_tilde) = 1: R is off path, so Bayes
             # rule restricts only the no-news posterior
-            make_p1(H=BoundedCDF.uniform(0.0, 0.1)),
+            (make_p1(H=BoundedCDF.uniform(0.0, 0.1)), False),
         ],
         ids=["p1", "p2", "no-reveal"],
     )
-    def test_no_concession_certificate(self, params):
-        eq = no_concession_equilibrium(params)
-        assert best_response_check(params, eq, grid=500).max_regret <= 1e-9
-        report = bayes_consistency_check(params, eq)
-        assert report.bayes_gap <= 1e-10
-        assert report.identity_gaps["no_news_type_odds"] <= 1e-12
+    def test_no_concession_certificate(self, params, reveals):
+        cert = certify_equilibrium(params, no_concession_equilibrium(params), grid=500)
+        assert cert.max_regret <= 1e-9
+        assert cert.bayes_gap <= 1e-10
+        assert cert.identity_gaps["no_news_type_odds"] <= 1e-12
+        for name, gap in cert.identity_gaps.items():
+            if name != "reveal_probability":
+                assert gap <= 1e-10, name
+        reveal = cert.identity_gaps["reveal_probability"]
+        assert reveal > 0.0 if reveals else reveal == 0.0
 
     def test_random_equilibria_certify(self):
         rng = np.random.default_rng(23)
