@@ -36,6 +36,7 @@ from .solver_mild import (
     MildEquilibrium,
     NoConcessionEquilibrium,
     RepressionProbabilities,
+    _certified_root,
     _probabilities,
     validate_tol,
 )
@@ -247,7 +248,7 @@ def solve_severe(
     if corner_consistent:
         # bad type never conceals: H mass at c_lo is zero
         f_G = lambda cg: _p_nn(params, c_lo, cg) + cg - g_beta_G
-        corner_root = find_root(f_G, c_lo, g_beta_G)
+        corner_root, _ = _certified_root(f_G, c_lo, g_beta_G, tol, "severe corner")
 
     candidates: list[tuple[float, float, bool]] = []
     if corner_root is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import distributions, model
 from .distributions import BoundedCDF, fosd_dominates
 from .errors import AssumptionError, DomainError, RepgameError
 from .model import Belief, ModelParams
@@ -334,67 +334,174 @@ def effect_monotonicity_check(
 # -- randomized law checks ----------------------------------------------------
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    # Generator.uniform's own formula on one next_double, bit for bit, without
-    # its per-call argument handling
-    return lo + (hi - lo) * rng.random()
+# A proposal is a run of doubles, in this draw order: beta_G, beta_B, the
+# protest-cost distribution G, gamma, q, alpha_G, alpha_B and the
+# concealment-cost distribution H. A cost distribution takes lo, width and a
+# flag, then two beta shapes only if the flag is below BETA_FLAG, so a
+# proposal is 12, 14 or 16 doubles long. It is parsed into a row of 16 floats
+# in ModelParams order: gamma, q, beta_G, beta_B, alpha_G, alpha_B, then
+# (lo, hi, flag, a, b) for G and for H; a and b are unused when flag >= BETA_FLAG.
+BETA_FLAG = 0.3
+# the offset of each column's double from the proposal's start, plus 2 where
+# _AFTER_G and G has beta shapes
+_OFFSETS = np.array([5, 6, 0, 1, 7, 8, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13])
+_AFTER_G = np.array([1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=bool)
+_UNIT, _SHAPE = (0.0, 1.0), (0.5, 3.0)  # a flag keeps its double
+# regime -> (lo, hi) of each column, the width's in place of hi's
+_RANGES = {
+    regime: np.array(
+        ((0.1, 0.9), (0.1, 0.9), beta_G, beta_B, (0.02, 0.98), (0.02, 0.98))
+        + (g_lo, g_width, _UNIT, _SHAPE, _SHAPE)
+        + ((0.0, 0.5), (0.3, 1.5), _UNIT, _SHAPE, _SHAPE)
+    ).T
+    for regime, beta_G, beta_B, g_lo, g_width in (
+        ("mild", (0.3, 3.0), (-1.5, 0.8), (0.0, 0.3), (0.4, 1.6)),
+        ("severe", (0.2, 1.2), (-1.0, 0.6), (0.0, 0.2), (0.8, 1.8)),
+    )
+}
+# sign_law_check draws the doubles of this many longest proposals at once;
+# larger blocks are no faster and hold more memory
+BLOCK_PROPOSALS = 512
 
 
-def _draw_cost_dist(rng: np.random.Generator, lo_max: float, w_lo: float, w_hi: float):
-    """Raw cost-distribution draw: (lo, hi, beta shapes, or () for uniform)."""
-    lo = _uniform(rng, 0.0, lo_max)
-    hi = lo + _uniform(rng, w_lo, w_hi)
-    if rng.random() < 0.3:
-        return lo, hi, (_uniform(rng, 0.5, 3.0), _uniform(rng, 0.5, 3.0))
-    return lo, hi, ()
+def _uniform(lo, hi, u):
+    # Generator.uniform's own formula on next_double u, bit for bit, for
+    # floats or arrays
+    return lo + (hi - lo) * u
 
 
-def _cost_dist(lo: float, hi: float, shapes: tuple) -> BoundedCDF:
-    return BoundedCDF.scaled_beta(lo, hi, *shapes) if shapes else BoundedCDF.uniform(lo, hi)
+def _parse(u: np.ndarray, regime: str) -> tuple[np.ndarray, int]:
+    """Rows of the whole proposals at the head of u, and the doubles they use.
+
+    The length of a proposal starting at each double follows from its two
+    flags; the chain of starts from 0 stops at the first proposal that runs
+    past the end of u.
+    """
+    n = len(u)
+    flag = u < BETA_FLAG
+    m = max(n - 11, 0)  # starts with room for the shortest proposal
+    g_beta = flag[4 : 4 + m]
+    # an index clipped at the end belongs to a start whose proposal cannot fit
+    h_beta = np.take(flag, np.arange(11, 11 + m) + 2 * g_beta, mode="clip")
+    lengths = (12 + 2 * g_beta + 2 * h_beta).tolist()
+    starts = []
+    s = 0
+    while s < m and s + lengths[s] <= n:
+        starts.append(s)
+        s += lengths[s]
+    first = np.array(starts, dtype=np.intp)[:, None]
+    index = first + _OFFSETS + 2 * (flag[first + 4] & _AFTER_G)
+    # shape columns past the end of u are clipped; their flag leaves them unused
+    rows = _uniform(*_RANGES[regime], np.take(u, index, mode="clip"))
+    for lo in (6, 11):  # G's and H's hi is lo + width
+        rows[:, lo + 1] += rows[:, lo]
+    return rows, s
+
+
+def _batched_cdf(x, lo, hi, flag, a, b) -> np.ndarray:
+    """``BoundedCDF.cdf``'s scalar path on cost-distribution columns.
+
+    The same IEEE operations elementwise, so each value is bit for bit the
+    scalar one; like the scalar clamp, this keeps -0.0.
+    """
+    t = (x - lo) / (hi - lo)
+    t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+    is_beta = flag < BETA_FLAG
+    if is_beta.any():
+        distributions._load_beta_functions()
+        t[is_beta] = distributions.betainc(a[is_beta], b[is_beta], t[is_beta])
+    return t
+
+
+def _screen(rows: np.ndarray, regime: str) -> np.ndarray:
+    """Indices of the rows that pass every clause of ``ModelParams`` and
+    ``check_assumption_<regime>`` that these ranges can fail.
+
+    Each clause is the model's own on the same floats, so a row fails here
+    exactly when building and checking it fails. The clauses that need no
+    CDF run first; the others run on the rows left.
+    """
+    beta_G, beta_B, alpha_G, alpha_B = rows.T[2:6]
+    h_lo, h_hi = rows.T[11:13]
+    ok = beta_G > np.maximum(beta_B, 0.0)
+    if regime == "mild":
+        ok &= (alpha_G < alpha_B) & (alpha_G < h_hi) & (h_lo < alpha_G)
+    else:
+        ok &= (alpha_B < alpha_G) & (alpha_G < h_hi)
+    keep = np.flatnonzero(ok)
+    if not keep.size:
+        return keep
+    columns = rows[keep].T
+    gamma, q, beta_G, beta_B, alpha_G, alpha_B = columns[:6]
+    G, H = columns[6:11], columns[11:]
+    be = q * beta_G + (1.0 - q) * beta_B  # model.beta_e
+    if regime == "mild":
+        ok = (alpha_G < _batched_cdf(be, *G)) & (_batched_cdf(beta_B, *G) < alpha_G)
+        g_h = gamma * _batched_cdf(alpha_G, *H)
+        with np.errstate(divide="ignore"):
+            nn_bound = np.where(g_h > 0.0, be / (1.0 + (1.0 - gamma) / g_h), 0.0)
+        ok &= G[0] < nn_bound
+    else:
+        g_beta_G = _batched_cdf(beta_G, *G)
+        ok = (alpha_B < _batched_cdf(be, *G)) & (g_beta_G < alpha_G) & (H[0] < g_beta_G)
+    return keep[ok]
+
+
+def _cost_dist(lo: float, hi: float, flag: float, a: float, b: float) -> BoundedCDF:
+    if flag < BETA_FLAG:
+        return BoundedCDF.scaled_beta(lo, hi, a, b)
+    return BoundedCDF.uniform(lo, hi)
+
+
+def _accepted(rows: np.ndarray, regime: str):
+    """(index, params) of each row that passes the screen and then the full
+    regime check, which stays the authority."""
+    check = model.check_assumption_mild if regime == "mild" else model.check_assumption_severe
+    keep = _screen(rows, regime)
+    for i, row in zip(keep.tolist(), rows[keep].tolist()):
+        params = ModelParams(*row[:6], _cost_dist(*row[6:11]), _cost_dist(*row[11:]))
+        if check(params).ok:
+            yield i, params
 
 
 def draw_params(rng: np.random.Generator, regime: str) -> ModelParams | None:
     """One proposal draw; None when it fails type validity or the regime check.
 
-    Every float of the proposal is drawn first, in a fixed order. The clauses
-    that need no CDF are then tested on the raw floats: ``beta_G >
-    max(beta_B, 0)`` and the alpha orderings and H bounds of the regime. They
-    are exact copies of clauses of ``ModelParams`` and ``check_assumption_*``,
-    so the result and the rng use are what building and checking every
-    proposal gives. Only survivors are built and run through the full check,
-    which stays the authority.
+    Draws exactly the proposal's doubles (5, 2 more if G has beta shapes, 7,
+    2 more if H has) and runs them through the parser and screen that
+    ``sign_law_check`` runs on whole blocks. Only a survivor is built and
+    fully checked, and the result and the rng use are what building and
+    checking every proposal gives.
     """
-    if regime == "mild":
-        beta_G = _uniform(rng, 0.3, 3.0)
-        beta_B = _uniform(rng, -1.5, 0.8)
-        g_draw = _draw_cost_dist(rng, 0.3, 0.4, 1.6)
-    else:
-        beta_G = _uniform(rng, 0.2, 1.2)
-        beta_B = _uniform(rng, -1.0, 0.6)
-        g_draw = _draw_cost_dist(rng, 0.2, 0.8, 1.8)
-    gamma = _uniform(rng, 0.1, 0.9)
-    q = _uniform(rng, 0.1, 0.9)
-    alpha_G = _uniform(rng, 0.02, 0.98)
-    alpha_B = _uniform(rng, 0.02, 0.98)
-    h_draw = _draw_cost_dist(rng, 0.5, 0.3, 1.5)
-    h_lo, h_hi, _ = h_draw
-    if not beta_G > max(beta_B, 0.0):
-        return None
-    if regime == "mild":
-        if not (alpha_G < alpha_B and alpha_G < h_hi and h_lo < alpha_G):
-            return None
-    elif not (alpha_B < alpha_G and alpha_G < h_hi):
-        return None
-    # the one ModelParams check these ranges can fail is the beta clause above
-    params = ModelParams(
-        gamma, q, beta_G, beta_B, alpha_G, alpha_B, _cost_dist(*g_draw), _cost_dist(*h_draw)
-    )
-    report = (
-        model.check_assumption_mild(params)
-        if regime == "mild"
-        else model.check_assumption_severe(params)
-    )
-    return params if report.ok else None
+    parts = [rng.random(5)]
+    if parts[-1][4] < BETA_FLAG:
+        parts.append(rng.random(2))
+    parts.append(rng.random(7))
+    if parts[-1][6] < BETA_FLAG:
+        parts.append(rng.random(2))
+    rows, _ = _parse(np.concatenate(parts), regime)
+    return next((params for _, params in _accepted(rows, regime)), None)
+
+
+def _accepted_draws(rng: np.random.Generator, regime: str, budget: int):
+    """(index, params) of each accepted proposal among the first ``budget``.
+
+    The doubles come in blocks of ``BLOCK_PROPOSALS`` longest proposals; for
+    ``default_rng`` these are the doubles that scalar draws give, so the
+    proposals are ``draw_params``'s. A proposal cut by a block's end carries
+    into the next block.
+    """
+    u = np.empty(0)
+    base = 0
+    while base < budget:
+        u = np.concatenate((u, rng.random(16 * BLOCK_PROPOSALS)))
+        rows, used = _parse(u, regime)
+        for i, params in _accepted(rows, regime):
+            if base + i >= budget:
+                return
+            yield base + i, params
+        base += len(rows)
+        u = u[used:]
 
 
 @dataclass(frozen=True)
@@ -427,13 +534,9 @@ def sign_law_check(
         raise DomainError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     checked = 0
-    used = 0
+    used = budget  # unless n_draws are accepted first
     failures: list[dict] = []
-    while checked < n_draws and used < budget:
-        used += 1
-        params = draw_params(rng, regime)
-        if params is None:
-            continue
+    for index, params in _accepted_draws(rng, regime, budget):
         try:
             if regime == "mild":
                 eq = solve_mild(params)
@@ -450,6 +553,9 @@ def sign_law_check(
         except RepgameError as exc:
             failures.append({"params": params.to_dict(), "error": str(exc)})
         checked += 1
+        if checked == n_draws:
+            used = index + 1
+            break
     if checked < n_draws:
         raise DomainError(
             f"draw budget {budget} exhausted after {checked}/{n_draws} accepted draws"

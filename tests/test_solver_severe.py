@@ -25,7 +25,9 @@ from repgame import (
     no_concession_equilibrium,
     posterior_nn_severe,
     repression_probabilities,
+    SweepSpec,
     rho_tilde,
+    run_sweep,
     solve_mild,
     solve_severe,
     strategy,
@@ -233,6 +235,22 @@ class TestCorner:
         eq = solve_severe(params)
         gap = params.G.cdf(params.beta_G) - params.alpha_B
         assert abs((eq.c_tilde_G - eq.c_tilde_B) - gap) > 1e-3
+
+    def test_corner_root_retried_on_adjacent_floats(self):
+        # at this H_lo the corner root's residual (1.4e-10) misses tol by
+        # float granularity; the root is retried on the floats beside it
+        h_lo = float(np.linspace(0.01, 0.9, 300)[297])
+        params = dataclasses.replace(
+            self._corner_params(), H=BoundedCDF.scaled_beta(h_lo, 1.0, 0.3, 3.0)
+        )
+        eq = solve_severe(params)
+        assert eq.corner and eq.c_tilde_B == h_lo
+        assert eq.residual_G <= 1e-10
+
+    def test_corner_sweep_over_H_lo_completes(self):
+        rows = run_sweep(SweepSpec("H_lo", 0.01, 0.9, 300, self._corner_params(), "severe"))
+        assert len(rows) == 300
+        assert rows[297].assumption_ok and rows[297].c_tilde_B == rows[297].axis_value
 
 
 def _scan_roots_loop(f, lo, hi, n):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from repgame import (
     AssumptionError,
     BoundedCDF,
     DomainError,
+    RepgameError,
+    SignLawReport,
     bayes_consistency_check,
     best_response_check,
     certify_equilibrium,
@@ -19,7 +22,8 @@ from repgame import (
     solve_mild,
     solve_severe,
 )
-from repgame.verify import _uniform, draw_params
+from repgame import model, verify
+from repgame.verify import _batched_cdf, _uniform, draw_params
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +272,108 @@ class TestSignLaws:
             sign_law_check("both")
 
 
+@functools.lru_cache(maxsize=None)
+def reference_sign_law(regime: str, n_draws: int, seed: int, budget: int = 100_000) -> SignLawReport:
+    """``sign_law_check`` as the scalar loop it replaces: one
+    ``reference_draw_params`` proposal per step, built and checked in full."""
+    rng = np.random.default_rng(seed)
+    checked = used = 0
+    failures = []
+    while checked < n_draws and used < budget:
+        used += 1
+        params = reference_draw_params(rng, regime)
+        if params is None:
+            continue
+        try:
+            if regime == "mild":
+                eq = solve_mild(params)
+                ref = params.G.cdf(params.gamma * model.beta_e(params)) - params.alpha_G
+                if abs(ref) < 1e-12:
+                    continue
+                if (eq.D > 0.0) != (ref > 0.0):
+                    failures.append({"params": params.to_dict(), "D": eq.D, "reference": ref})
+            else:
+                eq = solve_severe(params, scan=0)
+                if not eq.D < 0.0:
+                    failures.append({"params": params.to_dict(), "D": eq.D})
+        except RepgameError as exc:
+            failures.append({"params": params.to_dict(), "error": str(exc)})
+        checked += 1
+    if checked < n_draws:
+        raise DomainError(
+            f"draw budget {budget} exhausted after {checked}/{n_draws} accepted draws"
+        )
+    return SignLawReport(regime, checked, used, checked / used, not failures, tuple(failures))
+
+
+class TestSignLawBlocks:
+    # proposals are screened in blocks of BLOCK_PROPOSALS; blocks of 1 and 3
+    # cut proposals across block ends about every other block
+    @pytest.mark.parametrize("block, n_draws", [(None, 500), (1, 100), (3, 100)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("regime", ["mild", "severe"])
+    def test_report_matches_scalar_loop(self, regime, seed, block, n_draws, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(verify, "BLOCK_PROPOSALS", block)
+        got = sign_law_check(regime, n_draws=n_draws, seed=seed)
+        assert got.to_dict() == reference_sign_law(regime, n_draws, seed).to_dict()
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize("regime", ["mild", "severe"])
+    def test_accepted_proposals_match_scalar_draws(self, regime, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(verify, "BLOCK_PROPOSALS", block)
+        got = [(i, p.to_dict()) for i, p in verify._accepted_draws(np.random.default_rng(4), regime, 3000)]
+        rng = np.random.default_rng(4)
+        want = [(i, p.to_dict()) for i in range(3000) if (p := reference_draw_params(rng, regime))]
+        assert got == want and len(want) > 50
+
+    @pytest.mark.parametrize("regime", ["mild", "severe"])
+    def test_screen_passes_exactly_the_accepted_proposals(self, regime):
+        # the screen is no looser than the full check it spares
+        rows, _ = verify._parse(np.random.default_rng(5).random(16 * 512), regime)
+        rng = np.random.default_rng(5)
+        want = [i for i in range(len(rows)) if reference_draw_params(rng, regime) is not None]
+        assert verify._screen(rows, regime).tolist() == want
+
+    @pytest.mark.parametrize("regime", ["mild", "severe"])
+    def test_budget_message_matches_scalar_loop(self, regime):
+        with pytest.raises(DomainError) as want:
+            reference_sign_law(regime, 500, 0, budget=100)
+        with pytest.raises(DomainError) as got:
+            sign_law_check(regime, n_draws=500, seed=0, budget=100)
+        assert str(got.value) == str(want.value)
+
+
+class TestBatchedCDF:
+    def test_bit_identical_to_scalar_cdf(self):
+        dists = [
+            BoundedCDF.uniform(0.0, 1.0),
+            BoundedCDF.uniform(0.2, 1.3),
+            BoundedCDF.scaled_beta(0.0, 1.0, 0.3, 3.0),
+            BoundedCDF.scaled_beta(0.4, 1.9, 2.5, 0.7),
+            BoundedCDF.scaled_beta(0.1, 0.5, 1.0625, 1.0625),
+        ]
+        rows, xs = [], []
+        for d in dists:
+            width = d.hi - d.lo
+            # below, at and inside, and above the support; -0.0 at lo = 0.0
+            for x in (-0.0, d.lo - 0.5, d.lo, d.lo + 1e-300, d.lo + 0.01 * width,
+                      d.lo + 0.5 * width, d.hi - 1e-12, d.hi, d.hi + 0.25, 7.0):
+                rows.append(d)
+                xs.append(x)
+        columns = (
+            np.array([d.lo for d in rows]),
+            np.array([d.hi for d in rows]),
+            np.array([0.0 if d.family == "scaled_beta" else 1.0 for d in rows]),
+            np.array([(d.params or (1.0, 1.0))[0] for d in rows]),
+            np.array([(d.params or (1.0, 1.0))[1] for d in rows]),
+        )
+        got = _batched_cdf(np.array(xs), *columns)
+        want = np.array([d.cdf(x) for d, x in zip(rows, xs)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestDrawParams:
     @pytest.mark.parametrize("regime", ["mild", "severe"])
     def test_matches_reference(self, regime):
@@ -297,7 +403,7 @@ class TestDrawParams:
         # bit for bit: a numpy release that changes Generator.uniform's
         # formula must fail here rather than silently change verify's draws
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        got = np.array([_uniform(rng, lo, hi) for _ in range(5000)])
+        got = _uniform(lo, hi, rng.random(5000))
         want = np.array([ref_rng.uniform(lo, hi) for _ in range(5000)])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
