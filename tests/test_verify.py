@@ -273,7 +273,7 @@ class TestSignLaws:
 
 
 @functools.lru_cache(maxsize=None)
-def reference_sign_law(regime: str, n_draws: int, seed: int, budget: int = 100_000) -> SignLawReport:
+def reference_sign_law(regime: str, n_draws: int, seed: int, budget: int = 100_000):
     """``sign_law_check`` as the scalar loop it replaces: one
     ``reference_draw_params`` proposal per step, built and checked in full."""
     rng = np.random.default_rng(seed)
@@ -307,8 +307,8 @@ def reference_sign_law(regime: str, n_draws: int, seed: int, budget: int = 100_0
 
 
 class TestSignLawBlocks:
-    # proposals are screened in blocks of BLOCK_PROPOSALS; blocks of 1 and 3
-    # cut proposals across block ends about every other block
+    # proposals are screened in blocks of BLOCK_PROPOSALS; with blocks of 1
+    # and 3 proposals, most block ends cut a proposal in two
     @pytest.mark.parametrize("block, n_draws", [(None, 500), (1, 100), (3, 100)])
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("regime", ["mild", "severe"])
@@ -323,7 +323,8 @@ class TestSignLawBlocks:
     def test_accepted_proposals_match_scalar_draws(self, regime, block, monkeypatch):
         if block is not None:
             monkeypatch.setattr(verify, "BLOCK_PROPOSALS", block)
-        got = [(i, p.to_dict()) for i, p in verify._accepted_draws(np.random.default_rng(4), regime, 3000)]
+        accepted = verify._accepted_draws(np.random.default_rng(4), regime, 3000)
+        got = [(i, p.to_dict()) for i, p in accepted]
         rng = np.random.default_rng(4)
         want = [(i, p.to_dict()) for i in range(3000) if (p := reference_draw_params(rng, regime))]
         assert got == want and len(want) > 50
