@@ -121,19 +121,10 @@ def load_params(path: str) -> ModelParams:
 
 def _cmd_check(args) -> int:
     params = load_params(args.config)
-    mild = model.check_assumption_mild(params)
-    severe = model.check_assumption_severe(params)
-    if args.regime == "mild":
-        report = {"mild": mild.to_dict()}
-        ok = mild.ok
-    elif args.regime == "severe":
-        report = {"severe": severe.to_dict()}
-        ok = severe.ok
-    else:
-        report = {"mild": mild.to_dict(), "severe": severe.to_dict()}
-        ok = mild.ok or severe.ok
-    _emit(canonical_json(report), args.out)
-    return EXIT_OK if ok else EXIT_ASSUMPTION
+    regimes = model.REGIMES if args.regime == "auto" else (args.regime,)
+    reports = [model.check_assumption(regime, params) for regime in regimes]
+    _emit(canonical_json({r.regime: r.to_dict() for r in reports}), args.out)
+    return EXIT_OK if any(r.ok for r in reports) else EXIT_ASSUMPTION
 
 
 def _cmd_solve_mild(args) -> int:
@@ -236,9 +227,10 @@ def _cmd_estimate(args) -> int:
         if any(v is None for v in flags.values()):
             raise ConfigError("estimate needs --stats or all of --q-hat --q-prime-hat --p-hat")
         flags.update({"--p-r-hat": args.p_r_hat, "--p-nn-hat": args.p_nn_hat})
-        bad = [f"{k} {v}" for k, v in flags.items() if v is not None and not math.isfinite(v)]
+        # a probability outside [0, 1] or NaN is bad input, not a solver failure or noise
+        bad = [f"{k} {v}" for k, v in flags.items() if v is not None and not 0.0 <= v <= 1.0]
         if bad:
-            raise ConfigError(f"estimate flags must be finite, got {', '.join(bad)}")
+            raise ConfigError(f"estimate flags must be in [0, 1], got {', '.join(bad)}")
         report = simulate.estimate_plugin(
             args.q_hat, args.q_prime_hat, args.p_hat, args.p_r_hat, args.p_nn_hat
         )
@@ -277,20 +269,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = load_params(args.config)
-    mild_report = model.check_assumption_mild(params)
-    severe_report = model.check_assumption_severe(params)
-    if not (mild_report.ok or severe_report.ok):
+    mild, severe = (model.check_assumption(regime, params) for regime in model.REGIMES)
+    if not (mild.ok or severe.ok):
         raise AssumptionError(
-            f"both regime checks failed: mild {mild_report.failed_clauses()}, "
-            f"severe {severe_report.failed_clauses()}",
-            mild_report,
+            f"both regime checks failed: mild {mild.failed_clauses()}, "
+            f"severe {severe.failed_clauses()}",
+            mild,
         )
     payload: dict = {}
     failed = False
-    for regime, report, solver in (
-        ("mild", mild_report, solve_mild),
-        ("severe", severe_report, solve_severe),
-    ):
+    for report, solver in ((mild, solve_mild), (severe, solve_severe)):
         if not report.ok:
             continue
         eq = solver(params, tol=args.tol)
@@ -300,9 +288,9 @@ def _cmd_verify(args) -> int:
             and cert.bayes_gap <= 1e-10
             and cert.identity_gaps["reveal_probability"] > 0.0
         )
-        payload[regime] = {"ok": ok, "certificate": cert.to_dict()}
+        payload[report.regime] = {"ok": ok, "certificate": cert.to_dict()}
         failed |= not ok
-    for regime in ("mild", "severe"):
+    for regime in model.REGIMES:
         law = verify.sign_law_check(regime, n_draws=args.draws, seed=args.seed)
         payload[f"sign_law_{regime}"] = law.to_dict()
         failed |= not law.ok
@@ -328,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the regime assumption checks")
     add_common(p)
-    p.add_argument("--regime", choices=("mild", "severe", "auto"), default="auto")
+    p.add_argument("--regime", choices=(*model.REGIMES, "auto"), default="auto")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("solve-mild", help="solve the mild-conflict equilibrium")
@@ -372,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--end", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--variant", choices=("mild", "severe"), default="mild")
+    p.add_argument("--variant", choices=sweep.VARIANTS, default="mild")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_sweep)
 

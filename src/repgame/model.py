@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .distributions import BoundedCDF
-from .errors import DomainError, read_field
+from .errors import AssumptionError, DomainError, read_field
 
 BELIEF_SUM_TOL = 1e-12
 
@@ -178,44 +180,78 @@ class AssumptionReport:
         }
 
 
-def _strict_lt(name: str, lhs: float, rhs: float) -> ClauseCheck:
+REGIMES = ("mild", "severe")
+# the mild clauses that involve no part of H: where H degenerates the others
+# fail by construction, so the relaxed solve and the degenerate limits keep these
+H_FREE_MILD = ("alpha_G < alpha_B", "alpha_G < G(beta_e)", "G(beta_B) < alpha_G")
+
+
+def clauses(regime: str, p) -> tuple:
+    """``(name, lhs, rhs)`` of each strict clause ``lhs < rhs`` of the regime.
+
+    ``p`` is a ModelParams, or a block of proposals as columns under the
+    same names whose G.cdf and H.cdf work elementwise; each row's lhs and
+    rhs are then bit for bit its ModelParams' own. The last mild clause
+    keeps the probability of protest after no news away from zero: the
+    lower edge of the protest-cost support must sit below the no-news cutoff
+    implied by concealment at cost alpha_G.
+    """
+    be = beta_e(p)
+    if regime == "mild":
+        return (
+            ("alpha_G < alpha_B", p.alpha_G, p.alpha_B),
+            ("alpha_G < G(beta_e)", p.alpha_G, p.G.cdf(be)),
+            ("alpha_G < c_hi", p.alpha_G, p.H.hi),
+            ("c_lo < alpha_G", p.H.lo, p.alpha_G),
+            ("G(beta_B) < alpha_G", p.G.cdf(p.beta_B), p.alpha_G),
+            ("rho_lo < no-news protest bound", p.G.lo, _no_news_bound(p, be)),
+        )
+    g_at_betaG = p.G.cdf(p.beta_G)
+    return (
+        ("alpha_B < alpha_G", p.alpha_B, p.alpha_G),
+        ("alpha_B < G(beta_e)", p.alpha_B, p.G.cdf(be)),
+        ("G(beta_G) < alpha_G", g_at_betaG, p.alpha_G),
+        ("alpha_G < c_hi", p.alpha_G, p.H.hi),
+        ("c_lo < G(beta_G)", p.H.lo, g_at_betaG),
+    )
+
+
+def _no_news_bound(p, be):
+    """be / (1 + (1 - gamma) / g_h) at g_h = gamma * H(alpha_G), and its limit
+    +0.0 where g_h = 0 (be / inf is -0.0 for a negative be). A parameter set
+    stays plain Python: a numpy call there costs half the check again."""
+    g_h = p.gamma * p.H.cdf(p.alpha_G)
+    if isinstance(g_h, float):
+        return be / (1.0 + (1.0 - p.gamma) / g_h) if g_h > 0.0 else 0.0
+    with np.errstate(divide="ignore"):
+        return np.where(g_h > 0.0, be / (1.0 + (1.0 - p.gamma) / g_h), 0.0)
+
+
+def _report(regime: str, params: ModelParams) -> AssumptionReport:
     # equality counts as failure: the clauses are strict inequalities
-    return ClauseCheck(name, float(lhs), float(rhs), bool(lhs < rhs))
+    checks = clauses(regime, params)
+    return AssumptionReport(
+        regime, tuple(ClauseCheck(n, float(lhs), float(rhs), bool(lhs < rhs)) for n, lhs, rhs in checks)
+    )
 
 
 def check_assumption_mild(params: ModelParams) -> AssumptionReport:
-    """Mild-conflict validity check (six strict clauses).
-
-    Clause 6 keeps the probability of protest after no news away from zero:
-    the lower edge of the protest-cost support must sit below the no-news
-    cutoff implied by concealment at cost alpha_G.
-    """
-    be = beta_e(params)
-    g_h = params.gamma * params.H.cdf(params.alpha_G)
-    if g_h > 0.0:
-        nn_bound = be / (1.0 + (1.0 - params.gamma) / g_h)
-    else:
-        nn_bound = 0.0  # limit of the expression as gamma * H(alpha_G) -> 0
-    clauses = (
-        _strict_lt("alpha_G < alpha_B", params.alpha_G, params.alpha_B),
-        _strict_lt("alpha_G < G(beta_e)", params.alpha_G, params.G.cdf(be)),
-        _strict_lt("alpha_G < c_hi", params.alpha_G, params.H.hi),
-        _strict_lt("c_lo < alpha_G", params.H.lo, params.alpha_G),
-        _strict_lt("G(beta_B) < alpha_G", params.G.cdf(params.beta_B), params.alpha_G),
-        _strict_lt("rho_lo < no-news protest bound", params.G.lo, nn_bound),
-    )
-    return AssumptionReport("mild", clauses)
+    """Mild-conflict validity check (six strict clauses)."""
+    return _report("mild", params)
 
 
 def check_assumption_severe(params: ModelParams) -> AssumptionReport:
     """Severe-conflict validity check (five strict clauses)."""
-    be = beta_e(params)
-    g_at_betaG = params.G.cdf(params.beta_G)
-    clauses = (
-        _strict_lt("alpha_B < alpha_G", params.alpha_B, params.alpha_G),
-        _strict_lt("alpha_B < G(beta_e)", params.alpha_B, params.G.cdf(be)),
-        _strict_lt("G(beta_G) < alpha_G", g_at_betaG, params.alpha_G),
-        _strict_lt("alpha_G < c_hi", params.alpha_G, params.H.hi),
-        _strict_lt("c_lo < G(beta_G)", params.H.lo, g_at_betaG),
-    )
-    return AssumptionReport("severe", clauses)
+    return _report("severe", params)
+
+
+def check_assumption(regime: str, params: ModelParams) -> AssumptionReport:
+    """``check_assumption_<regime>(params)``, looked up by name at each call,
+    so that a replaced module attribute is the one that runs."""
+    return globals()[f"check_assumption_{regime}"](params)
+
+
+def require(report: AssumptionReport, failed: list[str], what: str) -> None:
+    """Raise an AssumptionError carrying ``report`` if ``failed`` names a clause."""
+    if failed:
+        raise AssumptionError(f"{what} failed: {failed}", report)

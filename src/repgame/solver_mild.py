@@ -108,9 +108,16 @@ def _gamma_prime(h_mass: float, gamma: float) -> float:
     return gamma * h_mass / (gamma * h_mass + 1.0 - gamma)
 
 
-def _threshold_residual(params: ModelParams, be: float, c: float) -> float:
+def _threshold_residual(params: ModelParams, be: float, target: float, c: float) -> float:
+    """G(gamma'(c) * beta_e) + c - target: the indifference between
+    concealing at cost c and revealing, whose protest probability is target."""
     gp = _gamma_prime(params.H.cdf(c), params.gamma)
-    return params.G.cdf(gp * be) + c - params.alpha_G
+    return params.G.cdf(gp * be) + c - target
+
+
+def _require_h_free(report: model.AssumptionReport) -> None:
+    failed = [name for name in report.failed_clauses() if name in model.H_FREE_MILD]
+    model.require(report, failed, "non-H mild clauses")
 
 
 def _certified_root(f, lo: float, hi: float, tol: float, what: str) -> tuple[float, float]:
@@ -155,20 +162,14 @@ def solve_threshold(params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool
     concealment ever pays) is then legitimate.
     """
     validate_tol(tol)
-    report = model.check_assumption_mild(params)
+    report = model.check_assumption("mild", params)
     if relaxed:
-        bad = [c.name for c in report.clauses[:2] + report.clauses[4:5] if not c.passed]
-        if bad:
-            raise AssumptionError(f"non-H mild clauses failed: {bad}", report)
-        lo, hi = 0.0, params.alpha_G
+        _require_h_free(report)
     else:
-        if not report.ok:
-            raise AssumptionError(
-                f"mild-conflict assumption failed: {report.failed_clauses()}", report
-            )
-        lo, hi = params.H.lo, params.alpha_G
+        model.require(report, report.failed_clauses(), "mild-conflict assumption")
+    lo, hi = 0.0 if relaxed else params.H.lo, params.alpha_G
     be = model.beta_e(params)
-    f = lambda c: _threshold_residual(params, be, c)
+    f = lambda c: _threshold_residual(params, be, params.alpha_G, c)
     f_lo, f_hi = f(lo), f(hi)
     if f_lo > 0.0 or f_hi < 0.0:
         # numerically impossible under the assumption check, guarded anyway
@@ -230,7 +231,7 @@ def solve_mild(
     """
     c_tilde = solve_threshold(params, tol, relaxed=relaxed)
     be = model.beta_e(params)
-    residual = abs(_threshold_residual(params, be, c_tilde))
+    residual = abs(_threshold_residual(params, be, params.alpha_G, c_tilde))
 
     h_mass = params.H.cdf(c_tilde)
     gp = _gamma_prime(h_mass, params.gamma)
@@ -336,10 +337,8 @@ def limit_H_degenerate(params: ModelParams) -> DegenerateLimits:
     Only the clauses not involving H are required of ``params``; the limit
     statement replaces H itself.
     """
-    report = model.check_assumption_mild(params)
-    bad = [c.name for c in report.clauses[:2] + report.clauses[4:5] if not c.passed]
-    if bad:
-        raise AssumptionError(f"non-H mild clauses failed: {bad}", report)
+    report = model.check_assumption("mild", params)
+    _require_h_free(report)
     be = model.beta_e(params)
     if params.G.cdf(params.gamma * be) < params.alpha_G:
         return DegenerateLimits(negligible=1.0, prohibitive=0.0, branch="conceal_always")
@@ -373,7 +372,7 @@ def no_concession_equilibrium(params: ModelParams, tol: float = DEFAULT_TOL) -> 
         raise DomainError(
             f"no-concession variant needs G(beta_e) > c_lo, got {g_at_be} <= {params.H.lo}"
         )
-    f = lambda c: params.G.cdf(_gamma_prime(params.H.cdf(c), params.gamma) * be) + c - g_at_be
+    f = lambda c: _threshold_residual(params, be, g_at_be, c)
     c_tilde, residual = _certified_root(f, params.H.lo, g_at_be, tol, "no-concession")
     q = params.q
     gp = _gamma_prime(params.H.cdf(c_tilde), params.gamma)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import AssumptionError, DomainError, SolverError
+from .errors import DomainError, SolverError
 from .model import Belief, ModelParams
 from .rootfind import find_root
 from .solver_mild import (
@@ -135,11 +135,8 @@ def effect_D_severe(params: ModelParams) -> float:
     D = G(gamma*beta_e) - G(beta_G) < 0 whenever the severe-conflict check
     passes; the solve is not needed for this quantity.
     """
-    report = model.check_assumption_severe(params)
-    if not report.ok:
-        raise AssumptionError(
-            f"severe-conflict assumption failed: {report.failed_clauses()}", report
-        )
+    report = model.check_assumption("severe", params)
+    model.require(report, report.failed_clauses(), "severe-conflict assumption")
     return params.G.cdf(params.gamma * model.beta_e(params)) - params.G.cdf(params.beta_G)
 
 
@@ -158,6 +155,14 @@ def _scan_roots_1d(f, lo: float, hi: float, n: int) -> list[float]:
         if not out or r - out[-1] > 1e-9:
             out.append(r)
     return out
+
+
+def _threshold_map(params: ModelParams, c_lo: float, g_beta_G: float, cb: float, cg: float):
+    """(nb, ng, step): the clamped threshold map (alpha_B - p_NN, G(beta_G) - p_NN), each at
+    least c_lo, at (cb, cg), and step max(|nb - cb|, |ng - cg|), which is 0 at a fixed point."""
+    p = float(_p_nn(params, cb, cg))
+    nb, ng = max(params.alpha_B - p, c_lo), max(g_beta_G - p, c_lo)
+    return nb, ng, max(abs(nb - cb), abs(ng - cg))
 
 
 def _grid_scan_fixed_points(
@@ -195,14 +200,11 @@ def _grid_scan_fixed_points(
     for i, j in zip(*np.nonzero(interior)):
         cb, cg = float(BB[i, j]), float(GG[i, j])
         for _ in range(300):
-            p = float(_p_nn(params, cb, cg))
-            nb = max(params.alpha_B - p, c_lo)
-            ng = max(g_beta_G - p, c_lo)
-            if max(abs(nb - cb), abs(ng - cg)) < 1e-13:
+            nb, ng, step = _threshold_map(params, c_lo, g_beta_G, cb, cg)
+            if step < 1e-13:
                 break
             cb, cg = 0.5 * (cb + nb), 0.5 * (cg + ng)
-        p = float(_p_nn(params, cb, cg))
-        resid = max(abs(max(params.alpha_B - p, c_lo) - cb), abs(max(g_beta_G - p, c_lo) - cg))
+        resid = _threshold_map(params, c_lo, g_beta_G, cb, cg)[2]
         if resid > max(tol, 1e-10):
             continue
         if any(abs(cb - kb) < 1e-6 and abs(cg - kg) < 1e-6 for kb, kg in known):
@@ -226,11 +228,8 @@ def solve_severe(
     validate_tol(tol)
     if scan == 1 or not 0 <= scan <= MAX_SCAN:
         raise DomainError(f"scan must be 0 (off) or 2 to {MAX_SCAN}, got {scan}")
-    report = model.check_assumption_severe(params)
-    if not report.ok:
-        raise AssumptionError(
-            f"severe-conflict assumption failed: {report.failed_clauses()}", report
-        )
+    report = model.check_assumption("severe", params)
+    model.require(report, report.failed_clauses(), "severe-conflict assumption")
     c_lo = params.H.lo
     g_beta_G = params.G.cdf(params.beta_G)
     gap = g_beta_G - params.alpha_B
@@ -261,13 +260,11 @@ def solve_severe(
 
     note: list[dict] = []
     for ob, og, ocorner in candidates[1:]:
-        p = float(_p_nn(params, ob, og))
-        res = max(abs(max(params.alpha_B - p, c_lo) - ob), abs(max(g_beta_G - p, c_lo) - og))
         note.append(
             {
                 "c_tilde_B": ob,
                 "c_tilde_G": og,
-                "residual": res,
+                "residual": _threshold_map(params, c_lo, g_beta_G, ob, og)[2],
                 "source": "corner" if ocorner else "interior-scan",
             }
         )

@@ -24,7 +24,7 @@ from .solver_mild import solve_mild
 from .solver_severe import bound_D_lower, repression_probabilities, solve_severe
 
 SWEEP_AXES = ("H_lo", "G_lo", "q", "gamma", "beta_B", "alpha_G")
-VARIANTS = ("mild", "severe")
+VARIANTS = model.REGIMES
 # np.linspace raises a bare ValueError on a count it cannot allocate; a grid
 # this size already takes minutes of solves
 MAX_STEPS = 1_000_000
@@ -146,9 +146,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     rows: list[SweepRow] = []
     any_valid = False
     if spec.variant == "mild":
-        cols, check, solve = MILD_COLUMNS, model.check_assumption_mild, solve_mild
+        cols, solve = MILD_COLUMNS, solve_mild
     else:
-        cols, check = SEVERE_COLUMNS, model.check_assumption_severe
+        cols = SEVERE_COLUMNS
         solve = lambda p: solve_severe(p, scan=0)  # multiplicity diagnostics off in bulk
     for value in np.linspace(spec.start, spec.end, spec.steps):
         value = float(value)
@@ -157,7 +157,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         except DomainError:
             rows.append(SweepRow(axis_value=value, assumption_ok=False))
             continue
-        if not check(trial).ok:
+        if not model.check_assumption(spec.variant, trial).ok:
             rows.append(SweepRow(axis_value=value, assumption_ok=False))
             continue
         eq = solve(trial)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -223,7 +224,7 @@ class LimitReport:
 
 def _limit_point(params: ModelParams, h_family: BoundedCDF, eps: float) -> LimitPoint:
     trial = dataclasses.replace(params, H=h_family)
-    strict_ok = model.check_assumption_mild(trial).ok
+    strict_ok = model.check_assumption("mild", trial).ok
     try:
         eq = solve_mild(trial, relaxed=not strict_ok)
     except AssumptionError as exc:
@@ -285,13 +286,7 @@ def effect_monotonicity_check(
         raise DomainError(f"unsupported monotonicity axis {axis!r}")
     if steps < 2 or not lo < hi:
         raise DomainError("need lo < hi and steps >= 2")
-    base_regime = (
-        "mild"
-        if model.check_assumption_mild(params).ok
-        else "severe"
-        if model.check_assumption_severe(params).ok
-        else None
-    )
+    base_regime = next((r for r in model.REGIMES if model.check_assumption(r, params).ok), None)
     if base_regime is None:
         raise AssumptionError("base params fail both regime checks", None)
     if axis == "G_shift" and base_regime != "mild":
@@ -307,18 +302,11 @@ def effect_monotonicity_check(
         except DomainError as exc:
             note = f"truncated at {axis}={float(v)}: {exc}"
             break
-        report = (
-            model.check_assumption_mild(trial)
-            if base_regime == "mild"
-            else model.check_assumption_severe(trial)
-        )
+        report = model.check_assumption(base_regime, trial)
         if not report.ok:
             note = f"truncated at {axis}={float(v)}: {report.failed_clauses()}"
             break
-        if base_regime == "mild":
-            effect = solve_mild(trial).D
-        else:
-            effect = effect_D_severe(trial)
+        effect = solve_mild(trial).D if base_regime == "mild" else effect_D_severe(trial)
         values.append(float(v))
         effects.append(effect)
     if not values:
@@ -342,6 +330,7 @@ def effect_monotonicity_check(
 # in ModelParams order: gamma, q, beta_G, beta_B, alpha_G, alpha_B, then
 # (lo, hi, flag, a, b) for G and for H; a and b are unused when flag >= BETA_FLAG.
 BETA_FLAG = 0.3
+_SCALARS = tuple(f.name for f in dataclasses.fields(ModelParams))[:6]  # gamma .. alpha_B
 # the offset of each column's double from the proposal's start, plus 2 where
 # _AFTER_G and G has beta shapes
 _OFFSETS = np.array([5, 6, 0, 1, 7, 8, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13])
@@ -413,38 +402,27 @@ def _batched_cdf(x, lo, hi, flag, a, b) -> np.ndarray:
     return t
 
 
-def _screen(rows: np.ndarray, regime: str) -> np.ndarray:
-    """Indices of the rows that pass every clause of ``ModelParams`` and
-    ``check_assumption_<regime>`` that these ranges can fail.
+def _columns(rows: np.ndarray) -> SimpleNamespace:
+    """The block's columns under ModelParams' attribute names; G and H carry
+    lo, hi and a cdf that is ``_batched_cdf`` on their five columns."""
+    c = rows.T
+    cost = lambda d: SimpleNamespace(lo=d[0], hi=d[1], cdf=lambda x: _batched_cdf(x, *d))
+    return SimpleNamespace(**dict(zip(_SCALARS, c[:6])), G=cost(c[6:11]), H=cost(c[11:]))
 
-    Each clause is the model's own on the same floats, so a row fails here
-    exactly when building and checking it fails. The clauses that need no
-    CDF run first; the others run on the rows left.
+
+def _screen(rows: np.ndarray, regime: str) -> np.ndarray:
+    """Indices of the rows that pass ``ModelParams``' rule beta_G >
+    max(beta_B, 0), the only one these ranges can fail, and every clause of
+    ``model.clauses(regime, ...)``.
+
+    The clauses are the model's own on the same floats, so a row fails here
+    exactly when building and checking it fails.
     """
-    beta_G, beta_B, alpha_G, alpha_B = rows.T[2:6]
-    h_lo, h_hi = rows.T[11:13]
-    ok = beta_G > np.maximum(beta_B, 0.0)
-    if regime == "mild":
-        ok &= (alpha_G < alpha_B) & (alpha_G < h_hi) & (h_lo < alpha_G)
-    else:
-        ok &= (alpha_B < alpha_G) & (alpha_G < h_hi)
-    keep = np.flatnonzero(ok)
-    if not keep.size:
-        return keep
-    columns = rows[keep].T
-    gamma, q, beta_G, beta_B, alpha_G, alpha_B = columns[:6]
-    G, H = columns[6:11], columns[11:]
-    be = q * beta_G + (1.0 - q) * beta_B  # model.beta_e
-    if regime == "mild":
-        ok = (alpha_G < _batched_cdf(be, *G)) & (_batched_cdf(beta_B, *G) < alpha_G)
-        g_h = gamma * _batched_cdf(alpha_G, *H)
-        with np.errstate(divide="ignore"):
-            nn_bound = np.where(g_h > 0.0, be / (1.0 + (1.0 - gamma) / g_h), 0.0)
-        ok &= G[0] < nn_bound
-    else:
-        g_beta_G = _batched_cdf(beta_G, *G)
-        ok = (alpha_B < _batched_cdf(be, *G)) & (g_beta_G < alpha_G) & (H[0] < g_beta_G)
-    return keep[ok]
+    p = _columns(rows)
+    ok = p.beta_G > np.maximum(p.beta_B, 0.0)
+    for _, lhs, rhs in model.clauses(regime, p):
+        ok &= lhs < rhs
+    return np.flatnonzero(ok)
 
 
 def _cost_dist(lo: float, hi: float, flag: float, a: float, b: float) -> BoundedCDF:
@@ -456,11 +434,10 @@ def _cost_dist(lo: float, hi: float, flag: float, a: float, b: float) -> Bounded
 def _accepted(rows: np.ndarray, regime: str):
     """(index, params) of each row that passes the screen and then the full
     regime check, which stays the authority."""
-    check = model.check_assumption_mild if regime == "mild" else model.check_assumption_severe
     keep = _screen(rows, regime)
     for i, row in zip(keep.tolist(), rows[keep].tolist()):
         params = ModelParams(*row[:6], _cost_dist(*row[6:11]), _cost_dist(*row[11:]))
-        if check(params).ok:
+        if model.check_assumption(regime, params).ok:
             yield i, params
 
 
@@ -526,7 +503,7 @@ def sign_law_check(
     Severe regime: D must be strictly negative. Knife-edge draws (the
     measure-zero boundary) are skipped rather than counted either way.
     """
-    if regime not in ("mild", "severe"):
+    if regime not in model.REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
     if n_draws < 1:
         raise DomainError(f"need at least one draw, got n_draws={n_draws}")

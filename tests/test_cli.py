@@ -68,6 +68,22 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["severe"]["ok"] is True
 
+    def test_no_news_bound_limit_prints_positive_zero(self, capsys, tmp_path):
+        # H.lo > alpha_G puts no concealment mass below alpha_G, and beta_e < 0:
+        # the bound's limit is +0.0, where be / inf would print -0
+        cfg = make_p1(
+            gamma=0.4, q=0.2, beta_G=1.0, beta_B=-1.0, alpha_G=0.6, alpha_B=0.7,
+            G=BoundedCDF.uniform(0.0, 1.0), H=BoundedCDF.uniform(0.7, 1.0),
+        ).to_dict()
+        path = tmp_path / "zero_bound.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(capsys, "check", "--config", str(path), "--regime", "mild")
+        assert code == 2
+        (clause,) = [c for c in json.loads(out)["mild"]["clauses"]
+                     if c["name"] == "rho_lo < no-news protest bound"]
+        assert clause["rhs"] == 0 and not clause["passed"]
+        assert '"rhs": 0,' in out and '"rhs": -0,' not in out
+
 
 class TestSolveCommands:
     def test_solve_mild_output(self, capsys, p1_config):
@@ -461,7 +477,10 @@ class TestEstimate:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--p-hat", "nan"), ("--q-prime-hat", "inf"), ("--q-hat", "nan"), ("--p-nn-hat", "-inf")],
+        [("--p-hat", "nan"), ("--q-prime-hat", "inf"), ("--q-hat", "nan"), ("--p-nn-hat", "-inf"),
+         # finite but no probability: bad input, not a solver failure or noise
+         ("--q-hat", "1.5"), ("--q-prime-hat", "7"), ("--p-hat", "-3"), ("--p-r-hat", "4"),
+         ("--p-nn-hat", "-2")],
     )
     def test_non_finite_flag_exit_5(self, capsys, flag, value):
         raw = {"--q-hat": "0.65", "--q-prime-hat": "0.45", "--p-hat": "0.4",
@@ -470,6 +489,14 @@ class TestEstimate:
         assert code == 5
         assert out == ""
         assert err.startswith("config error: ") and flag in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("q_hat", ["0", "1"])
+    def test_q_hat_at_unit_interval_edge_exit_3(self, capsys, q_hat):
+        # a valid probability that the estimator cannot use is no config error
+        code, out, err = run_cli(capsys, "estimate", f"--q-hat={q_hat}", "--q-prime-hat=0.3",
+                                 "--p-hat=0.2")
+        assert code == 3 and out == ""
+        assert err.startswith("solver failure: q_hat must be interior")
 
 
 class TestSweepCommand:

@@ -184,6 +184,18 @@ class TestStrategy:
             Finder().visit(ast.parse(path.read_text(encoding="utf-8")))
         assert sites and set(sites) == {("solver_severe.py", "strategy")}, sites
 
+    def test_only_model_names_the_regime_checks(self):
+        # every other module reaches a check through model.check_assumption;
+        # the package's __init__ re-exports the names but reads none of them
+        names = {"check_assumption_mild", "check_assumption_severe"}
+        field = {ast.Name: "id", ast.Attribute: "attr", ast.FunctionDef: "name"}
+        sites = []
+        for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if type(node) in field and getattr(node, field[type(node)]) in names:
+                    sites.append((path.name, node.lineno))
+        assert sites and {name for name, _ in sites} == {"model.py"}, sites
+
 
 class TestEffect:
     def test_p2_value(self, p2):

@@ -14,6 +14,7 @@ from repgame import (
     bayes_consistency_check,
     best_response_check,
     certify_equilibrium,
+    ModelParams,
     fosd_comparative_statics_check,
     degenerate_cost_limit_check,
     effect_monotonicity_check,
@@ -344,6 +345,29 @@ class TestSignLawBlocks:
         with pytest.raises(DomainError) as got:
             sign_law_check(regime, n_draws=500, seed=0, budget=100)
         assert str(got.value) == str(want.value)
+
+
+class TestClauseStatement:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("regime", ["mild", "severe"])
+    def test_block_clauses_match_scalar_reports(self, regime, seed):
+        # one statement of the clauses, on a block of columns and on a row's params
+        rows, _ = verify._parse(np.random.default_rng(seed).random(16 * 512), regime)
+        block = model.clauses(regime, verify._columns(rows))
+        built = 0
+        for i, row in enumerate(rows.tolist()):
+            try:
+                params = ModelParams(*row[:6], verify._cost_dist(*row[6:11]),
+                                     verify._cost_dist(*row[11:]))
+            except DomainError:
+                continue
+            built += 1
+            report = model.check_assumption(regime, params)
+            got = np.array([[lhs[i], rhs[i]] for _, lhs, rhs in block])
+            want = np.array([[c.lhs, c.rhs] for c in report.clauses])
+            assert [name for name, _, _ in block] == [c.name for c in report.clauses]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), i
+        assert built > 100
 
 
 class TestBatchedCDF:
