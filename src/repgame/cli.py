@@ -8,20 +8,23 @@ deterministic given the config (and seed): stable key order and fixed
 
 Exit codes: 0 success, 2 assumption violated, 3 solver failure (or a
 simulation worker process that died), 4 verification failure, 5 bad config.
+
+Building the parser loads no numpy and no package module besides errors:
+each subcommand imports the modules it uses when it runs, and calls their
+functions through the module, so a patched module attribute is the one
+called.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
+import functools
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import model, simulate, sweep, verify
 from .errors import (
     AssumptionError,
     ConfigError,
@@ -31,9 +34,11 @@ from .errors import (
     RepgameError,
     SolverError,
 )
-from .model import ModelParams
-from .solver_mild import no_concession_equilibrium, solve_mild
-from .solver_severe import solve_severe
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .model import ModelParams
 
 EXIT_OK = 0
 EXIT_ASSUMPTION = 2
@@ -101,6 +106,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def load_params(path: str) -> ModelParams:
+    from . import model
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -111,7 +118,7 @@ def load_params(path: str) -> ModelParams:
     except ValueError as exc:  # not UTF-8, or an integer literal too long to parse
         raise ConfigError(f"{path}: {exc}") from exc
     try:
-        return ModelParams.from_dict(raw)
+        return model.ModelParams.from_dict(raw)
     except (TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -120,6 +127,8 @@ def load_params(path: str) -> ModelParams:
 
 
 def _cmd_check(args) -> int:
+    from . import model
+
     params = load_params(args.config)
     regimes = model.REGIMES if args.regime == "auto" else (args.regime,)
     reports = [model.check_assumption(regime, params) for regime in regimes]
@@ -128,25 +137,35 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve_mild(args) -> int:
+    import dataclasses
+
+    from . import solver_mild
+
     params = load_params(args.config)
-    eq = solve_mild(params, tol=args.tol)
+    eq = solver_mild.solve_mild(params, tol=args.tol)
     _emit(canonical_json(dataclasses.asdict(eq)), args.out)
     return EXIT_OK
 
 
 def _cmd_solve_severe(args) -> int:
+    import dataclasses
+
+    from . import solver_severe
+
     params = load_params(args.config)
-    eq = solve_severe(params, tol=args.tol, scan=args.scan)
+    eq = solver_severe.solve_severe(params, tol=args.tol, scan=args.scan)
     _emit(canonical_json(dataclasses.asdict(eq)), args.out)
     return EXIT_OK
 
 
 def _solve_for_variant(params: ModelParams, variant: str, tol: float):
+    from . import solver_mild, solver_severe
+
     if variant == "mild":
-        return solve_mild(params, tol=tol)
+        return solver_mild.solve_mild(params, tol=tol)
     if variant == "severe":
-        return solve_severe(params, tol=tol)
-    return no_concession_equilibrium(params, tol=tol)
+        return solver_severe.solve_severe(params, tol=tol)
+    return solver_mild.no_concession_equilibrium(params, tol=tol)
 
 
 _EPISODE_HEADER = "theta,c,rho,action,observation,protested,success\n"
@@ -160,25 +179,39 @@ def _row_template(outcome: str) -> str:
     return f"{theta},{c},%.12g,{action},{observation},{protested},{'true' if success else 'false'}\n"
 
 
-# indexed by outcome code; '%.12g' % x gives the same string as format_float(x)
-_ROW_TEMPLATES = np.array([_row_template(k) for k in simulate.OUTCOMES], dtype=object)
+@functools.cache
+def _row_templates() -> np.ndarray:
+    """Row templates indexed by outcome code; '%.12g' % x gives the same
+    string as format_float(x). Built once per process: ``_cmd_simulate``
+    builds them before its pool forks, so the workers inherit them."""
+    import numpy as np
+
+    from . import simulate
+
+    return np.array([_row_template(k) for k in simulate.OUTCOMES], dtype=object)
 
 
 def _episode_rows(block: dict, codes: np.ndarray) -> str:
     """CSV rows of one block of episodes, encoded by a single % call."""
+    import numpy as np
+
     organized = block["theta"] != 2
     keep = np.stack((organized, np.ones_like(organized)), axis=1)
     floats = np.stack((block["c"], block["rho"]), axis=1)[keep]  # c, rho per row; no c on N
     finite = np.isfinite(floats)
     if not finite.all():
         format_float(float(floats[np.argmin(finite)]))  # raises SolverError for the first one
-    return "".join(_ROW_TEMPLATES[codes].tolist()) % tuple(floats.tolist())
+    return "".join(_row_templates()[codes].tolist()) % tuple(floats.tolist())
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulate
+
     params = load_params(args.config)
     eq = _solve_for_variant(params, args.variant, args.tol)
     path = args.episodes_out
+    if path:
+        _row_templates()  # before play_blocks forks its pool
     blocks = simulate.play_blocks(  # rejects n and seed here
         params, eq, args.n, args.seed, encode=_episode_rows if path else None
     )
@@ -209,6 +242,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from . import simulate
+
     if args.stats:
         try:
             with open(args.stats, "r", encoding="utf-8") as fh:
@@ -239,6 +274,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import sweep
+
     params = load_params(args.config)
     spec = sweep.SweepSpec(
         axis=args.axis,
@@ -268,6 +305,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import model, solver_mild, solver_severe, verify
+
     params = load_params(args.config)
     mild, severe = (model.check_assumption(regime, params) for regime in model.REGIMES)
     if not (mild.ok or severe.ok):
@@ -278,7 +317,7 @@ def _cmd_verify(args) -> int:
         )
     payload: dict = {}
     failed = False
-    for report, solver in ((mild, solve_mild), (severe, solve_severe)):
+    for report, solver in ((mild, solver_mild.solve_mild), (severe, solver_severe.solve_severe)):
         if not report.ok:
             continue
         eq = solver(params, tol=args.tol)
@@ -300,6 +339,9 @@ def _cmd_verify(args) -> int:
 
 
 # -- parser ---------------------------------------------------------------------
+# The choice tuples are written out rather than read from model and sweep, so
+# that building the parser imports neither; tests/test_cli.py pins them to
+# model.REGIMES, sweep.SWEEP_AXES and sweep.VARIANTS.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the regime assumption checks")
     add_common(p)
-    p.add_argument("--regime", choices=(*model.REGIMES, "auto"), default="auto")
+    p.add_argument("--regime", choices=("mild", "severe", "auto"), default="auto")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("solve-mild", help="solve the mild-conflict equilibrium")
@@ -356,11 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="one-axis comparative statics table")
     add_common(p)
-    p.add_argument("--axis", choices=sweep.SWEEP_AXES, required=True)
+    p.add_argument(
+        "--axis", choices=("H_lo", "G_lo", "q", "gamma", "beta_B", "alpha_G"), required=True
+    )
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--end", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--variant", choices=sweep.VARIANTS, default="mild")
+    p.add_argument("--variant", choices=("mild", "severe"), default="mild")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_sweep)
 

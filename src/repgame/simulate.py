@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import model
 from .errors import DomainError, EstimationError, WorkerError
@@ -75,6 +74,8 @@ def _check_seed(seed: int) -> None:
 
 def episode_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """(count, 4) uniforms; row i is counter block start+i of Philox(seed)."""
+    from numpy.random import Generator, Philox  # only a simulation needs numpy.random
+
     _check_seed(seed)
     bg = Philox(key=seed)
     if start:
@@ -199,6 +200,8 @@ def _pooled(job, starts: range, workers: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
+
+    import numpy.random  # episode_uniforms needs it: loaded here once, not in each forked worker
 
     pool = ProcessPoolExecutor(
         workers,

@@ -1,7 +1,9 @@
+import argparse
 import concurrent.futures
 import contextlib
 import copy
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from helpers import make_p1, make_p2, reference_episodes_csv
 import repgame
 from repgame import BoundedCDF, SimStats, SolverError, simulate, solve_mild
-from repgame.cli import _episode_rows, _solve_for_variant, main
+from repgame.cli import _episode_rows, _solve_for_variant, build_parser, main
 from repgame.simulate import CHUNK, OUTCOMES, outcome_codes, simulate_arrays
 
 
@@ -567,13 +569,14 @@ class TestVerifyCommand:
 
 class TestVerifyFailurePath:
     def test_law_violation_exits_4(self, capsys, p1_config, monkeypatch):
-        import repgame.cli as cli_mod
+        from repgame import verify
         from repgame.verify import SignLawReport
 
         def failing(regime, n_draws=500, seed=0, budget=100_000):
             return SignLawReport(regime, n_draws, n_draws, 1.0, False, ({"error": "forced"},))
 
-        monkeypatch.setattr(cli_mod.verify, "sign_law_check", failing)
+        # the verify handler calls the module attribute, so patching it is enough
+        monkeypatch.setattr(verify, "sign_law_check", failing)
         code, out, _ = run_cli(
             capsys, "verify", "--config", p1_config, "--grid", "50", "--draws", "5"
         )
@@ -595,16 +598,20 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
 
 
 # Runs each argv of the JSON list in argv[1] through main in this interpreter,
-# and prints per command its exit code, stdout, and whether scipy is loaded.
+# and prints per command its exit code, stdout, whether scipy is loaded and
+# which of the package's modules and numpy.random are.
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
 from repgame.cli import main
-results = [{"scipy": "scipy" in sys.modules}]
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("repgame", "numpy.random")))
+results = [{"scipy": "scipy" in sys.modules, "loaded": loaded()}]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    results.append({"code": code, "out": out.getvalue(), "scipy": "scipy" in sys.modules})
+    results.append({"code": code, "out": out.getvalue(), "scipy": "scipy" in sys.modules,
+                    "loaded": loaded()})
 print(json.dumps(results))
 """
 
@@ -684,6 +691,118 @@ class TestDeferredScipyImport:
         assert proc.returncode == 0, proc.stderr
         d = eval(build, {"BoundedCDF": BoundedCDF, "dataclasses": dataclasses})
         assert proc.stdout == repr([d.cdf(0.7), d.cdf(np.array([0.3, 1.9])).tolist(), d.quantile(0.4)]) + "\n"
+
+
+class TestColdStart:
+    """Each subcommand imports only the modules it uses, and building the
+    parser imports none of them."""
+
+    def test_building_the_parser_loads_no_numpy(self):
+        script = (
+            "import sys\n"
+            "import repgame.cli\n"
+            "repgame.cli.build_parser()\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('repgame', 'numpy'))))\n"
+        )
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['repgame', 'repgame.cli', 'repgame.errors']\n"
+
+    def test_check_and_solve_mild_load_no_simulation_sweep_or_verify(self, p1_config):
+        results = _run_fresh([["check", "--config", p1_config], ["solve-mild", "--config", p1_config]])
+        assert [r["code"] for r in results[1:]] == [0, 0]
+        unused = {"repgame.verify", "repgame.simulate", "repgame.sweep", "numpy.random"}
+        assert [unused & set(r["loaded"]) for r in results] == [set()] * 3
+        assert "repgame.solver_mild" in results[2]["loaded"]
+
+    def test_raw_flag_estimate_loads_no_random_stream(self):
+        results = _run_fresh([["estimate", "--q-hat", "0.6", "--q-prime-hat", "0.7", "--p-hat", "0.3"]])
+        assert results[1]["code"] == 0
+        assert "repgame.simulate" in results[1]["loaded"]
+        assert {"numpy.random", "repgame.verify", "repgame.sweep"} & set(results[1]["loaded"]) == set()
+
+    def test_pooled_simulation_loads_the_random_stream_before_the_fork(self, p1_config):
+        # the parent plays no block itself, so only a pre-fork import loads it here
+        script = (
+            "import contextlib, io, sys\n"
+            "from repgame import cli, simulate\n"
+            "simulate._worker_count = lambda n_blocks: min(2, n_blocks)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['simulate', '--config', {p1_config!r}, '--n', '{2 * CHUNK}', '--seed', '0'])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 True\n"
+
+    def test_help_exits_0(self):
+        proc = _fresh_python("-m", "repgame.cli", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: repgame ")
+
+
+def _choices(command: str, flag: str) -> tuple:
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (action,) = [a for a in commands.choices[command]._actions if flag in a.option_strings]
+    return tuple(action.choices)
+
+
+class TestParserVocabulary:
+    """build_parser spells its choices out, so that it imports no model
+    module; they must stay the names those modules use."""
+
+    def test_check_regimes(self):
+        from repgame import model
+
+        assert _choices("check", "--regime") == (*model.REGIMES, "auto")
+
+    def test_sweep_axes_and_variants(self):
+        from repgame import sweep
+
+        assert _choices("sweep", "--axis") == sweep.SWEEP_AXES
+        assert _choices("sweep", "--variant") == sweep.VARIANTS
+
+    def test_simulate_variants_are_the_strategy_variants(self):
+        from repgame import no_concession_equilibrium, solve_severe, strategy
+
+        p1, p2 = make_p1(), make_p2()
+        eqs = (solve_mild(p1), solve_severe(p2), no_concession_equilibrium(p1))
+        assert _choices("simulate", "--variant") == tuple(strategy(eq)[0] for eq in eqs)
+
+
+class TestPackageExports:
+    """The package resolves its exports on first use (PEP 562)."""
+
+    def test_every_export_is_the_submodules_object(self):
+        assert len(set(repgame.__all__)) == len(repgame.__all__)
+        for name in repgame.__all__:
+            obj = getattr(repgame, name)
+            assert obj.__module__.startswith("repgame."), name
+            assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+    def test_export_follows_a_patched_submodule(self, monkeypatch):
+        from repgame import solver_mild
+
+        def patched(*args, **kwargs):
+            raise AssertionError("not called")
+
+        monkeypatch.setattr(solver_mild, "solve_mild", patched)
+        assert repgame.solve_mild is patched
+        monkeypatch.undo()
+        assert repgame.solve_mild is solver_mild.solve_mild
+
+    def test_star_import_binds_every_export(self):
+        namespace: dict = {}
+        exec("from repgame import *", namespace)
+        assert set(repgame.__all__) <= namespace.keys()
+        assert all(namespace[name] is getattr(repgame, name) for name in repgame.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'solve_mildd'"):
+            repgame.solve_mildd
+        with pytest.raises(ImportError):
+            exec("from repgame import solve_mildd", {})
 
 
 class TestConfigErrors:
