@@ -65,6 +65,7 @@ _EXPORTS = {
         "effect_D_severe",
         "posterior_nn_severe",
         "repression_probabilities",
+        "solve",
         "solve_severe",
         "strategy",
     ),

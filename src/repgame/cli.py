@@ -57,6 +57,15 @@ def format_float(x: float) -> str:
 
 
 def _dumps(obj, indent: int = 0) -> str:
+    # scalars first: sweep CSV cells and table rows are almost all floats
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return str(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -69,14 +78,6 @@ def _dumps(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{_dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
     return json.dumps(obj)
 
 
@@ -136,36 +137,15 @@ def _cmd_check(args) -> int:
     return EXIT_OK if any(r.ok for r in reports) else EXIT_ASSUMPTION
 
 
-def _cmd_solve_mild(args) -> int:
-    import dataclasses
-
-    from . import solver_mild
-
-    params = load_params(args.config)
-    eq = solver_mild.solve_mild(params, tol=args.tol)
-    _emit(canonical_json(dataclasses.asdict(eq)), args.out)
-    return EXIT_OK
-
-
-def _cmd_solve_severe(args) -> int:
+def _cmd_solve(args) -> int:
     import dataclasses
 
     from . import solver_severe
 
     params = load_params(args.config)
-    eq = solver_severe.solve_severe(params, tol=args.tol, scan=args.scan)
+    eq = solver_severe.solve(args.variant, params, tol=args.tol, scan=args.scan)
     _emit(canonical_json(dataclasses.asdict(eq)), args.out)
     return EXIT_OK
-
-
-def _solve_for_variant(params: ModelParams, variant: str, tol: float):
-    from . import solver_mild, solver_severe
-
-    if variant == "mild":
-        return solver_mild.solve_mild(params, tol=tol)
-    if variant == "severe":
-        return solver_severe.solve_severe(params, tol=tol)
-    return solver_mild.no_concession_equilibrium(params, tol=tol)
 
 
 _EPISODE_HEADER = "theta,c,rho,action,observation,protested,success\n"
@@ -205,10 +185,10 @@ def _episode_rows(block: dict, codes: np.ndarray) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    from . import simulate
+    from . import simulate, solver_severe
 
     params = load_params(args.config)
-    eq = _solve_for_variant(params, args.variant, args.tol)
+    eq = solver_severe.solve(args.variant, params, tol=args.tol)
     path = args.episodes_out
     if path:
         _row_templates()  # before play_blocks forks its pool
@@ -291,21 +271,13 @@ def _cmd_sweep(args) -> int:
         return EXIT_OK
     lines = [",".join(table[0])]
     for row in table:
-        cells = []
-        for value in row.values():
-            if value is None:
-                cells.append("")
-            elif isinstance(value, bool):
-                cells.append("true" if value else "false")
-            else:
-                cells.append(format_float(value))
-        lines.append(",".join(cells))
+        lines.append(",".join("" if v is None else _dumps(v) for v in row.values()))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    from . import model, solver_mild, solver_severe, verify
+    from . import model, solver_severe, verify
 
     params = load_params(args.config)
     mild, severe = (model.check_assumption(regime, params) for regime in model.REGIMES)
@@ -317,10 +289,10 @@ def _cmd_verify(args) -> int:
         )
     payload: dict = {}
     failed = False
-    for report, solver in ((mild, solver_mild.solve_mild), (severe, solver_severe.solve_severe)):
+    for report in (mild, severe):
         if not report.ok:
             continue
-        eq = solver(params, tol=args.tol)
+        eq = solver_severe.solve(report.regime, params, tol=args.tol)
         cert = verify.certify_equilibrium(params, eq, grid=args.grid)
         ok = (
             cert.max_regret <= 1e-9
@@ -364,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-mild", help="solve the mild-conflict equilibrium")
     add_common(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=_cmd_solve_mild)
+    p.set_defaults(func=_cmd_solve, variant="mild", scan=0)
 
     p = sub.add_parser("solve-severe", help="solve the severe-conflict equilibrium")
     add_common(p)
@@ -375,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=400,
         help="multiplicity grid-scan resolution, 2 to 2000; 0 turns the scan off",
     )
-    p.set_defaults(func=_cmd_solve_severe)
+    p.set_defaults(func=_cmd_solve, variant="severe")
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo run under a solved equilibrium")
     add_common(p)

@@ -13,7 +13,7 @@ grid points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,20 +70,12 @@ class ModelParams:
             raise DomainError("concealment costs must be nonnegative (H.lo >= 0)")
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "q": self.q,
-            "beta_G": self.beta_G,
-            "beta_B": self.beta_B,
-            "alpha_G": self.alpha_G,
-            "alpha_B": self.alpha_B,
-            "G": self.G.to_dict(),
-            "H": self.H.to_dict(),
-        }
+        scalars = {k: getattr(self, k) for k in _SCALARS}
+        return {**scalars, "G": self.G.to_dict(), "H": self.H.to_dict()}
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ModelParams":
-        keys = {"gamma", "q", "beta_G", "beta_B", "alpha_G", "alpha_B", "G", "H"}
+        keys = {*_SCALARS, "G", "H"}
         if not isinstance(spec, dict):
             raise DomainError("params spec must be an object")
         extra = set(spec) - keys
@@ -92,12 +84,15 @@ class ModelParams:
         missing = keys - set(spec)
         if missing:
             raise DomainError(f"missing parameter keys: {sorted(missing)}")
-        scalars = ("gamma", "q", "beta_G", "beta_B", "alpha_G", "alpha_B")
         return cls(
-            **{k: read_field(k, float, spec[k]) for k in scalars},
+            **{k: read_field(k, float, spec[k]) for k in _SCALARS},
             G=read_field("G", BoundedCDF.from_dict, spec["G"]),
             H=read_field("H", BoundedCDF.from_dict, spec["H"]),
         )
+
+
+# the six float fields, gamma .. alpha_B, in ModelParams order
+_SCALARS = tuple(f.name for f in fields(ModelParams) if f.type == "float")
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,11 @@ def validate_tol(tol: float) -> None:
         raise DomainError(f"tol must be finite and positive, at most {MAX_TOL:g}, got {tol}")
 
 
-def solve_threshold(params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool = False) -> float:
-    """Concealment threshold c_tilde, the root of the no-news indifference.
+def solve_threshold(
+    params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool = False
+) -> tuple[float, float]:
+    """(c_tilde, residual): the concealment threshold, the root of the
+    no-news indifference, and the indifference's absolute value there.
 
     With ``relaxed=True`` only the clauses that do not involve H are
     enforced and the bracket is widened to [0, alpha_G], allowing boundary
@@ -177,10 +180,10 @@ def solve_threshold(params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool
     pad_lo, pad_hi = lo + _BRACKET_PAD, hi - _BRACKET_PAD
     if f(pad_lo) < 0.0 < f(pad_hi):
         lo, hi = pad_lo, pad_hi
-    c_tilde, _ = _certified_root(f, lo, hi, tol, "threshold")
+    c_tilde, residual = _certified_root(f, lo, hi, tol, "threshold")
     if not relaxed and not params.H.lo < c_tilde < params.alpha_G:
         raise SolverError(f"threshold {c_tilde} escaped ({params.H.lo}, {params.alpha_G})")
-    return c_tilde
+    return c_tilde, residual
 
 
 def reveal_likelihood_ratio(params: ModelParams) -> float:
@@ -229,9 +232,8 @@ def solve_mild(
     SolverError if any equilibrium identity fails to certify at the
     requested tolerance (which would indicate a bug, not bad inputs).
     """
-    c_tilde = solve_threshold(params, tol, relaxed=relaxed)
+    c_tilde, residual = solve_threshold(params, tol, relaxed=relaxed)
     be = model.beta_e(params)
-    residual = abs(_threshold_residual(params, be, params.alpha_G, c_tilde))
 
     h_mass = params.H.cdf(c_tilde)
     gp = _gamma_prime(h_mass, params.gamma)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import model, solver_mild
 from .errors import DomainError, SolverError
 from .model import Belief, ModelParams
 from .rootfind import find_root
@@ -83,6 +83,21 @@ def strategy(eq) -> tuple[str, tuple[float, float], tuple[float, float]]:
     if isinstance(eq, NoConcessionEquilibrium):
         return "no-concession", (eq.c_tilde, eq.c_tilde), (1.0, 1.0)
     raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
+
+
+def solve(variant: str, params: ModelParams, tol: float = DEFAULT_TOL, scan: int = 0):
+    """The solved equilibrium of ``variant``, so that ``strategy(solve(v,
+    params))[0] == v``. ``scan`` is ``solve_severe``'s grid-scan resolution
+    and only the severe variant uses it; the default 0 skips the scan, whose
+    finds only ``solve-severe`` prints. Each solver is read off its module
+    at the call, so a replaced module attribute is the one called."""
+    if variant == "mild":
+        return solver_mild.solve_mild(params, tol)
+    if variant == "severe":
+        return solve_severe(params, tol=tol, scan=scan)
+    if variant == "no-concession":
+        return solver_mild.no_concession_equilibrium(params, tol)
+    raise DomainError(f"unknown variant {variant!r}")
 
 
 def repression_probabilities(eq, params: ModelParams) -> RepressionProbabilities:

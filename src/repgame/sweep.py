@@ -20,8 +20,7 @@ from . import model
 from .distributions import BoundedCDF
 from .errors import DomainError, EmptySweepError
 from .model import ModelParams
-from .solver_mild import solve_mild
-from .solver_severe import bound_D_lower, repression_probabilities, solve_severe
+from .solver_severe import bound_D_lower, repression_probabilities, solve
 
 SWEEP_AXES = ("H_lo", "G_lo", "q", "gamma", "beta_B", "alpha_G")
 VARIANTS = model.REGIMES
@@ -29,33 +28,12 @@ VARIANTS = model.REGIMES
 # this size already takes minutes of solves
 MAX_STEPS = 1_000_000
 
-MILD_COLUMNS = (
-    "axis_value",
-    "assumption_ok",
-    "c_tilde",
-    "prob_revealed",
-    "prob_concealed",
-    "prob_total",
-    "p_R",
-    "p_NN",
-    "p_prior",
-    "D",
-    "D_lower",
-)
-SEVERE_COLUMNS = (
-    "axis_value",
-    "assumption_ok",
-    "c_tilde_B",
-    "c_tilde_G",
-    "prob_revealed",
-    "prob_concealed",
-    "prob_total",
-    "p_R",
-    "p_NN",
-    "p_prior",
-    "D",
-    "D_lower",
-)
+# each variant's columns: its threshold names between a shared head and tail
+COLUMNS = {
+    variant: ("axis_value", "assumption_ok", *thresholds)
+    + ("prob_revealed", "prob_concealed", "prob_total", "p_R", "p_NN", "p_prior", "D", "D_lower")
+    for variant, thresholds in (("mild", ("c_tilde",)), ("severe", ("c_tilde_B", "c_tilde_G")))
+}
 
 
 def _with_lo(dist: BoundedCDF, new_lo: float) -> BoundedCDF:
@@ -137,19 +115,14 @@ class SweepRow:
     D_lower: float | None = None
 
     def to_dict(self, variant: str) -> dict:
-        cols = MILD_COLUMNS if variant == "mild" else SEVERE_COLUMNS
-        return {c: getattr(self, c) for c in cols}
+        return {c: getattr(self, c) for c in COLUMNS[variant]}
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per grid point; raises EmptySweepError if nothing is valid."""
     rows: list[SweepRow] = []
     any_valid = False
-    if spec.variant == "mild":
-        cols, solve = MILD_COLUMNS, solve_mild
-    else:
-        cols = SEVERE_COLUMNS
-        solve = lambda p: solve_severe(p, scan=0)  # multiplicity diagnostics off in bulk
+    cols = COLUMNS[spec.variant]
     for value in np.linspace(spec.start, spec.end, spec.steps):
         value = float(value)
         try:
@@ -160,7 +133,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         if not model.check_assumption(spec.variant, trial).ok:
             rows.append(SweepRow(axis_value=value, assumption_ok=False))
             continue
-        eq = solve(trial)
+        eq = solve(spec.variant, trial)  # severe multiplicity grid scan off in bulk
         probs = repression_probabilities(eq, trial)
         found = {c: getattr(probs if c.startswith("prob_") else eq, c) for c in cols[2:-1]}
         rows.append(SweepRow(value, True, D_lower=bound_D_lower(eq), **found))

@@ -21,7 +21,7 @@ from .distributions import BoundedCDF, fosd_dominates
 from .errors import AssumptionError, DomainError, RepgameError
 from .model import Belief, ModelParams
 from .solver_mild import estimator_H, estimator_total, limit_H_degenerate, solve_mild
-from .solver_severe import effect_D_severe, repression_probabilities, solve_severe, strategy
+from .solver_severe import effect_D_severe, repression_probabilities, solve, strategy
 from .sweep import apply_axis
 
 DEFAULT_GRID = 1000
@@ -330,7 +330,6 @@ def effect_monotonicity_check(
 # in ModelParams order: gamma, q, beta_G, beta_B, alpha_G, alpha_B, then
 # (lo, hi, flag, a, b) for G and for H; a and b are unused when flag >= BETA_FLAG.
 BETA_FLAG = 0.3
-_SCALARS = tuple(f.name for f in dataclasses.fields(ModelParams))[:6]  # gamma .. alpha_B
 # the offset of each column's double from the proposal's start, plus 2 where
 # _AFTER_G and G has beta shapes
 _OFFSETS = np.array([5, 6, 0, 1, 7, 8, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13])
@@ -407,7 +406,7 @@ def _columns(rows: np.ndarray) -> SimpleNamespace:
     lo, hi and a cdf that is ``_batched_cdf`` on their five columns."""
     c = rows.T
     cost = lambda d: SimpleNamespace(lo=d[0], hi=d[1], cdf=lambda x: _batched_cdf(x, *d))
-    return SimpleNamespace(**dict(zip(_SCALARS, c[:6])), G=cost(c[6:11]), H=cost(c[11:]))
+    return SimpleNamespace(**dict(zip(model._SCALARS, c[:6])), G=cost(c[6:11]), H=cost(c[11:]))
 
 
 def _screen(rows: np.ndarray, regime: str) -> np.ndarray:
@@ -515,18 +514,15 @@ def sign_law_check(
     failures: list[dict] = []
     for index, params in _accepted_draws(rng, regime, budget):
         try:
+            eq = solve(regime, params)
             if regime == "mild":
-                eq = solve_mild(params)
                 ref = params.G.cdf(params.gamma * model.beta_e(params)) - params.alpha_G
                 if abs(ref) < 1e-12:
                     continue  # knife edge: no sign prediction
-                ok = (eq.D > 0.0) == (ref > 0.0)
-                if not ok:
+                if (eq.D > 0.0) != (ref > 0.0):
                     failures.append({"params": params.to_dict(), "D": eq.D, "reference": ref})
-            else:
-                eq = solve_severe(params, scan=0)
-                if not eq.D < 0.0:
-                    failures.append({"params": params.to_dict(), "D": eq.D})
+            elif not eq.D < 0.0:
+                failures.append({"params": params.to_dict(), "D": eq.D})
         except RepgameError as exc:
             failures.append({"params": params.to_dict(), "error": str(exc)})
         checked += 1

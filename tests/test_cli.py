@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from hypothesis import strategies as st
 
 from helpers import make_p1, make_p2, reference_episodes_csv
 import repgame
-from repgame import BoundedCDF, SimStats, SolverError, simulate, solve_mild
-from repgame.cli import _episode_rows, _solve_for_variant, build_parser, main
+from repgame import BoundedCDF, SimStats, SolverError, simulate, solve, solve_mild
+from repgame.cli import _episode_rows, build_parser, main
 from repgame.simulate import CHUNK, OUTCOMES, outcome_codes, simulate_arrays
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -109,6 +112,43 @@ class TestSolveCommands:
         assert payload["c_tilde_G"] == pytest.approx(0.7285271, abs=1e-6)
         assert payload["corner"] is False
         assert payload["multiplicity_note"] == []
+
+    def test_solve_severe_scans_by_default(self, capsys, monkeypatch, p2_config):
+        from repgame import solver_severe
+
+        scans = []
+        original = solver_severe._grid_scan_fixed_points
+
+        def counted(params, scan, tol, known):
+            scans.append(scan)
+            return original(params, scan, tol, known)
+
+        monkeypatch.setattr(solver_severe, "_grid_scan_fixed_points", counted)
+        code, out, _ = run_cli(capsys, "solve-severe", "--config", p2_config)
+        assert code == 0 and scans == [400]
+        assert out == (GOLDEN / "solve_severe_p2.stdout").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("simulate_p2_severe", ("simulate", "--variant", "severe", "--n", "500", "--seed", "0")),
+            ("verify_p2", ("verify", "--grid", "200", "--draws", "20")),
+        ],
+        ids=["simulate", "verify"],
+    )
+    def test_other_severe_solves_run_no_grid_scan(
+        self, capsys, monkeypatch, p2_config, golden, argv
+    ):
+        # the scan only fills the multiplicity note, which only solve-severe prints
+        from repgame import solver_severe
+
+        def no_scan(*args, **kwargs):
+            raise SolverError("the multiplicity grid scan ran")
+
+        monkeypatch.setattr(solver_severe, "_grid_scan_fixed_points", no_scan)
+        code, out, _ = run_cli(capsys, argv[0], "--config", p2_config, *argv[1:])
+        assert code == 0
+        assert out == (GOLDEN / f"{golden}.stdout").read_text(encoding="utf-8")
 
     def test_tol_flag(self, capsys, p1_config):
         code, out, _ = run_cli(capsys, "solve-mild", "--config", p1_config, "--tol", "1e-12")
@@ -225,7 +265,7 @@ class TestSimulate:
     @pytest.mark.parametrize("variant", ["mild", "severe", "no-concession"])
     def test_streamed_csv_matches_reference(self, capsys, p1_config, p2_config, tmp_path, variant):
         params, config = (make_p2(), p2_config) if variant == "severe" else (make_p1(), p1_config)
-        eq = _solve_for_variant(params, variant, tol=1e-10)
+        eq = solve(variant, params)
         n = 2 * CHUNK + 3
         csv_path = tmp_path / "episodes.csv"
         code, out, _ = run_cli(

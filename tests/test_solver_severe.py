@@ -28,10 +28,12 @@ from repgame import (
     SweepSpec,
     rho_tilde,
     run_sweep,
+    solve,
     solve_mild,
     solve_severe,
     strategy,
 )
+from repgame import solver_mild, solver_severe
 from repgame.rootfind import find_root
 from repgame.solver_severe import _scan_roots_1d
 
@@ -184,6 +186,18 @@ class TestStrategy:
             Finder().visit(ast.parse(path.read_text(encoding="utf-8")))
         assert sites and set(sites) == {("solver_severe.py", "strategy")}, sites
 
+    def test_only_solve_calls_the_severe_and_no_concession_solvers(self):
+        # cli, sweep and verify pick a variant's solver through solve()
+        names = {"solve_severe", "no_concession_equilibrium"}
+        sites = []
+        for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called in names:
+                        sites.append((path.name, node.lineno))
+        assert {name for name, _ in sites} == {"solver_mild.py", "solver_severe.py"}, sites
+
     def test_only_model_names_the_regime_checks(self):
         # every other module reaches a check through model.check_assumption;
         # the package's __init__ re-exports the names but reads none of them
@@ -195,6 +209,38 @@ class TestStrategy:
                 if type(node) in field and getattr(node, field[type(node)]) in names:
                     sites.append((path.name, node.lineno))
         assert sites and {name for name, _ in sites} == {"model.py"}, sites
+
+
+class TestSolve:
+    @pytest.mark.parametrize(
+        "variant, make",
+        [("mild", make_p1), ("severe", make_p2), ("no-concession", make_p1)],
+    )
+    def test_inverts_strategy(self, variant, make):
+        assert strategy(solve(variant, make()))[0] == variant
+
+    def test_unknown_variant(self):
+        with pytest.raises(DomainError, match="unknown variant"):
+            solve("moderate", make_p1())
+
+    def test_calls_the_module_attributes(self, monkeypatch):
+        calls = []
+        for module, name in (
+            (solver_mild, "solve_mild"),
+            (solver_mild, "no_concession_equilibrium"),
+            (solver_severe, "solve_severe"),
+        ):
+            monkeypatch.setattr(
+                module, name, lambda *args, name=name, **kwargs: calls.append((name, args, kwargs))
+            )
+        params = make_p1()
+        for variant in ("mild", "severe", "no-concession"):
+            solve(variant, params, tol=1e-9, scan=7)
+        assert calls == [
+            ("solve_mild", (params, 1e-9), {}),
+            ("solve_severe", (params,), {"tol": 1e-9, "scan": 7}),
+            ("no_concession_equilibrium", (params, 1e-9), {}),
+        ]
 
 
 class TestEffect:
