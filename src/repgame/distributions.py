@@ -10,6 +10,7 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +43,32 @@ def _maybe_scalar(out: np.ndarray, x) -> float | np.ndarray:
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def cdf_columns(x, lo, hi, is_beta, a, b) -> np.ndarray:
+    """The clamped uniform or scaled_beta CDF at x, a scalar or a column:
+    lo, hi, is_beta, a and b are one distribution's scalars or one column
+    per row, and a row with ``is_beta`` false is uniform and leaves its
+    shapes a, b unused.
+
+    These are ``BoundedCDF.cdf``'s scalar-path IEEE operations elementwise,
+    so each value is bit for bit the scalar one; np.clip keeps -0.0 and
+    NaN, as the scalar clamp does.
+    """
+    t = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+    if np.any(is_beta):
+        _load_beta_functions()
+        if np.ndim(is_beta) == 0:
+            return betainc(a, b, t)
+        t[is_beta] = betainc(a[is_beta], b[is_beta], t[is_beta])
+    return t
+
+
+def cost_columns(lo, hi, is_beta, a, b) -> SimpleNamespace:
+    """A column of uniform or scaled_beta distributions under BoundedCDF's
+    names: lo, hi and a ``cdf_columns`` cdf, as ``model.clauses`` reads a
+    block of parameter sets."""
+    return SimpleNamespace(lo=lo, hi=hi, cdf=lambda x: cdf_columns(x, lo, hi, is_beta, a, b))
 
 
 def _newton_polish(a: float, b: float, p: np.ndarray, t: np.ndarray) -> None:
@@ -138,19 +165,21 @@ class BoundedCDF:
             a, b = self.params
             return float(betainc(a, b, t))
         xs = np.asarray(x, dtype=float)
-        if self.family == "uniform":
-            out = np.clip((xs - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        elif self.family == "scaled_beta":
-            a, b = self.params
-            t = np.clip((xs - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-            out = betainc(a, b, t)
-        else:
+        if self.family == "piecewise_linear":
             kx, kf = self._knot_arrays()
             out = np.interp(xs, kx, kf)
+        else:
+            a, b = self.params or (1.0, 1.0)  # a uniform's shapes go unused
+            out = cdf_columns(xs, self.lo, self.hi, self.family == "scaled_beta", a, b)
         return _maybe_scalar(out, x)
 
     def quantile(self, p):
         """Smallest x in [lo, hi] with cdf(x) >= p; endpoints at p = 0, 1."""
+        if isinstance(p, float) and self.family == "uniform":
+            # scalar fast path, as cdf's; NaN passes the range check, as below
+            if p < 0.0 or p > 1.0:
+                raise DomainError(f"quantile argument outside [0, 1]: {p!r}")
+            return float(self.lo + (self.hi - self.lo) * p)
         ps = np.asarray(p, dtype=float)
         if np.any(ps < 0.0) or np.any(ps > 1.0):
             raise DomainError(f"quantile argument outside [0, 1]: {p!r}")

@@ -1,4 +1,5 @@
-"""Bracketed scalar root finding: bisection refined by secant steps.
+"""Bracketed root finding: bisection refined by secant steps, for one
+equation or, in lockstep, for a block of them.
 
 The equilibrium equations solved in this package are strictly monotone in
 the unknown, so a guaranteed sign-change bracket plus bisection is enough;
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from .errors import SolverError
 
 MAX_ITER = 200
@@ -23,6 +26,14 @@ def _stop_width(a: float, b: float) -> float:
     return 4.0 * _EPS * max(1.0, abs(a), abs(b))
 
 
+def _bracket_error(lo: float, hi: float, fa: float = 0.0, fb: float = 0.0) -> SolverError:
+    """find_root's rejection of [lo, hi]: empty, else not bracketed by the
+    endpoint values fa, fb."""
+    if not lo < hi:
+        return SolverError(f"empty bracket [{lo}, {hi}]")
+    return SolverError(f"root not bracketed on [{lo}, {hi}]: f(lo)={fa:.3e}, f(hi)={fb:.3e}")
+
+
 def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi], where f(lo) and f(hi) have opposite signs.
 
@@ -31,7 +42,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     are returned directly; a same-sign bracket raises SolverError.
     """
     if not lo < hi:
-        raise SolverError(f"empty bracket [{lo}, {hi}]")
+        raise _bracket_error(lo, hi)
     fa = f(lo)
     fb = f(hi)
     if fa == 0.0:
@@ -39,9 +50,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     if fb == 0.0:
         return hi
     if (fa > 0.0) == (fb > 0.0):
-        raise SolverError(
-            f"root not bracketed on [{lo}, {hi}]: f(lo)={fa:.3e}, f(hi)={fb:.3e}"
-        )
+        raise _bracket_error(lo, hi, fa, fb)
     a, b = lo, hi
     width_prev2 = 2.0 * (b - a)
     width_prev = b - a
@@ -66,6 +75,57 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
             a, fa = x, fx
         width_prev2, width_prev = width_prev, b - a
     return 0.5 * (a + b)
+
+
+def find_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
+    """``find_root`` on each row of the brackets ``lo``, ``hi`` at once, for
+    an ``f`` that maps a column of points to the column of each row's value.
+
+    Every row runs find_root's float operations and takes its branches, and
+    is frozen once it returns, so each root is bit for bit the scalar one. A
+    row that find_root would reject raises its SolverError, the first such
+    row's. ``f`` is evaluated on every row at each step, so this pays only
+    on blocks of many rows; a single solve stays on find_root.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    fa, fb = f(lo), f(hi)
+    zero_a = fa == 0.0
+    zero_b = ~zero_a & (fb == 0.0)
+    bad = ~(lo < hi) | (~zero_a & ~zero_b & ((fa > 0.0) == (fb > 0.0)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _bracket_error(float(lo[i]), float(hi[i]), fa[i], fb[i])
+    root = np.where(zero_a, lo, hi)
+    active = ~(zero_a | zero_b)
+    a, b = lo, hi
+    width_prev2 = 2.0 * (b - a)
+    width_prev = b - a
+    for _ in range(MAX_ITER):
+        width = b - a
+        mid = 0.5 * (a + b)
+        # _stop_width: fmax skips a NaN after the 1.0, as Python's max does
+        done = active & (width <= 4.0 * _EPS * np.fmax(np.fmax(1.0, abs(a)), abs(b)))
+        root[done] = mid[done]
+        active &= ~done
+        if not active.any():
+            return root
+        denom = fb - fa
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = np.where(denom != 0.0, b - fb * (b - a) / denom, mid)
+        margin = 0.01 * width
+        slow = (width > 0.5 * width_prev2) | ~((a + margin <= x) & (x <= b - margin))
+        x = np.where(slow, mid, x)
+        fx = f(x)
+        hit = active & (fx == 0.0)
+        root[hit] = x[hit]
+        active &= ~hit
+        to_b = active & ((fx > 0.0) == (fb > 0.0))
+        to_a = active & ~to_b
+        b, fb = np.where(to_b, x, b), np.where(to_b, fx, fb)
+        a, fa = np.where(to_a, x, a), np.where(to_a, fx, fa)
+        width_prev2, width_prev = width_prev, b - a
+    root[active] = 0.5 * (a[active] + b[active])
+    return root
 
 
 def ulp_bracket(

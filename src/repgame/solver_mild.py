@@ -121,14 +121,19 @@ def _require_h_free(report: model.AssumptionReport) -> None:
 
 
 def _certified_root(f, lo: float, hi: float, tol: float, what: str) -> tuple[float, float]:
-    """(c, |f(c)|) for the root c of an increasing f on [lo, hi].
+    """(c, |f(c)|) for the root c of an increasing f on [lo, hi]: find_root's,
+    through ``_certify``."""
+    return _certify(f, find_root(f, lo, hi), lo, hi, tol, what)
+
+
+def _certify(f, c: float, lo: float, hi: float, tol: float, what: str) -> tuple[float, float]:
+    """(c, |f(c)|) for find_root's root c of an increasing f on [lo, hi].
 
     A residual above tol is retried on the float nearest the root, which a
     tiny root (a huge beta_G) needs. If even that misses tol, f jumps by
     more than tol between adjacent floats, so no float root meets tol: the
     inputs are at fault, not the solver.
     """
-    c = find_root(f, lo, hi)
     residual = abs(f(c))
     if residual <= tol:
         return c, residual
@@ -152,6 +157,51 @@ def validate_tol(tol: float) -> None:
         raise DomainError(f"tol must be finite and positive, at most {MAX_TOL:g}, got {tol}")
 
 
+def threshold_equation(params):
+    """The threshold's equation, increasing in c: ``_threshold_residual`` at
+    the protest probability alpha_G after revealed repression. ``params``
+    may be a block of points as columns, as ``model.clauses`` takes."""
+    be = model.beta_e(params)
+    return lambda c: _threshold_residual(params, be, params.alpha_G, c)
+
+
+def threshold_bracket(
+    params: ModelParams, report: model.AssumptionReport, relaxed: bool = False
+) -> tuple[float, float]:
+    """[lo, hi] with the threshold equation's root inside, for params whose
+    mild check gave ``report``: the first step of ``solve_threshold``."""
+    if relaxed:
+        _require_h_free(report)
+    else:
+        model.require(report, report.failed_clauses(), "mild-conflict assumption")
+    lo, hi = 0.0 if relaxed else params.H.lo, params.alpha_G
+    f = threshold_equation(params)
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo > 0.0 or f_hi < 0.0:
+        # numerically impossible under the assumption check, guarded anyway
+        raise SolverError(f"threshold equation not bracketed: f({lo})={f_lo}, f({hi})={f_hi}")
+    pad_lo, pad_hi = lo + _BRACKET_PAD, hi - _BRACKET_PAD
+    if f(pad_lo) < 0.0 < f(pad_hi):
+        return pad_lo, pad_hi
+    return lo, hi
+
+
+def certify_threshold(
+    params: ModelParams,
+    lo: float,
+    hi: float,
+    c: float,
+    tol: float = DEFAULT_TOL,
+    relaxed: bool = False,
+) -> tuple[float, float]:
+    """(c_tilde, residual) from find_root's root c on ``threshold_bracket``'s
+    [lo, hi]: the last step of ``solve_threshold``."""
+    c_tilde, residual = _certify(threshold_equation(params), c, lo, hi, tol, "threshold")
+    if not relaxed and not params.H.lo < c_tilde < params.alpha_G:
+        raise SolverError(f"threshold {c_tilde} escaped ({params.H.lo}, {params.alpha_G})")
+    return c_tilde, residual
+
+
 def solve_threshold(
     params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool = False
 ) -> tuple[float, float]:
@@ -165,25 +215,9 @@ def solve_threshold(
     concealment ever pays) is then legitimate.
     """
     validate_tol(tol)
-    report = model.check_assumption("mild", params)
-    if relaxed:
-        _require_h_free(report)
-    else:
-        model.require(report, report.failed_clauses(), "mild-conflict assumption")
-    lo, hi = 0.0 if relaxed else params.H.lo, params.alpha_G
-    be = model.beta_e(params)
-    f = lambda c: _threshold_residual(params, be, params.alpha_G, c)
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo > 0.0 or f_hi < 0.0:
-        # numerically impossible under the assumption check, guarded anyway
-        raise SolverError(f"threshold equation not bracketed: f({lo})={f_lo}, f({hi})={f_hi}")
-    pad_lo, pad_hi = lo + _BRACKET_PAD, hi - _BRACKET_PAD
-    if f(pad_lo) < 0.0 < f(pad_hi):
-        lo, hi = pad_lo, pad_hi
-    c_tilde, residual = _certified_root(f, lo, hi, tol, "threshold")
-    if not relaxed and not params.H.lo < c_tilde < params.alpha_G:
-        raise SolverError(f"threshold {c_tilde} escaped ({params.H.lo}, {params.alpha_G})")
-    return c_tilde, residual
+    lo, hi = threshold_bracket(params, model.check_assumption("mild", params), relaxed)
+    c = find_root(threshold_equation(params), lo, hi)
+    return certify_threshold(params, lo, hi, c, tol, relaxed)
 
 
 def reveal_likelihood_ratio(params: ModelParams) -> float:
@@ -232,7 +266,14 @@ def solve_mild(
     SolverError if any equilibrium identity fails to certify at the
     requested tolerance (which would indicate a bug, not bad inputs).
     """
-    c_tilde, residual = solve_threshold(params, tol, relaxed=relaxed)
+    return mild_equilibrium(params, *solve_threshold(params, tol, relaxed=relaxed), tol)
+
+
+def mild_equilibrium(
+    params: ModelParams, c_tilde: float, residual: float, tol: float = DEFAULT_TOL
+) -> MildEquilibrium:
+    """The equilibrium at ``solve_threshold``'s (c_tilde, residual), with its
+    identities certified at tol: the rest of ``solve_mild``."""
     be = model.beta_e(params)
 
     h_mass = params.H.cdf(c_tilde)

@@ -386,26 +386,11 @@ def _parse(u: np.ndarray, regime: str) -> tuple[np.ndarray, int]:
     return rows, s
 
 
-def _batched_cdf(x, lo, hi, flag, a, b) -> np.ndarray:
-    """``BoundedCDF.cdf``'s scalar path on cost-distribution columns.
-
-    The same IEEE operations elementwise, so each value is bit for bit the
-    scalar one; like the scalar clamp, this keeps -0.0.
-    """
-    t = (x - lo) / (hi - lo)
-    t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
-    is_beta = flag < BETA_FLAG
-    if is_beta.any():
-        distributions._load_beta_functions()
-        t[is_beta] = distributions.betainc(a[is_beta], b[is_beta], t[is_beta])
-    return t
-
-
 def _columns(rows: np.ndarray) -> SimpleNamespace:
-    """The block's columns under ModelParams' attribute names; G and H carry
-    lo, hi and a cdf that is ``_batched_cdf`` on their five columns."""
+    """The block's columns under ModelParams' attribute names; G and H are
+    ``cost_columns`` of their five columns."""
     c = rows.T
-    cost = lambda d: SimpleNamespace(lo=d[0], hi=d[1], cdf=lambda x: _batched_cdf(x, *d))
+    cost = lambda d: distributions.cost_columns(d[0], d[1], d[2] < BETA_FLAG, d[3], d[4])
     return SimpleNamespace(**dict(zip(model._SCALARS, c[:6])), G=cost(c[6:11]), H=cost(c[11:]))
 
 

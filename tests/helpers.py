@@ -15,6 +15,7 @@ import numpy as np
 from repgame import (
     BoundedCDF,
     DomainError,
+    EmptySweepError,
     MildEquilibrium,
     ModelParams,
     NoConcessionEquilibrium,
@@ -23,6 +24,8 @@ from repgame import (
 )
 from repgame.cli import format_float
 from repgame.simulate import ACTIONS, OBSERVATIONS, THETAS
+from repgame.solver_severe import bound_D_lower, repression_probabilities, solve
+from repgame.sweep import COLUMNS, SweepRow, SweepSpec, apply_axis
 
 
 def make_p1(**overrides) -> ModelParams:
@@ -318,3 +321,30 @@ def reference_draw_params(rng: np.random.Generator, regime: str) -> ModelParams 
         else model.check_assumption_severe(params)
     )
     return params if report.ok else None
+
+
+def reference_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """``repgame.sweep.run_sweep`` as a loop that solves one point at a
+    time, each through ``solve``: the reference for the lockstep mild sweep.
+    A failing point raises at once, so the first one in grid order does."""
+    rows: list[SweepRow] = []
+    any_valid = False
+    cols = COLUMNS[spec.variant]
+    for value in np.linspace(spec.start, spec.end, spec.steps):
+        value = float(value)
+        try:
+            trial = apply_axis(spec.base, spec.axis, value)
+        except DomainError:
+            rows.append(SweepRow(axis_value=value, assumption_ok=False))
+            continue
+        if not model.check_assumption(spec.variant, trial).ok:
+            rows.append(SweepRow(axis_value=value, assumption_ok=False))
+            continue
+        eq = solve(spec.variant, trial)
+        probs = repression_probabilities(eq, trial)
+        found = {c: getattr(probs if c.startswith("prob_") else eq, c) for c in cols[2:-1]}
+        rows.append(SweepRow(value, True, D_lower=bound_D_lower(eq), **found))
+        any_valid = True
+    if not any_valid:
+        raise EmptySweepError(f"no valid grid point on {spec.axis} in [{spec.start}, {spec.end}]")
+    return rows

@@ -211,6 +211,19 @@ class TestHugePayoffs:
         assert code == 3 and out == ""
         assert err.startswith("solver failure: threshold residual")
 
+    def test_uncertified_sweep_roots_exit_3(self, capsys, p1_config, monkeypatch):
+        # each lockstep root of a mild sweep goes through solve-mild's
+        # residual check
+        from repgame import sweep
+
+        monkeypatch.setattr(sweep, "find_roots", lambda f, lo, hi: np.array(hi))
+        code, out, err = run_cli(
+            capsys, "sweep", "--config", p1_config, "--axis", "H_lo",
+            "--start", "0.0", "--end", "0.4", "--steps", "6",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("solver failure: threshold residual")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

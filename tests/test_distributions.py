@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import ks_distance
-from repgame import BoundedCDF, DomainError, fosd_dominates
+from repgame import BoundedCDF, DomainError, distributions, fosd_dominates
 
 
 def u01():
@@ -166,6 +166,58 @@ def test_scalar_cdf_matches_array_path(d, x, as_numpy):
     want = d.cdf(np.array([x]))[0]
     assert type(got) is float
     assert np.array_equal(np.float64(got).view(np.uint64), want.view(np.uint64))
+
+
+@given(
+    d=families.filter(lambda d: d.family != "piecewise_linear"),
+    xs=st.lists(
+        st.one_of(st.floats(-1.0, 5.0), st.sampled_from([0.0, -0.0, float("nan")])),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_cdf_columns_match_scalar_path(d, xs):
+    # one distribution's scalars, and the same distribution as a column per
+    # row, give the scalar path's bits
+    want = np.array([d.cdf(x) for x in xs])
+    n = len(xs)
+    a, b = d.params or (1.0, 1.0)
+    rows = [np.full(n, v) for v in (d.lo, d.hi, d.family == "scaled_beta", a, b)]
+    for got in (
+        distributions.cdf_columns(np.array(xs), d.lo, d.hi, d.family == "scaled_beta", a, b),
+        distributions.cdf_columns(np.array(xs), *rows),
+        d.cdf(np.array(xs)),
+    ):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(
+    lo=st.floats(0.0, 2.0),
+    width=st.floats(0.05, 2.0),
+    p=st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, -0.0, 1.0, float("nan")]),
+    ),
+    as_numpy=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_scalar_uniform_quantile_matches_array_path(lo, width, p, as_numpy):
+    d = BoundedCDF.uniform(lo, lo + width)
+    arg = np.float64(p) if as_numpy else p
+    got = d.quantile(arg)
+    want = d.quantile(np.array(p))  # a 0-d array takes the array path
+    assert type(got) is float and type(want) is float
+    assert np.array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("p", [-1e-300, 1.0000000000000002, -0.5, 2.0, float("inf")])
+@pytest.mark.parametrize("as_numpy", [False, True])
+def test_scalar_uniform_quantile_range_error(p, as_numpy):
+    arg = np.float64(p) if as_numpy else p
+    with pytest.raises(DomainError) as exc:
+        BoundedCDF.uniform(0.0, 1.0).quantile(arg)
+    assert str(exc.value) == f"quantile argument outside [0, 1]: {arg!r}"
 
 
 def test_scalar_cdf_keeps_negative_zero():

@@ -1,6 +1,25 @@
+import ast
+import dataclasses
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repgame import DomainError, EmptySweepError, SweepSpec, run_sweep, solve_mild
+import repgame
+from helpers import make_p1, make_p2, reference_sweep
+from repgame import (
+    BoundedCDF,
+    DomainError,
+    EmptySweepError,
+    SolverError,
+    SweepSpec,
+    model,
+    run_sweep,
+    solve_mild,
+    solver_mild,
+    sweep,
+)
+from repgame.sweep import SWEEP_AXES
 
 
 class TestFigureOnePanels:
@@ -91,3 +110,130 @@ class TestValidation:
     def test_deterministic(self, p1):
         spec = SweepSpec(axis="H_lo", start=0.0, end=0.4, steps=6, base=p1)
         assert run_sweep(spec) == run_sweep(spec)
+
+
+# -- the lockstep mild sweep against a point-by-point loop ---------------------
+
+RANGES = {
+    "H_lo": (0.0, 0.7),
+    "G_lo": (0.0, 0.5),
+    "q": (0.05, 0.95),
+    "gamma": (0.05, 0.95),
+    "beta_B": (-2.0, 2.0),
+    "alpha_G": (0.05, 0.95),
+}
+BETA_H = BoundedCDF.scaled_beta(0.0, 1.0, 2.0, 3.0)
+BETA_G = BoundedCDF.scaled_beta(0.0, 1.2, 1.5, 2.5)
+BETA_H2 = BoundedCDF.scaled_beta(0.0, 1.0, 0.7, 1.8)
+# the steps of a mild solve, in solver_mild, in the order they run
+SOLVE_STEPS = ("threshold_bracket", "certify_threshold", "mild_equilibrium")
+PIECEWISE_G = BoundedCDF.piecewise_linear([(0.0, 0.0), (0.3, 0.2), (0.7, 0.75), (1.0, 1.0)])
+
+
+def _bits(rows):
+    """Each row's cells, a float as its type and its bits."""
+    return [
+        tuple(
+            (type(v), int(np.float64(v).view(np.uint64))) if isinstance(v, float) else v
+            for v in dataclasses.astuple(row)
+        )
+        for row in rows
+    ]
+
+
+def _outcome(run, spec):
+    try:
+        return _bits(run(spec))
+    except Exception as exc:  # the first failing point's, in both
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(spec, min_valid=1):
+    got = _outcome(run_sweep, spec)
+    assert got == _outcome(reference_sweep, spec)
+    assert sum(row[1] is True for row in got) >= min_valid, got
+
+
+class TestLockstepMatchesPointByPoint:
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_mild_uniform(self, axis):
+        assert_matches_reference(SweepSpec(axis, *RANGES[axis], 97, make_p1()), min_valid=20)
+
+    def test_mild_scaled_beta_H_on_H_lo(self):
+        assert_matches_reference(SweepSpec("H_lo", 0.0, 0.7, 151, make_p1(H=BETA_H)), min_valid=50)
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_mild_scaled_beta_G_and_H(self, axis):
+        base = make_p1(G=BETA_G, H=BETA_H2)
+        assert_matches_reference(SweepSpec(axis, *RANGES[axis], 97, base), min_valid=10)
+
+    def test_mild_piecewise_linear_G_on_q(self):
+        base = make_p1(G=PIECEWISE_G)
+        assert_matches_reference(SweepSpec("q", 0.05, 0.95, 151, base), min_valid=50)
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_severe(self, axis):
+        # p2's beta_G is 0.9, and its G(beta_G) = 0.9 must stay below alpha_G
+        start, end = {"beta_B": (-1.0, 0.8), "alpha_G": (0.85, 0.99)}.get(axis, RANGES[axis])
+        spec = SweepSpec(axis, start, end, 41, make_p2(), variant="severe")
+        assert_matches_reference(spec, min_valid=5)
+
+    def test_points_that_share_a_bracket_keep_their_own_roots(self):
+        # every G_lo point has the bracket (H.lo, alpha_G) padded, so a root
+        # looked up by its bracket would go to the wrong point
+        spec = SweepSpec("G_lo", 0.0, 0.35, 60, make_p1())
+        points = [sweep.apply_axis(spec.base, "G_lo", float(v)) for v in np.linspace(0.0, 0.35, 60)]
+        brackets = {
+            solver_mild.threshold_bracket(p, model.check_assumption("mild", p)) for p in points
+        }
+        rows = run_sweep(spec)
+        assert len(brackets) == 1
+        assert len({row.c_tilde for row in rows}) == 60
+        assert _bits(rows) == _bits(reference_sweep(spec))
+
+    def test_one_assumption_check_per_point(self, monkeypatch):
+        calls = []
+        check = model.check_assumption_mild
+        monkeypatch.setattr(model, "check_assumption_mild", lambda p: calls.append(p) or check(p))
+        rows = run_sweep(SweepSpec("alpha_G", 0.55, 0.75, 9, make_p1()))
+        assert len(calls) == 9
+        assert sum(row.assumption_ok for row in rows) == 6
+
+
+class TestLockstepFailures:
+    @pytest.mark.parametrize("first", SOLVE_STEPS)
+    @pytest.mark.parametrize("second", SOLVE_STEPS)
+    def test_first_failing_point_in_grid_order(self, monkeypatch, first, second):
+        # q points 3 and 7 fail, each in the given step of a mild solve; a
+        # point-by-point loop reports point 3
+        spec = SweepSpec("q", 0.5, 0.9, 11, make_p1())
+        grid = np.linspace(0.5, 0.9, 11).tolist()
+        fails: dict[str, set] = {}
+        fails.setdefault(first, set()).add(grid[3])
+        fails.setdefault(second, set()).add(grid[7])
+        for step, qs in fails.items():
+
+            def failing(params, *args, _step=step, _qs=qs, _run=getattr(solver_mild, step)):
+                if params.q in _qs:
+                    raise SolverError(f"{_step} fails at q={params.q}")
+                return _run(params, *args)
+
+            monkeypatch.setattr(solver_mild, step, failing)
+        with pytest.raises(SolverError) as got:
+            run_sweep(spec)
+        with pytest.raises(SolverError) as want:
+            reference_sweep(spec)
+        assert str(got.value) == str(want.value) == f"{first} fails at q={grid[3]}"
+
+
+def test_only_sweep_calls_find_roots():
+    # the lockstep loses to find_root on small blocks (a verify block of
+    # accepted draws, one solve), so single solves and verify stay scalar
+    sites = []
+    for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called == "find_roots":
+                    sites.append((path.name, node.lineno))
+    assert {name for name, _ in sites} == {"sweep.py"}, sites

@@ -23,8 +23,8 @@ from repgame import (
     solve_mild,
     solve_severe,
 )
-from repgame import model, verify
-from repgame.verify import _batched_cdf, _uniform, draw_params
+from repgame import distributions, model, verify
+from repgame.verify import BETA_FLAG, _uniform, draw_params
 
 
 @pytest.fixture(scope="module")
@@ -394,7 +394,8 @@ class TestBatchedCDF:
             np.array([(d.params or (1.0, 1.0))[0] for d in rows]),
             np.array([(d.params or (1.0, 1.0))[1] for d in rows]),
         )
-        got = _batched_cdf(np.array(xs), *columns)
+        lo, hi, flag, a, b = columns
+        got = distributions.cost_columns(lo, hi, flag < BETA_FLAG, a, b).cdf(np.array(xs))
         want = np.array([d.cdf(x) for d, x in zip(rows, xs)])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
