@@ -143,7 +143,10 @@ def _cmd_solve(args) -> int:
     from . import solver_severe
 
     params = load_params(args.config)
-    eq = solver_severe.solve(args.variant, params, tol=args.tol, scan=args.scan)
+    scan = getattr(args, "scan", 0)  # solve-severe accepts --scan and ignores it
+    if scan == 1 or not 0 <= scan <= 2000:
+        raise DomainError(f"scan must be 0 or 2 to 2000, got {scan}")
+    eq = solver_severe.solve(args.variant, params, tol=args.tol)
     _emit(canonical_json(dataclasses.asdict(eq)), args.out)
     return EXIT_OK
 
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-mild", help="solve the mild-conflict equilibrium")
     add_common(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=_cmd_solve, variant="mild", scan=0)
+    p.set_defaults(func=_cmd_solve, variant="mild")
 
     p = sub.add_parser("solve-severe", help="solve the severe-conflict equilibrium")
     add_common(p)
@@ -345,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scan",
         type=int,
         default=400,
-        help="multiplicity grid-scan resolution, 2 to 2000; 0 turns the scan off",
+        help="accepted for old command lines and has no effect: 0 or 2 to 2000",
     )
     p.set_defaults(func=_cmd_solve, variant="severe")
 

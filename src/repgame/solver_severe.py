@@ -16,10 +16,13 @@ root-find in c_tilde_B. When that root would exit the cost support from
 below, c_tilde_B pins at the support edge and c_tilde_G solves the corner
 equation with no bad-type concealment mass.
 
+Every fixed point of the clamped threshold map is the corner or a root of
+the gap-substituted bad-type residual f_B. c_tilde_G never clamps: at
+c_tilde_G = c_lo no type conceals, so p_NN = G(0) = 0 < G(beta_G) - c_lo.
 Uniqueness holds for weakly log-convex H; for other shapes the solver
-enumerates the fixed points it can find (1-D scan plus a coarse 2-D grid
-scan) and returns the one with the smallest c_tilde_B, listing the rest in
-``multiplicity_note`` rather than hiding them.
+scans f_B on a grid that holds H's kinks, returns the fixed point with the
+smallest c_tilde_B and lists the rest in ``multiplicity_note`` rather than
+hiding them.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from .solver_mild import (
 )
 
 DEFAULT_TOL = 1e-10
-DEFAULT_SCAN = 400
-MAX_SCAN = 2_000  # the scan holds several scan x scan float arrays
 _SCAN_1D = 2048
 
 
@@ -85,16 +86,14 @@ def strategy(eq) -> tuple[str, tuple[float, float], tuple[float, float]]:
     raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
 
 
-def solve(variant: str, params: ModelParams, tol: float = DEFAULT_TOL, scan: int = 0):
+def solve(variant: str, params: ModelParams, tol: float = DEFAULT_TOL):
     """The solved equilibrium of ``variant``, so that ``strategy(solve(v,
-    params))[0] == v``. ``scan`` is ``solve_severe``'s grid-scan resolution
-    and only the severe variant uses it; the default 0 skips the scan, whose
-    finds only ``solve-severe`` prints. Each solver is read off its module
-    at the call, so a replaced module attribute is the one called."""
+    params))[0] == v``. Each solver is read off its module at the call, so a
+    replaced module attribute is the one called."""
     if variant == "mild":
         return solver_mild.solve_mild(params, tol)
     if variant == "severe":
-        return solve_severe(params, tol=tol, scan=scan)
+        return solve_severe(params, tol=tol)
     if variant == "no-concession":
         return solver_mild.no_concession_equilibrium(params, tol)
     raise DomainError(f"unknown variant {variant!r}")
@@ -155,9 +154,8 @@ def effect_D_severe(params: ModelParams) -> float:
     return params.G.cdf(params.gamma * model.beta_e(params)) - params.G.cdf(params.beta_G)
 
 
-def _scan_roots_1d(f, lo: float, hi: float, n: int) -> list[float]:
-    """All sign-change roots of a vectorized f on [lo, hi] from an n-point scan."""
-    xs = np.linspace(lo, hi, n)
+def _scan_roots_1d(f, xs: np.ndarray) -> list[float]:
+    """All sign-change roots of a vectorized f from a scan on the sorted points xs."""
     vals = np.asarray(f(xs), dtype=float)
     roots = xs[vals == 0.0].tolist()
     # a cell is refined when its ends differ in sign and its left end is no root
@@ -172,77 +170,30 @@ def _scan_roots_1d(f, lo: float, hi: float, n: int) -> list[float]:
     return out
 
 
-def _threshold_map(params: ModelParams, c_lo: float, g_beta_G: float, cb: float, cg: float):
-    """(nb, ng, step): the clamped threshold map (alpha_B - p_NN, G(beta_G) - p_NN), each at
-    least c_lo, at (cb, cg), and step max(|nb - cb|, |ng - cg|), which is 0 at a fixed point."""
+def _scan_points(params: ModelParams, gap: float) -> np.ndarray:
+    """The scan grid of f_B on [H.lo, alpha_B]: a linspace, plus the points inside
+    where a piecewise-linear H puts a kink in f_B, its knots x and x - gap (a
+    knot of H(c_G) at c_G = c_B + gap). Two roots beside a knot that share a
+    linspace cell then get cells of their own."""
+    lo, hi = params.H.lo, params.alpha_B
+    xs = np.linspace(lo, hi, _SCAN_1D)
+    if params.H.family != "piecewise_linear":
+        return xs
+    knots = np.array([x for x, _ in params.H.params])
+    kinks = np.concatenate((knots, knots - gap))
+    return np.union1d(xs, kinks[(kinks > lo) & (kinks < hi)])
+
+
+def _fixed_point_residual(params: ModelParams, c_lo: float, g_beta_G: float, cb: float, cg: float):
+    """max(|nb - cb|, |ng - cg|) for the clamped threshold map (nb, ng) = (alpha_B - p_NN,
+    G(beta_G) - p_NN), each at least c_lo, at (cb, cg); 0 at a fixed point."""
     p = float(_p_nn(params, cb, cg))
-    nb, ng = max(params.alpha_B - p, c_lo), max(g_beta_G - p, c_lo)
-    return nb, ng, max(abs(nb - cb), abs(ng - cg))
+    return max(abs(max(params.alpha_B - p, c_lo) - cb), abs(max(g_beta_G - p, c_lo) - cg))
 
 
-def _grid_scan_fixed_points(
-    params: ModelParams, scan: int, tol: float, known: list[tuple[float, float]]
-) -> list[dict]:
-    """Coarse 2-D residual scan of the clamped threshold map.
-
-    Local minima of the fixed-point residual are refined by damped
-    iteration; converged points not matching ``known`` are reported.
-    Diagnostic only: failure to converge just drops the candidate.
-    """
-    c_lo = params.H.lo
-    g_beta_G = params.G.cdf(params.beta_G)
-    b_grid = np.linspace(c_lo, params.alpha_B, scan)
-    g_grid = np.linspace(c_lo, g_beta_G, scan)
-    BB, GG = np.meshgrid(b_grid, g_grid, indexing="ij")
-    p_nn = _p_nn(params, BB, GG)
-    t_B = np.maximum(params.alpha_B - p_nn, c_lo)
-    t_G = np.maximum(g_beta_G - p_nn, c_lo)
-    res = np.maximum(np.abs(t_B - BB), np.abs(t_G - GG))
-
-    cell = float(np.hypot(b_grid[1] - b_grid[0], g_grid[1] - g_grid[0]))
-    mask = res < 4.0 * cell
-    # keep only local minima to avoid refining every cell near a solution
-    interior = np.zeros_like(mask)
-    r = res
-    interior[1:-1, 1:-1] = (
-        mask[1:-1, 1:-1]
-        & (r[1:-1, 1:-1] <= r[:-2, 1:-1])
-        & (r[1:-1, 1:-1] <= r[2:, 1:-1])
-        & (r[1:-1, 1:-1] <= r[1:-1, :-2])
-        & (r[1:-1, 1:-1] <= r[1:-1, 2:])
-    )
-    found: list[dict] = []
-    for i, j in zip(*np.nonzero(interior)):
-        cb, cg = float(BB[i, j]), float(GG[i, j])
-        for _ in range(300):
-            nb, ng, step = _threshold_map(params, c_lo, g_beta_G, cb, cg)
-            if step < 1e-13:
-                break
-            cb, cg = 0.5 * (cb + nb), 0.5 * (cg + ng)
-        resid = _threshold_map(params, c_lo, g_beta_G, cb, cg)[2]
-        if resid > max(tol, 1e-10):
-            continue
-        if any(abs(cb - kb) < 1e-6 and abs(cg - kg) < 1e-6 for kb, kg in known):
-            continue
-        if any(
-            abs(cb - f["c_tilde_B"]) < 1e-6 and abs(cg - f["c_tilde_G"]) < 1e-6 for f in found
-        ):
-            continue
-        found.append({"c_tilde_B": cb, "c_tilde_G": cg, "residual": resid, "source": "grid-scan"})
-    return found
-
-
-def solve_severe(
-    params: ModelParams, tol: float = DEFAULT_TOL, scan: int = DEFAULT_SCAN
-) -> SevereEquilibrium:
-    """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G).
-
-    ``scan`` is the resolution of the 2-D multiplicity grid scan, 2 to
-    MAX_SCAN; 0 skips it.
-    """
+def solve_severe(params: ModelParams, tol: float = DEFAULT_TOL) -> SevereEquilibrium:
+    """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G)."""
     validate_tol(tol)
-    if scan == 1 or not 0 <= scan <= MAX_SCAN:
-        raise DomainError(f"scan must be 0 (off) or 2 to {MAX_SCAN}, got {scan}")
     report = model.check_assumption("severe", params)
     model.require(report, report.failed_clauses(), "severe-conflict assumption")
     c_lo = params.H.lo
@@ -255,7 +206,8 @@ def solve_severe(
     f_B = lambda cb: _p_nn(params, cb, cb + gap) + cb - params.alpha_B
     interior_roots: list[float] = []
     if params.alpha_B > c_lo:
-        interior_roots = [r for r in _scan_roots_1d(f_B, c_lo, params.alpha_B, _SCAN_1D) if r > c_lo + 1e-12]
+        roots = _scan_roots_1d(f_B, _scan_points(params, gap))
+        interior_roots = [r for r in roots if r > c_lo + 1e-12]
 
     corner_consistent = params.alpha_B <= c_lo or f_B(c_lo) >= 0.0
     corner_root = None
@@ -279,13 +231,9 @@ def solve_severe(
             {
                 "c_tilde_B": ob,
                 "c_tilde_G": og,
-                "residual": _threshold_map(params, c_lo, g_beta_G, ob, og)[2],
+                "residual": _fixed_point_residual(params, c_lo, g_beta_G, ob, og),
                 "source": "corner" if ocorner else "interior-scan",
             }
-        )
-    if scan:  # scan 0 disables the multiplicity diagnostics
-        note.extend(
-            _grid_scan_fixed_points(params, scan, tol, [(b, g) for b, g, _ in candidates])
         )
 
     mu_NN = posterior_nn_severe(cb, cg, params)

@@ -183,7 +183,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             rows.append(SweepRow(axis_value=value, assumption_ok=False))
             continue
         if spec.variant != "mild":
-            # severe multiplicity grid scan off in bulk
             rows.append(_row(spec.variant, value, trial, solve(spec.variant, trial)))
             continue
         try:

@@ -120,6 +120,22 @@ def severe_indifference_residuals(params: ModelParams, c_B, c_G):
     return r_B, r_G
 
 
+def severe_interior_roots(params: ModelParams, n: int = 20_001) -> np.ndarray:
+    """Sign changes of the bad-type residual on the interior line c_G = c_B + gap,
+    from an n-point grid on [H.lo, alpha_B], each bisected to float resolution."""
+    gap = params.G.cdf(params.beta_G) - params.alpha_B
+    r_B = lambda c_B: severe_indifference_residuals(params, c_B, c_B + gap)[0]
+    xs = np.linspace(params.H.lo, params.alpha_B, n)
+    neg = r_B(xs) < 0.0
+    flip = np.flatnonzero(neg[:-1] != neg[1:])
+    lo, hi, lo_neg = xs[flip], xs[flip + 1], neg[flip]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = (r_B(mid) < 0.0) == lo_neg  # the sign change lies right of mid
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def severe_grid_argmin(params: ModelParams, n: int = 1500) -> tuple[float, float, float]:
     """Brute 2-D scan oracle: argmin of the residual norm over the threshold box."""
     c_B = np.linspace(params.H.lo, params.alpha_B, n)

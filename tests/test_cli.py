@@ -113,42 +113,27 @@ class TestSolveCommands:
         assert payload["corner"] is False
         assert payload["multiplicity_note"] == []
 
-    def test_solve_severe_scans_by_default(self, capsys, monkeypatch, p2_config):
-        from repgame import solver_severe
-
-        scans = []
-        original = solver_severe._grid_scan_fixed_points
-
-        def counted(params, scan, tol, known):
-            scans.append(scan)
-            return original(params, scan, tol, known)
-
-        monkeypatch.setattr(solver_severe, "_grid_scan_fixed_points", counted)
-        code, out, _ = run_cli(capsys, "solve-severe", "--config", p2_config)
-        assert code == 0 and scans == [400]
-        assert out == (GOLDEN / "solve_severe_p2.stdout").read_text(encoding="utf-8")
-
     @pytest.mark.parametrize(
-        "golden, argv",
+        "golden, params",
         [
-            ("simulate_p2_severe", ("simulate", "--variant", "severe", "--n", "500", "--seed", "0")),
-            ("verify_p2", ("verify", "--grid", "200", "--draws", "20")),
+            ("solve_severe_p2", make_p2()),
+            (
+                "solve_severe_corner",
+                make_p2(gamma=0.6, alpha_B=0.3, H=BoundedCDF.scaled_beta(0.0, 1.0, 0.3, 3.0)),
+            ),
         ],
-        ids=["simulate", "verify"],
+        ids=["p2", "corner"],
     )
-    def test_other_severe_solves_run_no_grid_scan(
-        self, capsys, monkeypatch, p2_config, golden, argv
-    ):
-        # the scan only fills the multiplicity note, which only solve-severe prints
-        from repgame import solver_severe
-
-        def no_scan(*args, **kwargs):
-            raise SolverError("the multiplicity grid scan ran")
-
-        monkeypatch.setattr(solver_severe, "_grid_scan_fixed_points", no_scan)
-        code, out, _ = run_cli(capsys, argv[0], "--config", p2_config, *argv[1:])
-        assert code == 0
-        assert out == (GOLDEN / f"{golden}.stdout").read_text(encoding="utf-8")
+    def test_scan_flag_has_no_effect(self, capsys, tmp_path, golden, params):
+        # --scan is accepted for old command lines; the solve never reads it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(params.to_dict()))
+        outputs = {
+            run_cli(capsys, "solve-severe", "--config", str(path), *scan)
+            for scan in ((), ("--scan", "0"), ("--scan", "2000"))
+        }
+        expected = (GOLDEN / f"{golden}.stdout").read_text(encoding="utf-8")
+        assert outputs == {(0, expected, "")}
 
     def test_tol_flag(self, capsys, p1_config):
         code, out, _ = run_cli(capsys, "solve-mild", "--config", p1_config, "--tol", "1e-12")

@@ -14,6 +14,7 @@ from helpers import (
     severe_grid_argmin,
     severe_grid_zoom_oracle,
     severe_indifference_residuals,
+    severe_interior_roots,
 )
 from repgame import (
     AssumptionError,
@@ -35,7 +36,7 @@ from repgame import (
 )
 from repgame import solver_mild, solver_severe
 from repgame.rootfind import find_root
-from repgame.solver_severe import _scan_roots_1d
+from repgame.solver_severe import _SCAN_1D, _scan_points, _scan_roots_1d
 
 # With uniform G and H the gap-substituted indifference reduces to
 # 0.4 x^2 + 0.74 x - 0.19 = 0 for the bad-type threshold.
@@ -235,10 +236,10 @@ class TestSolve:
             )
         params = make_p1()
         for variant in ("mild", "severe", "no-concession"):
-            solve(variant, params, tol=1e-9, scan=7)
+            solve(variant, params, tol=1e-9)
         assert calls == [
             ("solve_mild", (params, 1e-9), {}),
-            ("solve_severe", (params,), {"tol": 1e-9, "scan": 7}),
+            ("solve_severe", (params,), {"tol": 1e-9}),
             ("no_concession_equilibrium", (params, 1e-9), {}),
         ]
 
@@ -311,12 +312,11 @@ class TestCorner:
         assert rows[297].assumption_ok and rows[297].c_tilde_B == rows[297].axis_value
 
 
-def _scan_roots_loop(f, lo, hi, n):
+def _scan_roots_loop(f, xs):
     """Cell-by-cell reference for the vectorized 1-D root scan."""
-    xs = np.linspace(lo, hi, n)
     vals = np.asarray(f(xs), dtype=float)
     roots = []
-    for i in range(n - 1):
+    for i in range(xs.size - 1):
         a, b = vals[i], vals[i + 1]
         if a == 0.0:
             roots.append(float(xs[i]))
@@ -332,6 +332,20 @@ def _scan_roots_loop(f, lo, hi, n):
 
 
 class TestScanRoots1D:
+    @staticmethod
+    def _check(f, xs, expected):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        roots = _scan_roots_1d(counted, xs)
+        n_calls = len(calls)
+        assert roots == pytest.approx(expected, abs=1e-12)
+        assert roots == _scan_roots_loop(counted, xs)
+        assert n_calls == len(calls) - n_calls  # same cells refined
+
     @pytest.mark.parametrize(
         "f, expected",
         [
@@ -350,17 +364,31 @@ class TestScanRoots1D:
         ],
     )
     def test_matches_cell_loop(self, f, expected):
-        calls = []
+        self._check(f, np.linspace(0.0, 1.0, 5), expected)
 
-        def counted(x):
-            calls.append(x)
-            return f(x)
+    def test_added_point_splits_a_cell(self):
+        # both roots lie in the linspace cell [0.25, 0.5], whose ends agree in sign
+        f = lambda x: (x - 0.3) * (x - 0.4)
+        xs = np.linspace(0.0, 1.0, 5)
+        self._check(f, xs, [])
+        self._check(f, np.union1d(xs, [0.35]), [0.3, 0.4])
 
-        roots = _scan_roots_1d(counted, 0.0, 1.0, 5)
-        n_calls = len(calls)
-        assert roots == pytest.approx(expected, abs=1e-12)
-        assert roots == _scan_roots_loop(counted, 0.0, 1.0, 5)
-        assert n_calls == len(calls) - n_calls  # same cells refined
+
+class TestScanPoints:
+    def test_smooth_H_scans_the_linspace(self, p2):
+        for H in (p2.H, BoundedCDF.scaled_beta(0.0, 1.0, 0.3, 3.0)):
+            params = dataclasses.replace(p2, H=H)
+            xs = _scan_points(params, gap=0.5)
+            assert np.array_equal(xs, np.linspace(0.0, params.alpha_B, _SCAN_1D))
+
+    def test_piecewise_linear_H_adds_its_kinks(self, p2):
+        # knots at 0.1 and 0.7 put kinks in f_B at c_B = 0.1 and 0.7 - 0.5; the
+        # knot at 0.7 itself and 0.1 - 0.5 fall outside [0, alpha_B]
+        H = BoundedCDF.piecewise_linear([[0, 0], [0.1, 0.5], [0.7, 0.6], [1, 1]])
+        xs = _scan_points(dataclasses.replace(p2, H=H), gap=0.5)
+        linspace = np.linspace(0.0, p2.alpha_B, _SCAN_1D)
+        assert np.array_equal(xs, np.union1d(linspace, [0.1, 0.7 - 0.5]))
+        assert xs.size == _SCAN_1D + 2
 
 
 class TestRejections:
@@ -373,27 +401,78 @@ class TestRejections:
             with pytest.raises(DomainError, match="tol must be finite and positive"):
                 solve_severe(p2, tol=tol)
 
-    def test_scan_zero_skips_diagnostics(self, p2):
-        eq = solve_severe(p2, scan=0)
-        assert eq.multiplicity_note == ()
-        assert eq.c_tilde_B == pytest.approx(C_B_P2, abs=1e-8)
+
+# A witness from a random spiky-H corpus: p2 with a piecewise-linear H whose
+# first knot is steep. f_B dips below zero just around the knot at 8.0e-4,
+# so two roots sit 6.5e-5 apart, inside one cell of the 2,048-point linspace.
+WITNESS_GAMMA = 0.5809396955950434
+WITNESS_Q = 0.7762006352076669
+WITNESS_H = BoundedCDF.piecewise_linear(
+    [
+        [0, 0],
+        [0.0008000740546788565, 0.7262540869304952],
+        [0.28469337520220594, 0.7573258103642262],
+        [0.3110938698022574, 0.8185993983215321],
+        [0.3257986105885564, 0.8189207695802193],
+        [0.9828591079492279, 0.9942887413911605],
+        [1, 1],
+    ]
+)
 
 
-class TestMultiplicityScan:
-    def test_blind_grid_scan_recovers_fixed_point(self, p2):
-        from repgame.solver_severe import _grid_scan_fixed_points
+def _spiky_H(rng) -> BoundedCDF:
+    """A piecewise-linear H on [0, 1]: a first knot at 1e-4 to 1e-2, often
+    steep, and one to five more knots spread log-uniformly."""
+    while True:
+        k = int(rng.integers(1, 6))
+        xs = np.sort(np.concatenate(([10 ** rng.uniform(-4, -2)], 10 ** rng.uniform(-3, 0, k))))
+        fs = np.sort(rng.uniform(0.0, 1.0, k + 1))
+        if np.all(np.diff(xs) > 0) and xs[-1] < 1 and np.all(np.diff(fs) > 0) and 0 < fs[0]:
+            return BoundedCDF.piecewise_linear(zip([0.0, *xs, 1.0], [0.0, *fs, 1.0]))
 
-        found = _grid_scan_fixed_points(p2, scan=400, tol=1e-10, known=[])
-        assert len(found) == 1
-        assert found[0]["c_tilde_B"] == pytest.approx(C_B_P2, abs=1e-6)
-        assert found[0]["c_tilde_G"] == pytest.approx(C_G_P2, abs=1e-6)
-        assert found[0]["residual"] <= 1e-10
 
-    def test_known_point_suppressed(self, p2):
-        from repgame.solver_severe import _grid_scan_fixed_points
+class TestMultiplicityNote:
+    def test_witness_lists_both_close_roots(self):
+        params = make_p2(gamma=WITNESS_GAMMA, q=WITNESS_Q, H=WITNESS_H)
+        eq = solve_severe(params)
+        assert eq.corner and eq.c_tilde_B == 0.0  # the smallest c_tilde_B is selected
+        note = eq.multiplicity_note
+        assert [n["source"] for n in note] == ["interior-scan", "interior-scan"]
+        assert [n["c_tilde_B"] for n in note] == pytest.approx([7.983e-4, 8.635e-4], abs=1e-7)
+        for n in note:
+            assert n["c_tilde_G"] - n["c_tilde_B"] == pytest.approx(0.5, abs=1e-12)
+            r_B, r_G = severe_indifference_residuals(params, n["c_tilde_B"], n["c_tilde_G"])
+            assert max(abs(r_B), abs(r_G), n["residual"]) <= 1e-10
+        # the roots share a linspace cell, so only the knot between them splits it
+        cell = params.alpha_B / (_SCAN_1D - 1)
+        assert len({n["c_tilde_B"] // cell for n in note}) == 1
 
-        found = _grid_scan_fixed_points(p2, scan=400, tol=1e-10, known=[(C_B_P2, C_G_P2)])
-        assert found == []
+    def test_every_interior_root_is_listed_on_a_spiky_corpus(self):
+        # seeded spiky-H configs, plus the witness's H at gammas near its own,
+        # where about 40% of draws put two roots in one linspace cell
+        rng = np.random.default_rng(20)
+        configs = []
+        while len(configs) < 200:
+            params = make_p2(
+                gamma=float(rng.uniform(0.2, 0.95)), q=float(rng.uniform(0.2, 0.8)), H=_spiky_H(rng)
+            )
+            if repgame.model.check_assumption("severe", params).ok:
+                configs.append(params)
+        configs += [
+            make_p2(gamma=WITNESS_GAMMA + float(g), q=WITNESS_Q, H=WITNESS_H)
+            for g in rng.uniform(-3e-4, 3e-4, 40)
+        ]
+        shared_cells = 0
+        for params in configs:
+            eq = solve_severe(params)
+            listed = [eq.c_tilde_B] + [n["c_tilde_B"] for n in eq.multiplicity_note]
+            assert eq.c_tilde_B == min(listed)
+            roots = severe_interior_roots(params)
+            for root in roots:
+                assert min(abs(root - c) for c in listed) <= 1e-6, (root, listed, params)
+            cells = roots // (params.alpha_B / (_SCAN_1D - 1))
+            shared_cells += np.unique(cells).size < cells.size
+        assert shared_cells >= 5  # the corpus has roots that only the knots separate
 
 
 class TestRandomDraws:
@@ -406,7 +485,7 @@ class TestRandomDraws:
             params = draw_params(rng, "severe")
             if params is None:
                 continue
-            eq = solve_severe(params, scan=0)
+            eq = solve_severe(params)
             assert eq.c_tilde_B < eq.c_tilde_G
             assert eq.D < 0.0
             assert eq.residual_B <= 1e-10 and eq.residual_G <= 1e-10

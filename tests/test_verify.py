@@ -157,7 +157,7 @@ class TestCertificate:
             if done_severe < 20:
                 params = draw_params(rng, "severe")
                 if params is not None:
-                    cert = certify_equilibrium(params, solve_severe(params, scan=0), grid=300)
+                    cert = certify_equilibrium(params, solve_severe(params), grid=300)
                     assert cert.max_regret <= 1e-9
                     assert cert.bayes_gap <= 1e-10
                     assert cert.identity_gaps["reveal_probability"] > 0.0
@@ -294,7 +294,7 @@ def reference_sign_law(regime: str, n_draws: int, seed: int, budget: int = 100_0
                 if (eq.D > 0.0) != (ref > 0.0):
                     failures.append({"params": params.to_dict(), "D": eq.D, "reference": ref})
             else:
-                eq = solve_severe(params, scan=0)
+                eq = solve_severe(params)
                 if not eq.D < 0.0:
                     failures.append({"params": params.to_dict(), "D": eq.D})
         except RepgameError as exc:
