@@ -40,18 +40,14 @@ _EXPORTS = {
         "protest_prob",
         "rho_tilde",
     ),
-    "simulate": (
-        "EstimationReport",
-        "SimStats",
-        "estimate_from_sim",
-        "estimate_plugin",
-        "run_simulation",
-    ),
+    "simulate": ("SimStats", "estimate_from_sim", "run_simulation"),
     "solver_mild": (
         "DegenerateLimits",
+        "EstimationReport",
         "MildEquilibrium",
         "NoConcessionEquilibrium",
         "effect_D_mild",
+        "estimate_plugin",
         "estimator_H",
         "estimator_total",
         "limit_H_degenerate",

@@ -225,7 +225,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from . import simulate
+    from . import simulate, solver_mild
 
     if args.stats:
         try:
@@ -249,7 +249,7 @@ def _cmd_estimate(args) -> int:
         bad = [f"{k} {v}" for k, v in flags.items() if v is not None and not 0.0 <= v <= 1.0]
         if bad:
             raise ConfigError(f"estimate flags must be in [0, 1], got {', '.join(bad)}")
-        report = simulate.estimate_plugin(
+        report = solver_mild.estimate_plugin(
             args.q_hat, args.q_prime_hat, args.p_hat, args.p_r_hat, args.p_nn_hat
         )
     _emit(canonical_json(report.to_dict()), args.out)

@@ -31,6 +31,7 @@ import numpy as np
 from . import model
 from .errors import DomainError, EstimationError, WorkerError
 from .model import ModelParams
+from .solver_mild import EstimationReport, estimate_plugin
 from .solver_severe import strategy
 
 THETAS = ("G", "B", "N")
@@ -316,84 +317,16 @@ def run_simulation(params: ModelParams, eq, n: int, seed: int, start: int = 0) -
 # -- estimation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimationReport:
-    """Plug-in estimates recovered from observables, with delta-method SEs."""
-
-    total_hat: float
-    H_hat: float
-    D_lower_hat: float | None
-    se_total_hat: float | None
-    se_H_hat: float | None
-    se_D_lower_hat: float | None
-    flags: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def estimate_plugin(
-    q_hat: float,
-    q_prime_hat: float,
-    p_hat: float,
-    p_R_hat: float | None = None,
-    p_NN_hat: float | None = None,
-    se: dict | None = None,
-) -> EstimationReport:
-    """Estimation report from raw estimates (q_hat, q'_hat, p_hat, ...).
-
-    ``se`` may carry standard errors for q, q_prime, p, p_R, p_NN; missing
-    entries leave the corresponding delta-method errors as None.
-    """
-    if not 0.0 < q_hat < 1.0:
-        raise EstimationError(f"q_hat must be interior to (0,1), got {q_hat}")
-    flags: list[str] = []
-    if q_prime_hat >= q_hat:
-        flags.append("inconsistent-sample: q_hat_prime >= q_hat (finite-sample noise)")
-    total_hat = 1.0 - (q_hat - q_prime_hat) / (1.0 - q_hat) * p_hat
-    H_hat = 1.0 - (1.0 - q_prime_hat) / (1.0 - q_hat) * p_hat
-    if not 0.0 <= H_hat <= 1.0:
-        flags.append(f"H_hat outside [0,1]: {H_hat}")
-    D_lower_hat = None
-    if p_R_hat is not None and p_NN_hat is not None:
-        D_lower_hat = p_NN_hat - p_R_hat
-    else:
-        flags.append("D_lower_hat unavailable: missing p_R_hat or p_NN_hat")
-
-    se = se or {}
-    se_total = se_H = se_D = None
-    if all(k in se and se[k] is not None for k in ("q", "q_prime", "p")):
-        one_m_q = 1.0 - q_hat
-        d_q = -p_hat * (1.0 - q_prime_hat) / one_m_q**2
-        d_qp = p_hat / one_m_q
-        d_p_total = -(q_hat - q_prime_hat) / one_m_q
-        d_p_H = -(1.0 - q_prime_hat) / one_m_q
-        se_total = float(
-            np.sqrt((d_q * se["q"]) ** 2 + (d_qp * se["q_prime"]) ** 2 + (d_p_total * se["p"]) ** 2)
-        )
-        se_H = float(
-            np.sqrt((d_q * se["q"]) ** 2 + (d_qp * se["q_prime"]) ** 2 + (d_p_H * se["p"]) ** 2)
-        )
-    if (
-        D_lower_hat is not None
-        and se.get("p_R") is not None
-        and se.get("p_NN") is not None
-    ):
-        se_D = float(np.sqrt(se["p_R"] ** 2 + se["p_NN"] ** 2))
-    return EstimationReport(total_hat, H_hat, D_lower_hat, se_total, se_H, se_D, tuple(flags))
-
-
 def estimate_from_sim(stats: SimStats) -> EstimationReport:
-    """Recover total repression, concealment mass, and the effect bound.
+    """``estimate_plugin``'s report on a run's stats: total repression,
+    concealment mass, and the effect bound.
 
-    Requires at least one revealed-repression episode; a sample with
-    q_hat_prime >= q_hat is flagged rather than rejected (finite-sample
-    noise), and the report is still emitted.
+    Requires at least one revealed-repression episode, so organized ones
+    too; a sample with q_hat_prime >= q_hat is flagged rather than rejected,
+    and the report is still emitted.
     """
     if stats.q_hat_prime is None:
         raise EstimationError("estimator undefined: no revealed-repression episodes")
-    if stats.q_hat is None or not 0.0 < stats.q_hat < 1.0:
-        raise EstimationError(f"estimator undefined: q_hat={stats.q_hat}")
     return estimate_plugin(
         stats.q_hat,
         stats.q_hat_prime,

@@ -20,10 +20,11 @@ equals alpha_G - c_tilde.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 from . import model
-from .errors import AssumptionError, DomainError, InconsistentInputsError, SolverError
+from .errors import AssumptionError, DomainError, EstimationError, InconsistentInputsError, SolverError
 from .model import Belief, ModelParams
 from .rootfind import find_root, ulp_bracket
 
@@ -324,6 +325,77 @@ def mild_equilibrium(
 # -- measurement ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class EstimationReport:
+    """Plug-in estimates recovered from observables, with delta-method SEs."""
+
+    total_hat: float
+    H_hat: float
+    D_lower_hat: float | None
+    se_total_hat: float | None
+    se_H_hat: float | None
+    se_D_lower_hat: float | None
+    flags: tuple[str, ...]
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def estimate_plugin(
+    q_hat: float,
+    q_prime_hat: float,
+    p_hat: float,
+    p_R_hat: float | None = None,
+    p_NN_hat: float | None = None,
+    se: dict | None = None,
+) -> EstimationReport:
+    """Estimation report from raw estimates (q_hat, q'_hat, p_hat, ...): the
+    mild equilibrium's revealed-repression probability inverted.
+
+    total = 1 - (q-q')/(1-q) * p reproduces prob_total, and H = 1 -
+    (1-q')/(1-q) * p reproduces H(c_tilde), on exact equilibrium inputs;
+    D_lower = p_NN - p_R. ``se`` may carry standard errors for q, q_prime,
+    p, p_R, p_NN; missing entries leave the corresponding delta-method
+    errors as None.
+    """
+    if not 0.0 < q_hat < 1.0:
+        raise EstimationError(f"q_hat must be interior to (0,1), got {q_hat}")
+    flags: list[str] = []
+    if q_prime_hat == 1.0:
+        # revealed repression identifies the good type: a misspecification, not noise
+        flags.append(
+            "severe-regime signature: q_hat_prime = 1 (every revealed episode is a good "
+            "type); the mild-regime estimators do not apply"
+        )
+    elif q_prime_hat >= q_hat:
+        flags.append("inconsistent-sample: q_hat_prime >= q_hat (finite-sample noise)")
+    one_m_q = 1.0 - q_hat
+    total_hat = 1.0 - (q_hat - q_prime_hat) / one_m_q * p_hat
+    H_hat = 1.0 - (1.0 - q_prime_hat) / one_m_q * p_hat
+    if not 0.0 <= H_hat <= 1.0:
+        flags.append(f"H_hat outside [0,1]: {H_hat:.12g}")
+    D_lower_hat = None
+    if p_R_hat is not None and p_NN_hat is not None:
+        D_lower_hat = p_NN_hat - p_R_hat
+    else:
+        flags.append("D_lower_hat unavailable: missing p_R_hat or p_NN_hat")
+
+    se = se or {}
+    se_total = se_H = se_D = None
+    if all(se.get(k) is not None for k in ("q", "q_prime", "p")):
+        # total - H = p, so both share their q and q' partials
+        d_q = -p_hat * (1.0 - q_prime_hat) / one_m_q**2
+        d_qp = p_hat / one_m_q
+        d_p_total = -(q_hat - q_prime_hat) / one_m_q
+        d_p_H = -(1.0 - q_prime_hat) / one_m_q
+        shared = (d_q * se["q"]) ** 2 + (d_qp * se["q_prime"]) ** 2
+        se_total = math.sqrt(shared + (d_p_total * se["p"]) ** 2)
+        se_H = math.sqrt(shared + (d_p_H * se["p"]) ** 2)
+    if D_lower_hat is not None and se.get("p_R") is not None and se.get("p_NN") is not None:
+        se_D = math.sqrt(se["p_R"] ** 2 + se["p_NN"] ** 2)
+    return EstimationReport(total_hat, H_hat, D_lower_hat, se_total, se_H, se_D, tuple(flags))
+
+
 def _check_estimator_inputs(q: float, q_prime: float, p_revealed: float) -> None:
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must be in (0,1), got {q}")
@@ -334,7 +406,7 @@ def _check_estimator_inputs(q: float, q_prime: float, p_revealed: float) -> None
 
 
 def estimator_total(q: float, q_prime: float, p_revealed: float) -> float:
-    """Plug-in estimate of total repression: 1 - (q-q')/(1-q) * p_revealed.
+    """``estimate_plugin``'s total repression, 1 - (q-q')/(1-q) * p_revealed.
 
     Requires q' < q, the direction in which the public updates about types
     after observing repression; on exact equilibrium inputs this reproduces
@@ -343,11 +415,11 @@ def estimator_total(q: float, q_prime: float, p_revealed: float) -> float:
     _check_estimator_inputs(q, q_prime, p_revealed)
     if q_prime >= q:
         raise DomainError(f"estimator_total needs q_prime < q, got {q_prime} >= {q}")
-    return 1.0 - (q - q_prime) / (1.0 - q) * p_revealed
+    return estimate_plugin(q, q_prime, p_revealed).total_hat
 
 
 def estimator_H(q: float, q_prime: float, p_revealed: float) -> float:
-    """Plug-in estimate of the concealment probability H(c_tilde).
+    """``estimate_plugin``'s concealment probability H(c_tilde).
 
     1 - (1-q')/(1-q) * p_revealed; equals H(c_tilde) on exact equilibrium
     inputs. q' = q is accepted (degenerate no-updating reading). A result
@@ -357,7 +429,7 @@ def estimator_H(q: float, q_prime: float, p_revealed: float) -> float:
     _check_estimator_inputs(q, q_prime, p_revealed)
     if q_prime > q:
         raise DomainError(f"estimator_H needs q_prime <= q, got {q_prime} > {q}")
-    value = 1.0 - (1.0 - q_prime) / (1.0 - q) * p_revealed
+    value = estimate_plugin(q, q_prime, p_revealed).H_hat
     if not 0.0 <= value <= 1.0:
         raise InconsistentInputsError(
             f"estimated concealment probability {value} outside [0,1]", value

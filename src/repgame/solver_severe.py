@@ -36,6 +36,7 @@ from .errors import DomainError, SolverError
 from .model import Belief, ModelParams
 from .rootfind import find_root
 from .solver_mild import (
+    DEFAULT_TOL,
     MildEquilibrium,
     NoConcessionEquilibrium,
     RepressionProbabilities,
@@ -44,7 +45,6 @@ from .solver_mild import (
     validate_tol,
 )
 
-DEFAULT_TOL = 1e-10
 _SCAN_1D = 2048
 
 

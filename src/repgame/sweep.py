@@ -41,38 +41,26 @@ COLUMNS = {
 
 
 def _with_lo(dist: BoundedCDF, new_lo: float) -> BoundedCDF:
-    if dist.family == "uniform":
-        return BoundedCDF.uniform(new_lo, dist.hi)
-    if dist.family == "scaled_beta":
-        a, b = dist.params
-        return BoundedCDF.scaled_beta(new_lo, dist.hi, a, b)
-    raise DomainError(f"support-edge axis unsupported for family {dist.family!r}")
+    if dist.family == "piecewise_linear":
+        raise DomainError(f"support-edge axis unsupported for family {dist.family!r}")
+    return dataclasses.replace(dist, lo=new_lo)
 
 
 def _shifted(dist: BoundedCDF, delta: float) -> BoundedCDF:
-    if dist.family == "uniform":
-        return BoundedCDF.uniform(dist.lo + delta, dist.hi + delta)
-    if dist.family == "scaled_beta":
-        a, b = dist.params
-        return BoundedCDF.scaled_beta(dist.lo + delta, dist.hi + delta, a, b)
-    return BoundedCDF.piecewise_linear([(x + delta, f) for x, f in dist.params])
+    if dist.family == "piecewise_linear":
+        return BoundedCDF.piecewise_linear([(x + delta, f) for x, f in dist.params])
+    return dataclasses.replace(dist, lo=dist.lo + delta, hi=dist.hi + delta)
 
 
 def apply_axis(params: ModelParams, axis: str, value: float) -> ModelParams:
     """New params with one primitive moved; raises DomainError when the
     resulting params violate a type invariant."""
+    if axis in ("q", "gamma", "beta_B", "alpha_G"):
+        return dataclasses.replace(params, **{axis: value})
     if axis == "H_lo":
         return dataclasses.replace(params, H=_with_lo(params.H, value))
     if axis == "G_lo":
         return dataclasses.replace(params, G=_with_lo(params.G, value))
-    if axis == "q":
-        return dataclasses.replace(params, q=value)
-    if axis == "gamma":
-        return dataclasses.replace(params, gamma=value)
-    if axis == "beta_B":
-        return dataclasses.replace(params, beta_B=value)
-    if axis == "alpha_G":
-        return dataclasses.replace(params, alpha_G=value)
     if axis == "G_shift":
         # shift the protest-cost support down by `value`: CDF rises pointwise
         return dataclasses.replace(params, G=_shifted(params.G, -value))

@@ -530,6 +530,20 @@ class TestEstimate:
         assert out == ""
         assert err.startswith("config error: ") and flag in err and err.count("\n") == 1
 
+    def test_q_prime_hat_one_names_the_severe_regime(self, capsys):
+        code, out, _ = run_cli(capsys, "estimate", "--q-hat=0.5", "--q-prime-hat=1", "--p-hat=0.2")
+        assert code == 0
+        assert json.loads(out)["flags"] == [
+            "severe-regime signature: q_hat_prime = 1 (every revealed episode is a good type); "
+            "the mild-regime estimators do not apply",
+            "D_lower_hat unavailable: missing p_R_hat or p_NN_hat",
+        ]
+
+    def test_H_hat_flag_prints_12_significant_digits(self, capsys):
+        code, out, _ = run_cli(capsys, "estimate", "--q-hat=0.5", "--q-prime-hat=0.2", "--p-hat=1")
+        assert code == 0
+        assert "H_hat outside [0,1]: -0.6" in json.loads(out)["flags"]
+
     @pytest.mark.parametrize("q_hat", ["0", "1"])
     def test_q_hat_at_unit_interval_edge_exit_3(self, capsys, q_hat):
         # a valid probability that the estimator cannot use is no config error

@@ -6,7 +6,8 @@ determinism tests only compare reruns of one commit; this one catches any
 change in output bytes between commits.
 
 The expected files change only with an intended output change, explained
-in CHANGES.md. Regenerate them with ``PYTHONPATH=src python tests/test_golden.py``.
+in CHANGES.md. Regenerate them with ``PYTHONPATH=src python tests/test_golden.py``,
+which prints, for each file, whether its bytes changed.
 """
 
 from __future__ import annotations
@@ -111,5 +112,7 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             for fname, data in run_case(case, Path(tmp)).items():
-                (GOLDEN / fname).write_bytes(data)
-                print(f"wrote tests/golden/{fname} ({len(data)} bytes)")
+                path = GOLDEN / fname
+                status = "unchanged" if path.exists() and path.read_bytes() == data else "CHANGED"
+                path.write_bytes(data)
+                print(f"{status:9} tests/golden/{fname} ({len(data)} bytes)")

@@ -326,3 +326,35 @@ class TestEstimateFromSim:
         )
         report = estimate_from_sim(stats)
         assert any("inconsistent-sample" in f for f in report.flags)
+
+    def test_all_good_revealed_names_the_severe_regime(self):
+        # q_hat_prime = 1 is the severe regime's signature, not sampling noise
+        stats = SimStats.from_dict(
+            {
+                "n_episodes": 100,
+                "counts": {
+                    "G,reveal,R,false": 30,
+                    "B,conceal,NN,false": 20,
+                    "B,concede,concession,false": 10,
+                    "N,none,NN,false": 40,
+                },
+            }
+        )
+        assert stats.q_hat_prime == 1.0
+        flags = estimate_from_sim(stats).flags
+        assert [f for f in flags if "q_hat_prime" in f] == [
+            "severe-regime signature: q_hat_prime = 1 (every revealed episode is a good type); "
+            "the mild-regime estimators do not apply"
+        ]
+        assert not any("noise" in f for f in flags)
+
+    @pytest.mark.parametrize("good", [0, 60])
+    def test_q_hat_at_unit_interval_edge_is_undefined(self, good):
+        stats = SimStats.from_dict(
+            {
+                "n_episodes": 100,
+                "counts": {"G,reveal,R,false": good, "B,reveal,R,true": 60 - good, "N,none,NN,false": 40},
+            }
+        )
+        with pytest.raises(EstimationError, match="q_hat must be interior to"):
+            estimate_from_sim(stats)

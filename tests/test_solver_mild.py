@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     bisect,
@@ -19,6 +21,7 @@ from repgame import (
     SolverError,
     bound_D_lower,
     effect_D_mild,
+    estimate_plugin,
     estimator_H,
     estimator_total,
     limit_H_degenerate,
@@ -179,6 +182,50 @@ class TestEstimators:
             estimator_total(0.5, 0.25, 1.2)
         with pytest.raises(DomainError):
             estimator_H(1.0, 0.5, 0.5)
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+class TestPluginStatement:
+    """estimator_total and estimator_H are estimate_plugin's values."""
+
+    @given(q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), share=_UNIT, p=_UNIT)
+    def test_estimators_read_the_plugin_report(self, q, share, p):
+        q_prime = q * share
+        if q_prime >= q:
+            return  # share rounds q' up to q
+        report = estimate_plugin(q, q_prime, p)
+        assert estimator_total(q, q_prime, p) == report.total_hat
+        assert report.total_hat == 1.0 - (q - q_prime) / (1.0 - q) * p
+        assert report.H_hat == 1.0 - (1.0 - q_prime) / (1.0 - q) * p
+        if 0.0 <= report.H_hat <= 1.0:
+            assert estimator_H(q, q_prime, p) == report.H_hat
+        else:
+            with pytest.raises(InconsistentInputsError):
+                estimator_H(q, q_prime, p)
+
+    @pytest.mark.parametrize(
+        "q, q_prime, p", [(0.65, 0.4571429, 0.415442), (0.3, 0.1, 0.8), (0.5, 1.0, 0.2), (0.9, 0.2, 0.05)]
+    )
+    def test_errors_are_the_delta_method_of_the_estimates(self, q, q_prime, p):
+        se = {"q": 0.011, "q_prime": 0.027, "p": 0.019, "p_R": 0.031, "p_NN": 0.014}
+        report = estimate_plugin(q, q_prime, p, 0.6, 0.25, se=se)
+        point = {"q": q, "q_prime": q_prime, "p": p}
+        h = 1e-6
+
+        def at(name, step):
+            moved = {**point, name: point[name] + step}
+            return estimate_plugin(moved["q"], moved["q_prime"], moved["p"])
+
+        for field in ("total_hat", "H_hat"):
+            partials = {
+                name: (getattr(at(name, h), field) - getattr(at(name, -h), field)) / (2 * h)
+                for name in point
+            }
+            expected = math.sqrt(sum((partials[name] * se[name]) ** 2 for name in point))
+            assert getattr(report, f"se_{field}") == pytest.approx(expected, rel=1e-6), field
+        assert report.se_D_lower_hat == math.sqrt(se["p_R"] ** 2 + se["p_NN"] ** 2)
 
 
 class TestDegenerateLimits:

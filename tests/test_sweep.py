@@ -112,6 +112,45 @@ class TestValidation:
         assert run_sweep(spec) == run_sweep(spec)
 
 
+class TestApplyAxis:
+    @pytest.mark.parametrize(
+        "dist, moved",
+        [
+            (BoundedCDF.uniform(0.0, 1.0), BoundedCDF.uniform(0.2, 1.0)),
+            (BoundedCDF.scaled_beta(0.0, 1.0, 2.0, 3.0), BoundedCDF.scaled_beta(0.2, 1.0, 2.0, 3.0)),
+        ],
+    )
+    def test_support_edge_axes(self, dist, moved):
+        params = make_p1(G=dist, H=dist)
+        assert sweep.apply_axis(params, "H_lo", 0.2) == dataclasses.replace(params, H=moved)
+        assert sweep.apply_axis(params, "G_lo", 0.2) == dataclasses.replace(params, G=moved)
+
+    def test_support_edge_rejects_piecewise_linear(self):
+        params = make_p1(H=BoundedCDF.piecewise_linear([(0.0, 0.0), (0.5, 0.8), (1.0, 1.0)]))
+        with pytest.raises(DomainError, match="support-edge axis unsupported for family 'piecewise_linear'"):
+            sweep.apply_axis(params, "H_lo", 0.2)
+
+    @pytest.mark.parametrize(
+        "G, shifted",
+        [
+            (BoundedCDF.uniform(0.5, 1.5), BoundedCDF.uniform(0.25, 1.25)),
+            (BoundedCDF.scaled_beta(0.5, 1.5, 2.0, 3.0), BoundedCDF.scaled_beta(0.25, 1.25, 2.0, 3.0)),
+            (
+                BoundedCDF.piecewise_linear([(0.5, 0.0), (1.0, 0.4), (1.5, 1.0)]),
+                BoundedCDF.piecewise_linear([(0.25, 0.0), (0.75, 0.4), (1.25, 1.0)]),
+            ),
+        ],
+    )
+    def test_G_shift_moves_the_whole_support_down(self, G, shifted):
+        assert sweep.apply_axis(make_p1(G=G), "G_shift", 0.25).G == shifted
+
+    @pytest.mark.parametrize("axis", ["beta_G", "alpha_B", "zeta"])
+    def test_other_axes_rejected(self, p1, axis):
+        # beta_G and alpha_B are ModelParams fields, but no sweep axis
+        with pytest.raises(DomainError, match="unknown sweep axis"):
+            sweep.apply_axis(p1, axis, 0.5)
+
+
 # -- the lockstep mild sweep against a point-by-point loop ---------------------
 
 RANGES = {
