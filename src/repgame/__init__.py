@@ -62,6 +62,7 @@ _EXPORTS = {
         "posterior_nn_severe",
         "repression_probabilities",
         "solve",
+        "solve_block",
         "solve_severe",
         "strategy",
     ),

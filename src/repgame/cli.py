@@ -225,9 +225,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from . import simulate, solver_mild
+    from . import solver_mild
 
     if args.stats:
+        from . import simulate
+
         try:
             with open(args.stats, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)

@@ -23,24 +23,31 @@ Uniqueness holds for weakly log-convex H; for other shapes the solver
 scans f_B on a grid that holds H's kinks, returns the fixed point with the
 smallest c_tilde_B and lists the rest in ``multiplicity_note`` rather than
 hiding them.
+
+A solve runs in three steps: the scan, the root search in each scan cell
+and the corner's bracket, and the build that certifies the fixed points.
+``solve_block`` runs the root searches of a whole block of points in
+lockstep between the other two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import model, solver_mild
-from .errors import DomainError, SolverError
+from .distributions import cost_columns
+from .errors import DomainError, RepgameError, SolverError
 from .model import Belief, ModelParams
-from .rootfind import find_root
+from .rootfind import find_root, find_roots
 from .solver_mild import (
     DEFAULT_TOL,
     MildEquilibrium,
     NoConcessionEquilibrium,
     RepressionProbabilities,
-    _certified_root,
+    _certify,
     _probabilities,
     validate_tol,
 )
@@ -99,6 +106,99 @@ def solve(variant: str, params: ModelParams, tol: float = DEFAULT_TOL):
     raise DomainError(f"unknown variant {variant!r}")
 
 
+def solve_block(variant: str, points: list) -> list:
+    """``solve(variant, params)`` on each ``(params, report)`` of ``points``,
+    where ``report`` is ``model.check_assumption(variant, params)``: each
+    point's equilibrium, or the RepgameError that solve raises on it, in
+    order. ``variant`` is "mild" or "severe".
+
+    The points run through each step of their solve together. The steps
+    around a root search run point by point, and each root search runs on
+    the whole block in one ``find_roots`` call, bit for bit the per-point
+    ``find_root``. A point whose step fails carries its own error and leaves
+    the other points alone.
+    """
+    if variant == "mild":
+        brackets = [_attempt(solver_mild.threshold_bracket, p, r) for p, r in points]
+        equation = solver_mild.threshold_equation
+        roots = _lockstep(equation, [(p, b) for (p, _), b in zip(points, brackets)])
+        return [_attempt(_mild_build, p, b, c) for (p, _), b, c in zip(points, brackets, roots)]
+    if variant == "severe":
+        scans = [_attempt(_severe_scan, p, r) for p, r in points]
+        live = [s for s in scans if not isinstance(s, RepgameError)]
+        cells = [(s.params, cell) for s in live for cell in s.cells]
+        corners = [(s.params, (s.params.H.lo, s.g_beta_G)) for s in live if s.corner]
+        cell_roots = iter(_lockstep(_bad_type_equation, cells))
+        corner_roots = iter(_lockstep(_corner_equation, corners))
+        out = []
+        for s in scans:
+            if not isinstance(s, RepgameError):
+                roots = [next(cell_roots) for _ in s.cells]
+                roots += [next(corner_roots)] if s.corner else []
+                s = _attempt(_severe_build, s, *roots)
+            out.append(s)
+        return out
+    raise DomainError(f"no block solver for variant {variant!r}")
+
+
+def _attempt(step, *args):
+    """``step(*args)``, or the first RepgameError among ``args``, or the
+    RepgameError that the step raises."""
+    failed = next((a for a in args if isinstance(a, RepgameError)), None)
+    if failed is not None:
+        return failed
+    try:
+        return step(*args)
+    except RepgameError as exc:
+        return exc
+
+
+def _mild_build(params: ModelParams, bracket: tuple[float, float], c: float) -> MildEquilibrium:
+    """The steps of ``solve_mild`` after its root search on ``bracket``."""
+    return solver_mild.mild_equilibrium(params, *solver_mild.certify_threshold(params, *bracket, c))
+
+
+def _lockstep(equation, jobs: list) -> list:
+    """``find_root(equation(params), lo, hi)`` for each ``(params, (lo,
+    hi))`` of ``jobs``, all in one ``find_roots`` call: each job's root, or
+    the RepgameError that its bracket holds in place of (lo, hi). If
+    find_roots raises, each job is searched on its own, so that a job
+    find_root rejects carries its own error."""
+    out = [bracket for _, bracket in jobs]
+    live = [i for i, bracket in enumerate(out) if not isinstance(bracket, RepgameError)]
+    if not live:
+        return out
+    points = [jobs[i][0] for i in live]
+    lo, hi = zip(*(out[i] for i in live))
+    try:
+        roots = find_roots(equation(_block(points)), lo, hi).tolist()
+    except RepgameError:
+        roots = [_attempt(find_root, equation(p), a, b) for p, a, b in zip(points, lo, hi)]
+    for i, root in zip(live, roots):
+        out[i] = root
+    return out
+
+
+def _block(points: list[ModelParams]) -> SimpleNamespace:
+    """The points as columns under ModelParams' attribute names, as
+    ``model.clauses`` takes them. A cost distribution that every point
+    shares stays itself; one that varies becomes ``cost_columns``, which
+    holds uniform and scaled_beta distributions only, so a varying
+    piecewise-linear one raises DomainError."""
+    block = {k: np.array([getattr(p, k) for p in points]) for k in model._SCALARS}
+    for name in ("G", "H"):
+        dists = [getattr(p, name) for p in points]
+        if all(d == dists[0] for d in dists):
+            block[name] = dists[0]
+        elif any(d.family == "piecewise_linear" for d in dists):
+            raise DomainError(f"a block's {name} varies and is piecewise-linear")
+        else:
+            lo, hi, a, b = np.array([(d.lo, d.hi, *(d.params or (1.0, 1.0))) for d in dists]).T
+            is_beta = np.array([d.family == "scaled_beta" for d in dists])
+            block[name] = cost_columns(lo, hi, is_beta, a, b)
+    return SimpleNamespace(**block)
+
+
 def repression_probabilities(eq, params: ModelParams) -> RepressionProbabilities:
     """The six repression/concession probabilities of ``strategy(eq)``,
     conditional on an organized activist."""
@@ -154,15 +254,19 @@ def effect_D_severe(params: ModelParams) -> float:
     return params.G.cdf(params.gamma * model.beta_e(params)) - params.G.cdf(params.beta_G)
 
 
-def _scan_roots_1d(f, xs: np.ndarray) -> list[float]:
-    """All sign-change roots of a vectorized f from a scan on the sorted points xs."""
+def _scan_cells(f, xs: np.ndarray) -> tuple[list[float], list[tuple[float, float]]]:
+    """(zeros, cells) of a vectorized f scanned on the sorted points xs: the
+    points where f is 0, and each cell (a, b) of adjacent points whose ends
+    differ in sign and whose left end is no zero, which holds a root."""
     vals = np.asarray(f(xs), dtype=float)
-    roots = xs[vals == 0.0].tolist()
-    # a cell is refined when its ends differ in sign and its left end is no root
     neg = vals < 0.0
-    for i in np.flatnonzero((neg[:-1] != neg[1:]) & (vals[:-1] != 0.0)):
-        roots.append(find_root(f, float(xs[i]), float(xs[i + 1])))
-    # dedupe near-coincident roots from adjacent cells
+    i = np.flatnonzero((neg[:-1] != neg[1:]) & (vals[:-1] != 0.0))
+    return xs[vals == 0.0].tolist(), list(zip(xs[i].tolist(), xs[i + 1].tolist()))
+
+
+def _distinct(roots: list[float]) -> list[float]:
+    """The roots in order, a root within 1e-9 of the one before it dropped:
+    adjacent cells can find near-coincident roots."""
     out: list[float] = []
     for r in sorted(roots):
         if not out or r - out[-1] > 1e-9:
@@ -191,33 +295,79 @@ def _fixed_point_residual(params: ModelParams, c_lo: float, g_beta_G: float, cb:
     return max(abs(max(params.alpha_B - p, c_lo) - cb), abs(max(g_beta_G - p, c_lo) - cg))
 
 
-def solve_severe(params: ModelParams, tol: float = DEFAULT_TOL) -> SevereEquilibrium:
-    """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G)."""
-    validate_tol(tol)
-    report = model.check_assumption("severe", params)
+def _bad_type_equation(params):
+    """f_B: the bad type's indifference on the interior line c_G = c_B + gap,
+    gap = G(beta_G) - alpha_B, as a function of c_B. ``params`` may be a
+    block of points as columns, as ``model.clauses`` takes."""
+    gap = params.G.cdf(params.beta_G) - params.alpha_B
+    return lambda cb: _p_nn(params, cb, cb + gap) + cb - params.alpha_B
+
+
+def _corner_equation(params):
+    """The good type's indifference at the corner, where the bad type never
+    conceals (c_B = H.lo), as a function of c_G; increasing. ``params`` may
+    be a block, as for ``_bad_type_equation``."""
+    g_beta_G = params.G.cdf(params.beta_G)
+    return lambda cg: _p_nn(params, params.H.lo, cg) + cg - g_beta_G
+
+
+@dataclass(frozen=True)
+class _SevereScan:
+    """What the scan step of a severe solve finds: the points where f_B is 0
+    and the cells that each hold one root of it, on the scan of [H.lo,
+    alpha_B], and whether the corner is consistent, so that its c_G is
+    solved on [H.lo, G(beta_G)]."""
+
+    params: ModelParams
+    g_beta_G: float
+    gap: float
+    zeros: list[float]
+    cells: list[tuple[float, float]]
+    corner: bool
+
+
+def _severe_scan(params: ModelParams, report: model.AssumptionReport) -> _SevereScan:
+    """The first step of ``solve_severe``, for params whose severe check gave
+    ``report``."""
     model.require(report, report.failed_clauses(), "severe-conflict assumption")
     c_lo = params.H.lo
     g_beta_G = params.G.cdf(params.beta_G)
     gap = g_beta_G - params.alpha_B
     if gap <= 0.0:
         raise SolverError(f"threshold gap G(beta_G) - alpha_B = {gap} not positive")
-
-    # interior branch: c_G = c_B + gap substituted into the bad-type indifference
-    f_B = lambda cb: _p_nn(params, cb, cb + gap) + cb - params.alpha_B
-    interior_roots: list[float] = []
+    f_B = _bad_type_equation(params)
+    zeros: list[float] = []
+    cells: list[tuple[float, float]] = []
     if params.alpha_B > c_lo:
-        roots = _scan_roots_1d(f_B, _scan_points(params, gap))
-        interior_roots = [r for r in roots if r > c_lo + 1e-12]
+        zeros, cells = _scan_cells(f_B, _scan_points(params, gap))
+    corner = params.alpha_B <= c_lo or f_B(c_lo) >= 0.0
+    return _SevereScan(params, g_beta_G, gap, zeros, cells, corner)
 
-    corner_consistent = params.alpha_B <= c_lo or f_B(c_lo) >= 0.0
-    corner_root = None
-    if corner_consistent:
-        # bad type never conceals: H mass at c_lo is zero
-        f_G = lambda cg: _p_nn(params, c_lo, cg) + cg - g_beta_G
-        corner_root, _ = _certified_root(f_G, c_lo, g_beta_G, tol, "severe corner")
+
+def solve_severe(params: ModelParams, tol: float = DEFAULT_TOL) -> SevereEquilibrium:
+    """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G)."""
+    validate_tol(tol)
+    scan = _severe_scan(params, model.check_assumption("severe", params))
+    f_B = _bad_type_equation(params)
+    roots = [find_root(f_B, a, b) for a, b in scan.cells]
+    if scan.corner:
+        roots.append(find_root(_corner_equation(params), params.H.lo, scan.g_beta_G))
+    return _severe_build(scan, *roots, tol=tol)
+
+
+def _severe_build(scan: _SevereScan, *roots: float, tol: float = DEFAULT_TOL) -> SevereEquilibrium:
+    """The last step of ``solve_severe``: the equilibrium from find_root's
+    ``roots``, one in each of the scan's cells and then, if the corner is
+    consistent, the corner's c_G, with every fixed point certified at tol."""
+    params, g_beta_G, gap = scan.params, scan.g_beta_G, scan.gap
+    c_lo = params.H.lo
+    found = _distinct(scan.zeros + list(roots[: len(scan.cells)]))
+    interior_roots = [r for r in found if r > c_lo + 1e-12]
 
     candidates: list[tuple[float, float, bool]] = []
-    if corner_root is not None:
+    if scan.corner:
+        f_G = _corner_equation(params)
+        corner_root, _ = _certify(f_G, roots[-1], c_lo, g_beta_G, tol, "severe corner")
         candidates.append((c_lo, corner_root, True))
     candidates.extend((r, r + gap, False) for r in interior_roots)
     if not candidates:

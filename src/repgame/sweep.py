@@ -4,27 +4,25 @@ Each grid point re-validates the operative assumption; invalid points are
 kept in the output with ``assumption_ok`` false and empty numeric cells, so
 a sweep records why parts of an axis range are out of range instead of
 silently dropping them. Rows are ordered by axis value and fully
-deterministic. A mild sweep finds the thresholds of all its valid points
-in one lockstep root search, bit for bit the per-point one. The classic
-exercise: sweeping the lower edge of the concealment-cost support moves
-revealed and total repression in opposite directions, so observed
-repression is a misleading trend proxy.
+deterministic. A sweep solves all its valid points in one
+``solver_severe.solve_block`` call, whose lockstep root searches are bit
+for bit the per-point ones. The classic exercise: sweeping the lower edge
+of the concealment-cost support moves revealed and total repression in
+opposite directions, so observed repression is a misleading trend proxy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from . import model, solver_mild
-from .distributions import BoundedCDF, cost_columns
+from . import model
+from .distributions import BoundedCDF
 from .errors import DomainError, EmptySweepError, RepgameError
 from .model import ModelParams
-from .rootfind import find_roots
-from .solver_severe import bound_D_lower, repression_probabilities, solve
+from .solver_severe import bound_D_lower, repression_probabilities, solve_block
 
 SWEEP_AXES = ("H_lo", "G_lo", "q", "gamma", "beta_B", "alpha_G")
 VARIANTS = model.REGIMES
@@ -116,41 +114,6 @@ def _row(variant: str, value: float, params: ModelParams, eq) -> SweepRow:
     return SweepRow(value, True, D_lower=bound_D_lower(eq), **found)
 
 
-def _block(points: list[ModelParams]) -> SimpleNamespace:
-    """The points as columns under ModelParams' attribute names, as
-    ``model.clauses`` takes them. A cost distribution that every point
-    shares stays itself; one the axis moves, which a support-edge axis
-    builds uniform or scaled_beta, becomes ``cost_columns``."""
-    block = {k: np.array([getattr(p, k) for p in points]) for k in model._SCALARS}
-    for name in ("G", "H"):
-        dists = [getattr(p, name) for p in points]
-        if all(d == dists[0] for d in dists):
-            block[name] = dists[0]
-        else:
-            lo, hi, a, b = np.array([(d.lo, d.hi, *(d.params or (1.0, 1.0))) for d in dists]).T
-            is_beta = np.array([d.family == "scaled_beta" for d in dists])
-            block[name] = cost_columns(lo, hi, is_beta, a, b)
-    return SimpleNamespace(**block)
-
-
-def _solve_mild_rows(rows: list, pending: list) -> None:
-    """Fill the row of each pending (row index, axis value, params, lo, hi)
-    with its mild equilibrium, in grid order.
-
-    The thresholds come from one lockstep search on the pending brackets,
-    and each is certified and built on its own point as ``solve_mild``
-    does; a root is tied to its point by position, since points can share
-    a bracket.
-    """
-    if not pending:
-        return
-    index, values, points, lo, hi = zip(*pending)
-    roots = find_roots(solver_mild.threshold_equation(_block(points)), lo, hi)
-    for i, value, params, a, b, c in zip(index, values, points, lo, hi, roots.tolist()):
-        eq = solver_mild.mild_equilibrium(params, *solver_mild.certify_threshold(params, a, b, c))
-        rows[i] = _row("mild", value, params, eq)
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per grid point; raises EmptySweepError if nothing is valid.
 
@@ -158,7 +121,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     solving point by point would.
     """
     rows: list[SweepRow | None] = []
-    pending: list[tuple] = []  # the mild points that wait for their threshold
+    pending: list[tuple] = []  # (row index, axis value, params, report) of each valid point
     for value in np.linspace(spec.start, spec.end, spec.steps):
         value = float(value)
         try:
@@ -170,17 +133,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         if not report.ok:
             rows.append(SweepRow(axis_value=value, assumption_ok=False))
             continue
-        if spec.variant != "mild":
-            rows.append(_row(spec.variant, value, trial, solve(spec.variant, trial)))
-            continue
-        try:
-            bracket = solver_mild.threshold_bracket(trial, report)
-        except RepgameError:
-            _solve_mild_rows(rows, pending)  # an earlier point fails first
-            raise
-        pending.append((len(rows), value, trial, *bracket))
+        pending.append((len(rows), value, trial, report))
         rows.append(None)
-    _solve_mild_rows(rows, pending)
+    solved = solve_block(spec.variant, [(trial, report) for _, _, trial, report in pending])
+    for (i, value, trial, _), eq in zip(pending, solved):
+        if isinstance(eq, RepgameError):
+            raise eq
+        rows[i] = _row(spec.variant, value, trial, eq)
     if not any(row.assumption_ok for row in rows):
         raise EmptySweepError(f"no valid grid point on {spec.axis} in [{spec.start}, {spec.end}]")
     return rows

@@ -21,12 +21,14 @@ from .distributions import BoundedCDF, fosd_dominates
 from .errors import AssumptionError, DomainError, RepgameError
 from .model import Belief, ModelParams
 from .solver_mild import estimator_H, estimator_total, limit_H_degenerate, solve_mild
-from .solver_severe import effect_D_severe, repression_probabilities, solve, strategy
+from .solver_severe import effect_D_severe, repression_probabilities, solve_block, strategy
 from .sweep import apply_axis
 
 DEFAULT_GRID = 1000
 MAX_GRID = 1_000_000  # as sweep.MAX_STEPS: np.linspace cannot take any count
 MONOTONE_SLACK = 1e-12
+# a mild sign-law draw with |G(gamma*beta_e) - alpha_G| below this is a knife edge
+KNIFE_EDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -416,13 +418,14 @@ def _cost_dist(lo: float, hi: float, flag: float, a: float, b: float) -> Bounded
 
 
 def _accepted(rows: np.ndarray, regime: str):
-    """(index, params) of each row that passes the screen and then the full
-    regime check, which stays the authority."""
+    """(index, params, report) of each row that passes the screen and then
+    the full regime check, which stays the authority, with its report."""
     keep = _screen(rows, regime)
     for i, row in zip(keep.tolist(), rows[keep].tolist()):
         params = ModelParams(*row[:6], _cost_dist(*row[6:11]), _cost_dist(*row[11:]))
-        if model.check_assumption(regime, params).ok:
-            yield i, params
+        report = model.check_assumption(regime, params)
+        if report.ok:
+            yield i, params, report
 
 
 def draw_params(rng: np.random.Generator, regime: str) -> ModelParams | None:
@@ -441,11 +444,12 @@ def draw_params(rng: np.random.Generator, regime: str) -> ModelParams | None:
     if parts[-1][6] < BETA_FLAG:
         parts.append(rng.random(2))
     rows, _ = _parse(np.concatenate(parts), regime)
-    return next((params for _, params in _accepted(rows, regime)), None)
+    return next((params for _, params, _ in _accepted(rows, regime)), None)
 
 
 def _accepted_draws(rng: np.random.Generator, regime: str, budget: int):
-    """(index, params) of each accepted proposal among the first ``budget``.
+    """(index, params, report) of each accepted proposal among the first
+    ``budget``, with its regime check's report.
 
     The doubles come in blocks of ``BLOCK_PROPOSALS`` longest proposals; for
     ``default_rng`` these are the doubles that scalar draws give, so the
@@ -457,10 +461,10 @@ def _accepted_draws(rng: np.random.Generator, regime: str, budget: int):
     while base < budget:
         u = np.concatenate((u, rng.random(16 * BLOCK_PROPOSALS)))
         rows, used = _parse(u, regime)
-        for i, params in _accepted(rows, regime):
+        for i, params, report in _accepted(rows, regime):
             if base + i >= budget:
                 return
-            yield base + i, params
+            yield base + i, params, report
         base += len(rows)
         u = u[used:]
 
@@ -485,7 +489,11 @@ def sign_law_check(
 ) -> SignLawReport:
     """Mild regime: sign(D) must match sign(G(gamma*beta_e) - alpha_G).
     Severe regime: D must be strictly negative. Knife-edge draws (the
-    measure-zero boundary) are skipped rather than counted either way.
+    measure-zero boundary) are skipped rather than counted either way,
+    unless their solve fails.
+
+    The draws up to the ``n_draws``-th one with a sign prediction are solved
+    together, in one ``solve_block`` call, and then checked in order.
     """
     if regime not in model.REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
@@ -494,22 +502,30 @@ def sign_law_check(
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
+    draws = []  # (index, params, report, reference); the reference is None in the severe regime
+    predicted = 0
+    for index, params, report in _accepted_draws(rng, regime, budget):
+        ref = None
+        if regime == "mild":
+            ref = params.G.cdf(params.gamma * model.beta_e(params)) - params.alpha_G
+        draws.append((index, params, report, ref))
+        predicted += ref is None or abs(ref) >= KNIFE_EDGE
+        if predicted == n_draws:
+            break
+    solved = solve_block(regime, [(params, report) for _, params, report, _ in draws])
     checked = 0
     used = budget  # unless n_draws are accepted first
     failures: list[dict] = []
-    for index, params in _accepted_draws(rng, regime, budget):
-        try:
-            eq = solve(regime, params)
-            if regime == "mild":
-                ref = params.G.cdf(params.gamma * model.beta_e(params)) - params.alpha_G
-                if abs(ref) < 1e-12:
-                    continue  # knife edge: no sign prediction
-                if (eq.D > 0.0) != (ref > 0.0):
-                    failures.append({"params": params.to_dict(), "D": eq.D, "reference": ref})
-            elif not eq.D < 0.0:
+    for (index, params, _, ref), eq in zip(draws, solved):
+        if isinstance(eq, RepgameError):
+            failures.append({"params": params.to_dict(), "error": str(eq)})
+        elif ref is None:
+            if not eq.D < 0.0:
                 failures.append({"params": params.to_dict(), "D": eq.D})
-        except RepgameError as exc:
-            failures.append({"params": params.to_dict(), "error": str(exc)})
+        elif abs(ref) < KNIFE_EDGE:
+            continue  # no sign prediction
+        elif (eq.D > 0.0) != (ref > 0.0):
+            failures.append({"params": params.to_dict(), "D": eq.D, "reference": ref})
         checked += 1
         if checked == n_draws:
             used = index + 1

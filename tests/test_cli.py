@@ -199,15 +199,32 @@ class TestHugePayoffs:
     def test_uncertified_sweep_roots_exit_3(self, capsys, p1_config, monkeypatch):
         # each lockstep root of a mild sweep goes through solve-mild's
         # residual check
-        from repgame import sweep
+        from repgame import solver_severe
 
-        monkeypatch.setattr(sweep, "find_roots", lambda f, lo, hi: np.array(hi))
+        monkeypatch.setattr(solver_severe, "find_roots", lambda f, lo, hi: np.array(hi))
         code, out, err = run_cli(
             capsys, "sweep", "--config", p1_config, "--axis", "H_lo",
             "--start", "0.0", "--end", "0.4", "--steps", "6",
         )
         assert code == 3 and out == ""
         assert err.startswith("solver failure: threshold residual")
+
+    def test_uncertified_sign_law_roots_are_failures_exit_4(self, capsys, p1_config, monkeypatch):
+        # a lockstep root of a sign-law draw that misses tol is that draw's
+        # failure entry, not a traceback; the certificates solve one at a
+        # time. Some severe draws have their root at the bracket's end.
+        from repgame import solver_severe
+
+        monkeypatch.setattr(solver_severe, "find_roots", lambda f, lo, hi: np.array(hi))
+        code, out, err = run_cli(capsys, "verify", "--config", p1_config, "--draws", "20")
+        assert code == 4 and err == ""
+        payload = json.loads(out)
+        assert payload["mild"]["ok"] is True and payload["ok"] is False
+        for regime, message, n_failed in (("mild", "threshold residual", 20), ("severe", "severe ", 12)):
+            law = payload[f"sign_law_{regime}"]
+            assert law["n_checked"] == 20 and not law["ok"]
+            errors = [f["error"] for f in law["failures"]]
+            assert len(errors) == n_failed and all(e.startswith(message) for e in errors), errors
 
 
 class TestDeterminism:
@@ -770,8 +787,9 @@ class TestColdStart:
     def test_raw_flag_estimate_loads_no_random_stream(self):
         results = _run_fresh([["estimate", "--q-hat", "0.6", "--q-prime-hat", "0.7", "--p-hat", "0.3"]])
         assert results[1]["code"] == 0
-        assert "repgame.simulate" in results[1]["loaded"]
-        assert {"numpy.random", "repgame.verify", "repgame.sweep"} & set(results[1]["loaded"]) == set()
+        unused = {"numpy.random", "repgame.simulate", "repgame.solver_severe", "repgame.verify", "repgame.sweep"}
+        assert unused & set(results[1]["loaded"]) == set()
+        assert "repgame.solver_mild" in results[1]["loaded"]
 
     def test_pooled_simulation_loads_the_random_stream_before_the_fork(self, p1_config):
         # the parent plays no block itself, so only a pre-fork import loads it here

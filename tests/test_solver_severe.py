@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
@@ -30,13 +31,14 @@ from repgame import (
     rho_tilde,
     run_sweep,
     solve,
+    solve_block,
     solve_mild,
     solve_severe,
     strategy,
 )
 from repgame import solver_mild, solver_severe
 from repgame.rootfind import find_root
-from repgame.solver_severe import _SCAN_1D, _scan_points, _scan_roots_1d
+from repgame.solver_severe import _SCAN_1D, _distinct, _scan_cells, _scan_points
 
 # With uniform G and H the gap-substituted indifference reduces to
 # 0.4 x^2 + 0.74 x - 0.19 = 0 for the bad-type threshold.
@@ -340,7 +342,9 @@ class TestScanRoots1D:
             calls.append(x)
             return f(x)
 
-        roots = _scan_roots_1d(counted, xs)
+        # solve_severe's scan, its root search in each cell and its dedupe
+        zeros, cells = _scan_cells(counted, xs)
+        roots = _distinct(zeros + [find_root(counted, a, b) for a, b in cells])
         n_calls = len(calls)
         assert roots == pytest.approx(expected, abs=1e-12)
         assert roots == _scan_roots_loop(counted, xs)
@@ -494,3 +498,177 @@ class TestRandomDraws:
             if not eq.corner:
                 assert abs(r_B) <= 1e-9
             checked += 1
+
+
+# -- solve_block against a point-by-point solve --------------------------------
+
+
+def _accepted_points(regime: str, seed: int, n: int) -> list:
+    """(params, report) of the first n accepted sign-law draws."""
+    from repgame import verify
+
+    draws = verify._accepted_draws(np.random.default_rng(seed), regime, 100_000)
+    return [(params, report) for _, params, report in itertools.islice(draws, n)]
+
+
+def _outcome(result):
+    """An equilibrium as its repr, which spells each float's bits; an error
+    as its type and message."""
+    if isinstance(result, repgame.RepgameError):
+        return type(result), str(result)
+    return repr(result)
+
+
+def _solve_each(variant: str, points: list) -> list:
+    out = []
+    for params, _ in points:
+        try:
+            out.append(solve(variant, params))
+        except repgame.RepgameError as exc:
+            out.append(exc)
+    return out
+
+
+def assert_block_matches_solve(variant: str, points: list) -> list:
+    got = [_outcome(r) for r in solve_block(variant, points)]
+    assert got == [_outcome(r) for r in _solve_each(variant, points)]
+    return got
+
+
+def _failing_at(qs: set, step, what: str):
+    """``step``, raising SolverError on the points whose q is in qs."""
+
+    def failing(params, *args, **kwargs):
+        if params.q in qs:
+            raise repgame.SolverError(f"{what} fails at q={params.q}")
+        return step(params, *args, **kwargs)
+
+    return failing
+
+
+class TestSolveBlock:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("regime", ["mild", "severe"])
+    def test_matches_solve_on_sign_law_draws(self, regime, seed):
+        points = _accepted_points(regime, seed, 500)
+        got = assert_block_matches_solve(regime, points)
+        assert len(got) == 500 and all(isinstance(r, str) for r in got)
+
+    def test_matches_solve_where_roots_share_a_cell(self):
+        # the witness's H at gammas near its own: several interior roots per point
+        rng = np.random.default_rng(20)
+        params = [
+            make_p2(gamma=WITNESS_GAMMA + float(g), q=WITNESS_Q, H=WITNESS_H)
+            for g in rng.uniform(-3e-4, 3e-4, 40)
+        ]
+        points = [(p, repgame.model.check_assumption("severe", p)) for p in params]
+        assert_block_matches_solve("severe", points)
+        assert sum(len(solver_severe._severe_scan(*pt).cells) > 1 for pt in points) >= 10
+
+    def test_varying_piecewise_linear_cost_is_solved_point_by_point(self):
+        # no column form holds a piecewise-linear H that varies across the block
+        rng = np.random.default_rng(3)
+        params = [make_p2(gamma=g, H=_spiky_H(rng)) for g in (0.3, 0.5, 0.7)]
+        points = [(p, repgame.model.check_assumption("severe", p)) for p in params]
+        got = assert_block_matches_solve("severe", points)
+        assert all(isinstance(r, str) for r in got)
+        with pytest.raises(DomainError, match="piecewise-linear"):
+            solver_severe._block(params)
+
+    def test_failed_check_carries_its_assumption_error(self, p1, p2):
+        points = [(p, repgame.model.check_assumption("severe", p)) for p in (p2, p1, p2)]
+        got = assert_block_matches_solve("severe", points)
+        assert got[1][0] is AssumptionError and got[0] == got[2]
+
+    def test_empty_block_and_unknown_variant(self):
+        assert solve_block("mild", []) == solve_block("severe", []) == []
+        with pytest.raises(DomainError, match="no block solver"):
+            solve_block("no-concession", [])
+
+
+class TestSolveBlockFailures:
+    """A failure injected at one step of chosen points: those points carry
+    their own error, and every other point is bit for bit its own solve."""
+
+    @staticmethod
+    def _check(variant, points, chosen):
+        got = assert_block_matches_solve(variant, points)
+        failed = [i for i, r in enumerate(got) if isinstance(r, tuple)]
+        assert failed == sorted(chosen)
+        return got
+
+    @pytest.mark.parametrize("step", ["threshold_bracket", "certify_threshold", "mild_equilibrium"])
+    def test_mild_step(self, monkeypatch, step):
+        points = _accepted_points("mild", 0, 60)
+        chosen = {3, 17, 41}
+        failing = _failing_at({points[i][0].q for i in chosen}, getattr(solver_mild, step), step)
+        monkeypatch.setattr(solver_mild, step, failing)
+        got = self._check("mild", points, chosen)
+        assert got[3] == (repgame.SolverError, f"{step} fails at q={points[3][0].q}")
+
+    def test_mild_bracket_that_find_roots_rejects(self, monkeypatch):
+        points = _accepted_points("mild", 0, 60)
+        qs = {points[i][0].q for i in (5, 30)}
+        bracket = solver_mild.threshold_bracket
+
+        def reversed_bracket(params, *args):
+            lo, hi = bracket(params, *args)
+            return (hi, lo) if params.q in qs else (lo, hi)
+
+        monkeypatch.setattr(solver_mild, "threshold_bracket", reversed_bracket)
+        got = self._check("mild", points, {5, 30})
+        assert got[5][1].startswith("empty bracket")
+
+    def test_severe_scan(self, monkeypatch):
+        points = _accepted_points("severe", 0, 60)
+        chosen = {0, 22}
+        qs = {points[i][0].q for i in chosen}
+        monkeypatch.setattr(solver_severe, "_severe_scan", _failing_at(qs, solver_severe._severe_scan, "scan"))
+        self._check("severe", points, chosen)
+
+    def test_severe_corner_bracket_that_find_roots_rejects(self, monkeypatch):
+        points = _accepted_points("severe", 0, 60)
+        corners = [i for i, pt in enumerate(points) if solver_severe._severe_scan(*pt).corner]
+        chosen = {corners[1], corners[-2]}
+        qs = {points[i][0].q for i in chosen}
+        scan = solver_severe._severe_scan
+
+        def empty_corner_bracket(params, report):
+            s = scan(params, report)
+            return dataclasses.replace(s, g_beta_G=params.H.lo) if params.q in qs else s
+
+        monkeypatch.setattr(solver_severe, "_severe_scan", empty_corner_bracket)
+        got = self._check("severe", points, chosen)
+        assert got[corners[1]][1].startswith("empty bracket")
+        assert len(corners) >= 10 and len(corners) < len(points)
+
+    def test_severe_interior_cell_that_find_roots_rejects(self, monkeypatch):
+        points = _accepted_points("severe", 0, 60)
+        interior = [i for i, pt in enumerate(points) if solver_severe._severe_scan(*pt).cells]
+        chosen = {interior[0], interior[-1]}
+        qs = {points[i][0].q for i in chosen}
+        scan = solver_severe._severe_scan
+
+        def flipped_cells(params, report):
+            s = scan(params, report)
+            return dataclasses.replace(s, cells=[(b, a) for a, b in s.cells]) if params.q in qs else s
+
+        monkeypatch.setattr(solver_severe, "_severe_scan", flipped_cells)
+        got = self._check("severe", points, chosen)
+        assert got[interior[0]][1].startswith("empty bracket")
+
+    def test_severe_build_residual(self, monkeypatch):
+        # a tol below the chosen points' nonzero residuals fails their build step
+        points = _accepted_points("severe", 0, 60)
+        eqs = [solve("severe", p) for p, _ in points]
+        inexact = [i for i, eq in enumerate(eqs) if max(eq.residual_B, eq.residual_G) > 0.0]
+        chosen = {inexact[0], inexact[len(inexact) // 2], inexact[-1]}
+        qs = {points[i][0].q for i in chosen}
+        build = solver_severe._severe_build
+
+        def strict(scan, *roots, tol=solver_mild.DEFAULT_TOL):
+            return build(scan, *roots, tol=1e-300 if scan.params.q in qs else tol)
+
+        monkeypatch.setattr(solver_severe, "_severe_build", strict)
+        got = self._check("severe", points, chosen)
+        assert all(got[i][0] in (repgame.SolverError, DomainError) for i in chosen)

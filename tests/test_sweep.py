@@ -17,6 +17,7 @@ from repgame import (
     run_sweep,
     solve_mild,
     solver_mild,
+    solver_severe,
     sweep,
 )
 from repgame.sweep import SWEEP_AXES
@@ -166,6 +167,8 @@ BETA_G = BoundedCDF.scaled_beta(0.0, 1.2, 1.5, 2.5)
 BETA_H2 = BoundedCDF.scaled_beta(0.0, 1.0, 0.7, 1.8)
 # the steps of a mild solve, in solver_mild, in the order they run
 SOLVE_STEPS = ("threshold_bracket", "certify_threshold", "mild_equilibrium")
+# and of a severe solve, in solver_severe
+SEVERE_STEPS = ("_severe_scan", "_severe_build")
 PIECEWISE_G = BoundedCDF.piecewise_linear([(0.0, 0.0), (0.3, 0.2), (0.7, 0.75), (1.0, 1.0)])
 
 
@@ -238,6 +241,14 @@ class TestLockstepMatchesPointByPoint:
         assert len(calls) == 9
         assert sum(row.assumption_ok for row in rows) == 6
 
+    def test_one_assumption_check_per_severe_point(self, monkeypatch):
+        calls = []
+        check = model.check_assumption_severe
+        monkeypatch.setattr(model, "check_assumption_severe", lambda p: calls.append(p) or check(p))
+        rows = run_sweep(SweepSpec("q", 0.1, 0.9, 9, make_p2(), variant="severe"))
+        assert len(calls) == 9
+        assert sum(row.assumption_ok for row in rows) == 6
+
 
 class TestLockstepFailures:
     @pytest.mark.parametrize("first", SOLVE_STEPS)
@@ -265,9 +276,37 @@ class TestLockstepFailures:
         assert str(got.value) == str(want.value) == f"{first} fails at q={grid[3]}"
 
 
-def test_only_sweep_calls_find_roots():
-    # the lockstep loses to find_root on small blocks (a verify block of
-    # accepted draws, one solve), so single solves and verify stay scalar
+class TestSevereLockstepFailures:
+    @pytest.mark.parametrize("first", SEVERE_STEPS)
+    @pytest.mark.parametrize("second", SEVERE_STEPS)
+    def test_first_failing_point_in_grid_order(self, monkeypatch, first, second):
+        # as TestLockstepFailures, on the steps of a severe solve around its
+        # root searches
+        spec = SweepSpec("q", 0.5, 0.9, 11, make_p2(), variant="severe")
+        grid = np.linspace(0.5, 0.9, 11).tolist()
+        fails: dict[str, set] = {}
+        fails.setdefault(first, set()).add(grid[3])
+        fails.setdefault(second, set()).add(grid[7])
+        for step, qs in fails.items():
+
+            # the scan step takes the params, the build step the scan
+            def failing(first_arg, *args, _step=step, _qs=qs, _run=getattr(solver_severe, step), **kw):
+                q = getattr(first_arg, "params", first_arg).q
+                if q in _qs:
+                    raise SolverError(f"{_step} fails at q={q}")
+                return _run(first_arg, *args, **kw)
+
+            monkeypatch.setattr(solver_severe, step, failing)
+        with pytest.raises(SolverError) as got:
+            run_sweep(spec)
+        with pytest.raises(SolverError) as want:
+            reference_sweep(spec)
+        assert str(got.value) == str(want.value) == f"{first} fails at q={grid[3]}"
+
+
+def test_only_solve_block_calls_find_roots():
+    # the lockstep loses to find_root on small blocks, so a single solve stays
+    # scalar; a mild sweep and the sign-law draws reach it through solve_block
     sites = []
     for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -275,4 +314,4 @@ def test_only_sweep_calls_find_roots():
                 called = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if called == "find_roots":
                     sites.append((path.name, node.lineno))
-    assert {name for name, _ in sites} == {"sweep.py"}, sites
+    assert {name for name, _ in sites} == {"solver_severe.py"}, sites

@@ -11,6 +11,7 @@ from repgame import (
     DomainError,
     RepgameError,
     SignLawReport,
+    SolverError,
     bayes_consistency_check,
     best_response_check,
     certify_equilibrium,
@@ -23,7 +24,7 @@ from repgame import (
     solve_mild,
     solve_severe,
 )
-from repgame import distributions, model, verify
+from repgame import distributions, model, solver_mild, verify
 from repgame.verify import BETA_FLAG, _uniform, draw_params
 
 
@@ -325,7 +326,7 @@ class TestSignLawBlocks:
         if block is not None:
             monkeypatch.setattr(verify, "BLOCK_PROPOSALS", block)
         accepted = verify._accepted_draws(np.random.default_rng(4), regime, 3000)
-        got = [(i, p.to_dict()) for i, p in accepted]
+        got = [(i, p.to_dict()) for i, p, _ in accepted]
         rng = np.random.default_rng(4)
         want = [(i, p.to_dict()) for i in range(3000) if (p := reference_draw_params(rng, regime))]
         assert got == want and len(want) > 50
@@ -345,6 +346,41 @@ class TestSignLawBlocks:
         with pytest.raises(DomainError) as got:
             sign_law_check(regime, n_draws=500, seed=0, budget=100)
         assert str(got.value) == str(want.value)
+
+
+class TestSignLawKnifeEdge:
+    def test_failing_knife_edge_draw_counts_as_scalar_loop(self, monkeypatch):
+        # beta_e moved so that G(gamma*beta_e) = alpha_G for one accepted mild
+        # draw, whose solve then fails: a knife edge makes no sign prediction,
+        # but its failure counts, in the scalar loop and in the block
+        knife: set = set()
+        beta_e = model.beta_e
+
+        def knife_beta_e(p):
+            if isinstance(p, ModelParams) and p.q in knife:
+                return p.G.quantile(p.alpha_G) / p.gamma
+            return beta_e(p)
+
+        monkeypatch.setattr(model, "beta_e", knife_beta_e)
+        for index, params, _ in verify._accepted_draws(np.random.default_rng(0), "mild", 100_000):
+            knife.add(params.q)
+            ref = params.G.cdf(params.gamma * model.beta_e(params)) - params.alpha_G
+            if abs(ref) < 1e-12 and model.check_assumption("mild", params).ok:
+                break
+            knife.clear()
+        assert knife and index < 30
+        bracket = solver_mild.threshold_bracket
+
+        def failing(params, *args):
+            if params.q in knife:
+                raise SolverError(f"knife edge at q={params.q}")
+            return bracket(params, *args)
+
+        monkeypatch.setattr(solver_mild, "threshold_bracket", failing)
+        got = sign_law_check("mild", n_draws=40, seed=0)
+        assert got.to_dict() == reference_sign_law.__wrapped__("mild", 40, 0).to_dict()
+        assert [f.get("error") for f in got.failures] == [f"knife edge at q={params.q}"]
+        assert got.n_checked == 40
 
 
 class TestClauseStatement:
