@@ -86,10 +86,11 @@ def canonical_json(obj) -> str:
 
 
 @contextlib.contextmanager
-def _writing(path: str):
-    """``path`` open for writing; failing to open or write it is a config error."""
+def _writing(path: str, binary: bool = False):
+    """``path`` open for writing, as UTF-8 text or as bytes; failing to open
+    or write it is a config error."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") if binary else open(path, "w", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -151,22 +152,24 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-_EPISODE_HEADER = "theta,c,rho,action,observation,protested,success\n"
+_EPISODE_HEADER = b"theta,c,rho,action,observation,protested,success\n"
 
 
-def _row_template(outcome: str) -> str:
+def _row_template(outcome: str) -> bytes:
     """%-format CSV row of one OUTCOMES key, with the c and rho cells open."""
     theta, action, observation, protested = outcome.split(",")
     success = protested == "true" and theta != "N" and action != "concede"
-    c = "" if theta == "N" else "%.12g"  # an unorganized activist has no cost c
-    return f"{theta},{c},%.12g,{action},{observation},{protested},{'true' if success else 'false'}\n"
+    c = "" if theta == "N" else "%s"  # an unorganized activist has no cost c
+    row = f"{theta},{c},%s,{action},{observation},{protested},{'true' if success else 'false'}\n"
+    return row.encode()
 
 
 @functools.cache
 def _row_templates() -> np.ndarray:
-    """Row templates indexed by outcome code; '%.12g' % x gives the same
-    string as format_float(x). Built once per process: ``_cmd_simulate``
-    builds them before its pool forks, so the workers inherit them."""
+    """Row templates indexed by outcome code, as bytes with a %s for each
+    float cell. Built once per process: ``_cmd_simulate`` builds them, and
+    ``simulate.cell_tables``, before its pool forks, so the workers inherit
+    them."""
     import numpy as np
 
     from . import simulate
@@ -174,17 +177,26 @@ def _row_templates() -> np.ndarray:
     return np.array([_row_template(k) for k in simulate.OUTCOMES], dtype=object)
 
 
-def _episode_rows(block: dict, codes: np.ndarray) -> str:
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """format_float(x).encode() of each x of a float64 array, as an 'S24'
+    array: ``simulate.decimal_cells``, then format_float on each value it
+    leaves over, in order, so the first non-finite value raises SolverError."""
+    from . import simulate
+
+    cells, rest = simulate.decimal_cells(values)
+    for i, x in zip(rest.tolist(), values[rest].tolist()):
+        cells[i] = format_float(x).encode()
+    return cells
+
+
+def _episode_rows(block: dict, codes: np.ndarray) -> bytes:
     """CSV rows of one block of episodes, encoded by a single % call."""
     import numpy as np
 
     organized = block["theta"] != 2
     keep = np.stack((organized, np.ones_like(organized)), axis=1)
     floats = np.stack((block["c"], block["rho"]), axis=1)[keep]  # c, rho per row; no c on N
-    finite = np.isfinite(floats)
-    if not finite.all():
-        format_float(float(floats[np.argmin(finite)]))  # raises SolverError for the first one
-    return "".join(_row_templates()[codes].tolist()) % tuple(floats.tolist())
+    return b"".join(_row_templates()[codes].tolist()) % tuple(_format_floats(floats).tolist())
 
 
 def _cmd_simulate(args) -> int:
@@ -193,15 +205,17 @@ def _cmd_simulate(args) -> int:
     params = load_params(args.config)
     eq = solver_severe.solve(args.variant, params, tol=args.tol)
     path = args.episodes_out
-    if path:
-        _row_templates()  # before play_blocks forks its pool
+    if path:  # built before play_blocks forks its pool, so the workers inherit them
+        _row_templates()
+        simulate.cell_tables()
     blocks = simulate.play_blocks(  # rejects n and seed here
         params, eq, args.n, args.seed, encode=_episode_rows if path else None
     )
     binned = 0
     # --out is opened first, so that a path it cannot write costs no episodes
     with _writing(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
-        with contextlib.closing(blocks), _writing(path) if path else contextlib.nullcontext() as csv:
+        episodes = _writing(path, binary=True) if path else contextlib.nullcontext()
+        with contextlib.closing(blocks), episodes as csv:
             if csv is not None:
                 csv.write(_EPISODE_HEADER)
             for counts, rows in blocks:

@@ -63,6 +63,9 @@ _POSSIBLE = (
 )
 
 CHUNK = 1 << 16  # episodes per block of a streamed run
+# values per step of decimal_cells: its temporaries, at most 24 bytes a value,
+# then stay below malloc's 128 KiB mmap threshold, so their pages are reused
+_SLICE = 1 << 12
 
 
 # -- vectorized engine -------------------------------------------------------
@@ -222,6 +225,111 @@ def _pooled(job, starts: range, workers: int):
         raise WorkerError(f"a simulation worker process died: {exc}") from exc
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+# -- episode CSV cells ---------------------------------------------------------
+
+
+@functools.cache
+def cell_tables() -> tuple:
+    """Lookup tables of ``decimal_cells``, built once per process:
+    ``repgame simulate`` builds them before ``play_blocks`` forks its pool,
+    so the workers inherit them.
+
+    (pow10, ascii4, last4, marks, shift, keep): 10.0**s for s in [0, 15];
+    '%04d' % k as a little-endian word and the end of its last non-zero
+    digit (0 for k = 0), for k < 10**4; indexed by 2*s + negative, the
+    bytes to subtract from the field's '0's for the point and the sign
+    (as three words a row) and 8 times the cell's start in the field;
+    indexed by end, the three words' masks of the field's first end bytes.
+    """
+    k = np.arange(10**4, dtype=np.uint64)
+    digits = [k // 10 ** (3 - j) % 10 for j in range(4)]
+    ascii4 = sum((d + ord("0")) << 8 * j for j, d in enumerate(digits))
+    last4 = np.max([(j + 1) * (d != 0) for j, d in enumerate(digits)], axis=0)
+    marks = np.zeros((16, 2, 24), dtype=np.uint8)
+    start = np.zeros((16, 2), dtype=np.uint64)
+    for s in range(16):
+        marks[s, :, 17 - s] = ord("0") - ord(".")
+        start[s] = min(16 - s, 5) - np.arange(2)
+        marks[s, 1, start[s, 1]] = ord("0") - ord("-")
+    keep = np.where(np.arange(24) < np.arange(19)[:, None], 0xFF, 0).astype(np.uint8)
+    return (
+        np.array([float(10**s) for s in range(16)]),
+        ascii4,
+        last4,
+        np.ascontiguousarray(marks.reshape(32, 24).view("<u8").T),
+        8 * start.ravel(),
+        np.ascontiguousarray(keep.view("<u8").T),
+    )
+
+
+def decimal_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, rest) of a float64 array: cells is an 'S24' array whose
+    element i holds ``'%.12g' % x[i]`` as bytes for every i but those in
+    ``rest``, which are left for a scalar formatter.
+
+    A value is left over unless its decimal exponent X is in [-4, 11] (so
+    '%.12g' writes it without an exponent) and its 12-digit significand
+    can be certified. With s = 11 - X, 10**s is exact, so y = |x| * 10**s
+    is the exact product correctly rounded. Where y is in [1e11, 1e12),
+    every half-integer is a double, so rounding cannot carry the product
+    across one: unless y is a half-integer itself, rint(y) is the
+    significand that the correctly rounded '%.12g' prints. Zeros,
+    non-finite values, the exponent forms, a significand that rounds up to
+    1e12 and y on a tie (about 2 in 10**4 uniform draws) are left over.
+
+    Each cell is a slice of an 18-byte field: '%018d' of the significand
+    with a 0 inserted after its first X + 1 digits, which becomes the
+    point at byte X + 6; the cell starts at the '0' before the point for
+    X < 0, otherwise at the first digit, one byte earlier with a '-' for a
+    negative x, and ends at the last non-zero digit after the point, or
+    before the point where there is none. The values are taken _SLICE at a
+    time.
+    """
+    words = np.empty((len(x), 3), dtype="<u8")
+    left = np.empty(len(x), dtype=bool)
+    for i in range(0, len(x), _SLICE):
+        left[i : i + _SLICE] = _fill_cells(x[i : i + _SLICE], words[i : i + _SLICE].T)
+    return words.view("S24").ravel(), np.flatnonzero(left)
+
+
+def _fill_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Writes the cells of x to out, as three little-endian words a cell
+    (shape (3, len(x))), and returns which values are left over."""
+    pow10, ascii4, last4, marks, shift, keep = cell_tables()
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at 0, inf and nan
+        e = np.floor(np.log10(a))
+        ok = (e >= -4) & (e <= 11)
+        s = np.where(ok, 11 - e, 0).astype(np.intp)
+        p = pow10[s]
+        y = a * p
+        r = np.rint(y)
+        ok &= (y >= 1e11) & (r < 1e12) & (np.abs(y - r) < 0.5)
+    r = np.where(ok, r, 1e11)
+    # the floor is exact: r / p is at least 10**-s from the next integer
+    v = (r + 9 * np.floor(r / p) * p).astype(np.int64)  # r with its point as a 0
+    q6, q2 = v // 10**6, v // 100
+    g0 = q6 // 10**4
+    g1, g2, g3 = q6 - g0 * 10**4, q2 - q6 * 10**4, v - q2 * 100
+    # the field, '%018d' % v: byte j is byte j % 8 of words[j // 8]
+    words = np.empty((3, len(x)), dtype="<u8")
+    words[0] = 0x3030303030 | ascii4[g0] >> 8 << 40
+    words[1] = ascii4[g1] | ascii4[g2] << 32
+    words[2] = ascii4[g3] >> 16
+    end = 14 + last4[g3]  # just past the field's last non-zero digit
+    z = np.flatnonzero(g3 == 0)
+    end[z] = np.select(
+        [g2[z] > 0, g1[z] > 0], [12 + last4[g2[z]], 8 + last4[g1[z]]], 4 + last4[g0[z]]
+    )
+    row = 2 * s + (x < 0)
+    words -= marks[:, row]
+    words &= keep[:, np.maximum(end, 17 - s)]  # a point with no digit after it goes too
+    b = shift[row]
+    np.right_shift(words, b, out=out)
+    out[:2] |= words[1:] << 64 - b  # numpy shifts a word by 64 bits to 0
+    return ~ok
 
 
 def outcome_codes(arrays: dict) -> np.ndarray:

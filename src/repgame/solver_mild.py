@@ -221,9 +221,9 @@ def solve_threshold(
     return certify_threshold(params, lo, hi, c, tol, relaxed)
 
 
-def reveal_likelihood_ratio(params: ModelParams) -> float:
-    """kappa: odds of publicly repressing a good versus a bad activist."""
-    g_inv = params.G.quantile(params.alpha_G)
+def reveal_likelihood_ratio(params: ModelParams, g_inv: float) -> float:
+    """kappa: odds of publicly repressing a good versus a bad activist, at
+    g_inv = G^{-1}(alpha_G)."""
     num = g_inv - params.beta_B
     den = params.beta_G - g_inv
     if den <= 0.0 or num <= 0.0:
@@ -281,11 +281,11 @@ def mild_equilibrium(
     gp = _gamma_prime(h_mass, params.gamma)
     q = params.q
     mu_NN = Belief(gp * q, gp * (1.0 - q), 1.0 - gp)
-    kappa = reveal_likelihood_ratio(params)
+    g_inv = params.G.quantile(params.alpha_G)
+    kappa = reveal_likelihood_ratio(params, g_inv)
     mu_R = Belief.normalized(kappa * q, 1.0 - q, 0.0)
     probs = _probabilities(q, (h_mass, h_mass), (kappa, 1.0))
     # the same probabilities written directly in the payoff parameters
-    g_inv = params.G.quantile(params.alpha_G)
     not_concealed = 1.0 - h_mass
     revealed_alt = (params.beta_G - params.beta_B) / (params.beta_G - g_inv) * (1.0 - q) * not_concealed
     total_alt = 1.0 - (be - g_inv) / (params.beta_G - g_inv) * not_concealed

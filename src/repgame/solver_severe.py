@@ -121,13 +121,13 @@ def solve_block(variant: str, points: list) -> list:
     if variant == "mild":
         brackets = [_attempt(solver_mild.threshold_bracket, p, r) for p, r in points]
         equation = solver_mild.threshold_equation
-        roots = _lockstep(equation, [(p, b) for (p, _), b in zip(points, brackets)])
+        roots = _lockstep(equation, [(p, (), b) for (p, _), b in zip(points, brackets)])
         return [_attempt(_mild_build, p, b, c) for (p, _), b, c in zip(points, brackets, roots)]
     if variant == "severe":
         scans = [_attempt(_severe_scan, p, r) for p, r in points]
         live = [s for s in scans if not isinstance(s, RepgameError)]
-        cells = [(s.params, cell) for s in live for cell in s.cells]
-        corners = [(s.params, (s.params.H.lo, s.g_beta_G)) for s in live if s.corner]
+        cells = [(s.params, (s.gap,), cell) for s in live for cell in s.cells]
+        corners = [(s.params, (s.g_beta_G,), (s.params.H.lo, s.g_beta_G)) for s in live if s.corner]
         cell_roots = iter(_lockstep(_bad_type_equation, cells))
         corner_roots = iter(_lockstep(_corner_equation, corners))
         out = []
@@ -159,21 +159,24 @@ def _mild_build(params: ModelParams, bracket: tuple[float, float], c: float) -> 
 
 
 def _lockstep(equation, jobs: list) -> list:
-    """``find_root(equation(params), lo, hi)`` for each ``(params, (lo,
-    hi))`` of ``jobs``, all in one ``find_roots`` call: each job's root, or
-    the RepgameError that its bracket holds in place of (lo, hi). If
-    find_roots raises, each job is searched on its own, so that a job
+    """``find_root(equation(params, *args), lo, hi)`` for each ``(params,
+    args, (lo, hi))`` of ``jobs``, all in one ``find_roots`` call, on the
+    points as a ``_block`` and each of the args as a column: each job's
+    root, or the RepgameError that its bracket holds in place of (lo, hi).
+    If find_roots raises, each job is searched on its own, so that a job
     find_root rejects carries its own error."""
-    out = [bracket for _, bracket in jobs]
+    out = [bracket for _, _, bracket in jobs]
     live = [i for i, bracket in enumerate(out) if not isinstance(bracket, RepgameError)]
     if not live:
         return out
-    points = [jobs[i][0] for i in live]
+    points, args = zip(*(jobs[i][:2] for i in live))
     lo, hi = zip(*(out[i] for i in live))
     try:
-        roots = find_roots(equation(_block(points)), lo, hi).tolist()
+        roots = find_roots(equation(_block(points), *np.array(args).T), lo, hi).tolist()
     except RepgameError:
-        roots = [_attempt(find_root, equation(p), a, b) for p, a, b in zip(points, lo, hi)]
+        roots = [
+            _attempt(find_root, equation(p, *a), x, y) for p, a, x, y in zip(points, args, lo, hi)
+        ]
     for i, root in zip(live, roots):
         out[i] = root
     return out
@@ -295,19 +298,19 @@ def _fixed_point_residual(params: ModelParams, c_lo: float, g_beta_G: float, cb:
     return max(abs(max(params.alpha_B - p, c_lo) - cb), abs(max(g_beta_G - p, c_lo) - cg))
 
 
-def _bad_type_equation(params):
+def _bad_type_equation(params, gap):
     """f_B: the bad type's indifference on the interior line c_G = c_B + gap,
     gap = G(beta_G) - alpha_B, as a function of c_B. ``params`` may be a
-    block of points as columns, as ``model.clauses`` takes."""
-    gap = params.G.cdf(params.beta_G) - params.alpha_B
+    block of points as columns, as ``model.clauses`` takes, and gap then a
+    column."""
     return lambda cb: _p_nn(params, cb, cb + gap) + cb - params.alpha_B
 
 
-def _corner_equation(params):
+def _corner_equation(params, g_beta_G):
     """The good type's indifference at the corner, where the bad type never
-    conceals (c_B = H.lo), as a function of c_G; increasing. ``params`` may
-    be a block, as for ``_bad_type_equation``."""
-    g_beta_G = params.G.cdf(params.beta_G)
+    conceals (c_B = H.lo), as a function of c_G; increasing. ``params`` and
+    g_beta_G = G(beta_G) may be a block and a column, as for
+    ``_bad_type_equation``."""
     return lambda cg: _p_nn(params, params.H.lo, cg) + cg - g_beta_G
 
 
@@ -335,7 +338,7 @@ def _severe_scan(params: ModelParams, report: model.AssumptionReport) -> _Severe
     gap = g_beta_G - params.alpha_B
     if gap <= 0.0:
         raise SolverError(f"threshold gap G(beta_G) - alpha_B = {gap} not positive")
-    f_B = _bad_type_equation(params)
+    f_B = _bad_type_equation(params, gap)
     zeros: list[float] = []
     cells: list[tuple[float, float]] = []
     if params.alpha_B > c_lo:
@@ -348,10 +351,11 @@ def solve_severe(params: ModelParams, tol: float = DEFAULT_TOL) -> SevereEquilib
     """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G)."""
     validate_tol(tol)
     scan = _severe_scan(params, model.check_assumption("severe", params))
-    f_B = _bad_type_equation(params)
+    f_B = _bad_type_equation(params, scan.gap)
     roots = [find_root(f_B, a, b) for a, b in scan.cells]
     if scan.corner:
-        roots.append(find_root(_corner_equation(params), params.H.lo, scan.g_beta_G))
+        f_G = _corner_equation(params, scan.g_beta_G)
+        roots.append(find_root(f_G, params.H.lo, scan.g_beta_G))
     return _severe_build(scan, *roots, tol=tol)
 
 
@@ -366,7 +370,7 @@ def _severe_build(scan: _SevereScan, *roots: float, tol: float = DEFAULT_TOL) ->
 
     candidates: list[tuple[float, float, bool]] = []
     if scan.corner:
-        f_G = _corner_equation(params)
+        f_G = _corner_equation(params, g_beta_G)
         corner_root, _ = _certify(f_G, roots[-1], c_lo, g_beta_G, tol, "severe corner")
         candidates.append((c_lo, corner_root, True))
     candidates.extend((r, r + gap, False) for r in interior_roots)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from helpers import make_p1, make_p2, reference_episodes_csv
 import repgame
 from repgame import BoundedCDF, SimStats, SolverError, simulate, solve, solve_mild
-from repgame.cli import _episode_rows, build_parser, main
+from repgame.cli import _episode_rows, _format_floats, build_parser, format_float, main
 from repgame.simulate import CHUNK, OUTCOMES, outcome_codes, simulate_arrays
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -292,6 +292,31 @@ class TestSimulate:
         assert csv_path.read_bytes() == reference_episodes_csv(arrays).encode("utf-8")
         assert json.loads(out)["stats"]["counts"] == SimStats.from_arrays(arrays).to_dict()["counts"]
 
+    @pytest.mark.parametrize(
+        "overrides, reached",
+        [
+            # a scaled_beta H that puts costs below 1e-4, which decimal_cells leaves over
+            ({"H": BoundedCDF.scaled_beta(0.0, 1.0, 0.2, 2.0)}, lambda a: a["c"][a["theta"] != 2] < 1e-4),
+            # a G support reaching above 1: rho cells with up to two digits before the point
+            ({"G": BoundedCDF.uniform(0.0, 30.0), "beta_G": 40.0}, lambda a: a["rho"] >= 10.0),
+        ],
+        ids=["beta-H-small-costs", "G-above-1"],
+    )
+    def test_csv_cells_the_p1_goldens_never_reach(self, capsys, tmp_path, overrides, reached):
+        params = make_p1(**overrides)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(params.to_dict()))
+        csv_path = tmp_path / "episodes.csv"
+        n = CHUNK + 3
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(config), "--n", str(n), "--seed", "4",
+            "--episodes-out", str(csv_path),
+        )
+        assert code == 0
+        arrays = simulate_arrays(params, solve_mild(params), n, seed=4)
+        assert csv_path.read_bytes() == reference_episodes_csv(arrays).encode("utf-8")
+        assert reached(arrays).any()
+
     @pytest.mark.parametrize("theta, raises", [(0, True), (2, False)])
     def test_non_finite_cost_in_block(self, theta, raises):
         block = simulate_arrays(make_p1(), solve_mild(make_p1()), 20, seed=0)
@@ -301,7 +326,7 @@ class TestSimulate:
             with pytest.raises(SolverError, match=r"^non-finite value in output: nan$"):
                 _episode_rows(block, outcome_codes(block))
         else:  # an unorganized activist's cost is never written
-            assert _episode_rows(block, outcome_codes(block)).count("\n") == 20
+            assert _episode_rows(block, outcome_codes(block)).count(b"\n") == 20
 
     def test_severe_variant(self, capsys, p2_config):
         code, out, _ = run_cli(
@@ -319,6 +344,64 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert payload["stats"]["q_hat_prime"] == 1.0  # reveal identifies good types
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k units in the last place (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+# 10**k a few ulps either way, weighted to the edges of '%.12g''s fixed form
+_NEAR_POWERS = st.builds(
+    lambda k, ulps, sign: sign * _ulps(float(f"1e{k}"), ulps),
+    st.sampled_from([-5, -4, 11, 12]) | st.integers(-323, 308),
+    st.integers(-3, 3),
+    _SIGN,
+)
+# m.5 * 10**(e - 11) a few ulps either way, for a 12-digit m: the 13th
+# significant digit is a constructed tie
+_NEAR_TIES = st.builds(
+    lambda m, e, ulps, sign: sign * _ulps(float(f"{m}5e{e - 12}"), ulps),
+    st.integers(10**11, 10**12 - 1),
+    st.integers(-6, 13),
+    st.integers(-3, 3),
+    _SIGN,
+)
+_FIXED_FORM = st.builds(
+    lambda u, e, sign: sign * u * 10.0**e, st.floats(1.0, 10.0, exclude_max=True), st.integers(-5, 12), _SIGN
+)
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | _NEAR_POWERS | _NEAR_TIES | _FIXED_FORM
+
+
+class TestFormatFloats:
+    """_format_floats is format_float, as bytes, on every element."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_DOUBLES, min_size=1, max_size=30))
+    def test_equals_format_float(self, values):
+        got = _format_floats(np.array(values, dtype=np.float64))
+        assert got.dtype == np.dtype("S24")
+        assert got.tolist() == [format_float(v).encode() for v in values]
+
+    def test_across_slices(self):
+        rng = np.random.default_rng(8)
+        n = 3 * simulate._SLICE + 5
+        values = rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.integers(-7, 15, n)
+        values[::97] = np.round(values[::97], 2)
+        assert _format_floats(values).tolist() == [format_float(v).encode() for v in values.tolist()]
+
+    def test_array_part_takes_almost_every_uniform_draw(self):
+        values = np.random.default_rng(3).random(100_000)
+        _, rest = simulate.decimal_cells(values)
+        assert len(rest) < 100  # a product on a tie is about 2 in 10**4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(SolverError, match=rf"^non-finite value in output: {bad}$"):
+            _format_floats(np.array([0.5, bad, math.nan]))
 
 
 def _force_workers(monkeypatch, count: int) -> None:
@@ -804,6 +887,47 @@ class TestColdStart:
         proc = _fresh_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0 True\n"
+
+    def test_pooled_simulation_builds_the_csv_tables_before_the_fork(self, p1_config, tmp_path):
+        # the parent encodes no block itself, so only a pre-fork build fills its caches
+        argv = ["simulate", "--config", p1_config, "--n", str(2 * CHUNK), "--seed", "0",
+                "--episodes-out", str(tmp_path / "episodes.csv")]
+        script = (
+            "import contextlib, io\n"
+            "from repgame import cli, simulate\n"
+            "simulate._worker_count = lambda n_blocks: min(2, n_blocks)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main({argv!r})\n"
+            "print(code, cli._row_templates.cache_info().currsize, simulate.cell_tables.cache_info().currsize)\n"
+        )
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 1 1\n"
+
+    def test_only_an_episode_csv_builds_the_csv_tables(self, p1_config, tmp_path):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from repgame import cli\n"
+            "def built():\n"
+            "    sim = sys.modules.get('repgame.simulate')\n"
+            "    return [cli._row_templates.cache_info().currsize, sim and sim.cell_tables.cache_info().currsize]\n"
+            "print(json.dumps(built()))\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "    print(json.dumps(built()))\n"
+        )
+        simulate_argv = ["simulate", "--config", p1_config, "--n", "10", "--seed", "0"]
+        commands = [
+            ["check", "--config", p1_config],
+            ["solve-mild", "--config", p1_config],
+            simulate_argv,
+            simulate_argv + ["--episodes-out", str(tmp_path / "episodes.csv")],
+        ]
+        proc = _fresh_python("-c", script, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        built = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert built == [[0, None], [0, None], [0, None], [0, 0], [1, 1]]
 
     def test_help_exits_0(self):
         proc = _fresh_python("-m", "repgame.cli", "--help")

@@ -116,6 +116,22 @@ class TestSolveMildP1:
         assert solve_mild(p1).residual <= 1e-10
 
 
+def test_solve_mild_evaluates_g_inverse_once(monkeypatch):
+    # reveal_likelihood_ratio and the closed-form cross-check share one G^{-1}(alpha_G)
+    params = make_p1(G=BoundedCDF.scaled_beta(0.0, 1.0, 2.0, 2.0))
+    quantile = BoundedCDF.quantile
+    calls = []
+
+    def counting(self, u):
+        if self is params.G and np.ndim(u) == 0 and u == params.alpha_G:
+            calls.append(u)
+        return quantile(self, u)
+
+    monkeypatch.setattr(BoundedCDF, "quantile", counting)
+    solve_mild(params)
+    assert len(calls) == 1
+
+
 class TestIdentities:
     def test_identity_suite_p1(self, p1):
         eq = solve_mild(p1)

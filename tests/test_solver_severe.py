@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,24 @@ def _scan_roots_loop(f, xs):
         if not out or r - out[-1] > 1e-9:
             out.append(r)
     return out
+
+
+@pytest.mark.parametrize(
+    "params, corner", [(make_p2(), False), (TestCorner()._corner_params(), True)], ids=["interior", "corner"]
+)
+def test_severe_solve_evaluates_g_beta_g_once(monkeypatch, params, corner):
+    # the scan's G(beta_G) feeds f_B, the corner equation and the build
+    cdf = BoundedCDF.cdf
+    callers = []
+
+    def counting(self, x):
+        if self is params.G and np.ndim(x) == 0 and x == params.beta_G:
+            callers.append(Path(sys._getframe(1).f_code.co_filename).name)
+        return cdf(self, x)
+
+    monkeypatch.setattr(BoundedCDF, "cdf", counting)
+    assert solve_severe(params).corner is corner
+    assert callers.count("solver_severe.py") == 1
 
 
 class TestScanRoots1D:
