@@ -107,18 +107,24 @@ def _emit(text: str, out_path: str | None) -> None:
 # -- config -------------------------------------------------------------------
 
 
-def load_params(path: str) -> ModelParams:
-    from . import model
-
+def _read_json(path: str):
+    """The JSON document in ``path``; failing to read or parse it is a config
+    error, with a JSON syntax error placed as path:line:column."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # not UTF-8, or an integer literal too long to parse
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_params(path: str) -> ModelParams:
+    from . import model
+
+    raw = _read_json(path)
     try:
         return model.ModelParams.from_dict(raw)
     except (TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
@@ -244,11 +250,7 @@ def _cmd_estimate(args) -> int:
     if args.stats:
         from . import simulate
 
-        try:
-            with open(args.stats, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON, not UTF-8, huge integer
-            raise ConfigError(f"{args.stats}: {exc}") from exc
+        raw = _read_json(args.stats)
         if isinstance(raw, dict) and "stats" in raw:
             raw = raw["stats"]  # the whole payload of simulate --out
         try:

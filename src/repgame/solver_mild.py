@@ -121,12 +121,6 @@ def _require_h_free(report: model.AssumptionReport) -> None:
     model.require(report, failed, "non-H mild clauses")
 
 
-def _certified_root(f, lo: float, hi: float, tol: float, what: str) -> tuple[float, float]:
-    """(c, |f(c)|) for the root c of an increasing f on [lo, hi]: find_root's,
-    through ``_certify``."""
-    return _certify(f, find_root(f, lo, hi), lo, hi, tol, what)
-
-
 def _certify(f, c: float, lo: float, hi: float, tol: float, what: str) -> tuple[float, float]:
     """(c, |f(c)|) for find_root's root c of an increasing f on [lo, hi].
 
@@ -488,7 +482,8 @@ def no_concession_equilibrium(params: ModelParams, tol: float = DEFAULT_TOL) -> 
             f"no-concession variant needs G(beta_e) > c_lo, got {g_at_be} <= {params.H.lo}"
         )
     f = lambda c: _threshold_residual(params, be, g_at_be, c)
-    c_tilde, residual = _certified_root(f, params.H.lo, g_at_be, tol, "no-concession")
+    lo, hi = params.H.lo, g_at_be
+    c_tilde, residual = _certify(f, find_root(f, lo, hi), lo, hi, tol, "no-concession")
     q = params.q
     gp = _gamma_prime(params.H.cdf(c_tilde), params.gamma)
     mu_R = Belief(q, 1.0 - q, 0.0)

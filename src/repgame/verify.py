@@ -50,27 +50,6 @@ class RegretReport:
         return dataclasses.asdict(self)
 
 
-def _available_payoffs(params: ModelParams, p_R: float, p_NN: float, theta: str, c: float, variant: str) -> dict:
-    alpha = params.alpha_G if theta == "G" else params.alpha_B
-    payoffs = {"conceal": 1.0 - p_NN - c, "reveal": 1.0 - p_R}
-    if variant != "no-concession":
-        payoffs["concede"] = 1.0 - alpha
-    return payoffs
-
-
-def _prescribed_actions(cutoff: float, reveal: float, lo: float, c: float) -> tuple[str, ...]:
-    """Actions of a type with this cutoff and reveal probability at cost c.
-
-    A type that mixes (0 < reveal < 1) is prescribed both open actions. A
-    cutoff pinned at the support's lower edge lo (the severe corner) is not
-    an indifference point: it conceals no type, so ties there take the open
-    action.
-    """
-    if c <= cutoff and cutoff > lo:
-        return ("conceal",)
-    return ("reveal",) * (reveal > 0.0) + ("concede",) * (reveal < 1.0)
-
-
 def best_response_check(params: ModelParams, eq, grid: int = DEFAULT_GRID) -> RegretReport:
     """No-profitable-deviation check against the equilibrium public play.
 
@@ -78,25 +57,32 @@ def best_response_check(params: ModelParams, eq, grid: int = DEFAULT_GRID) -> Re
     action (worst element of the prescribed set, so mixing types must be
     exactly indifferent) is compared to the best available action. Public
     protest thresholds come from the equilibrium's stored posteriors, so a
-    deliberately perturbed threshold shows up as positive regret.
+    deliberately perturbed threshold shows up as positive regret. A cutoff
+    pinned at the support's lower edge (the severe corner) is not an
+    indifference point: it conceals no type, so ties there take the open
+    action. The worst type is the first grid type, good types first, with
+    the largest regret above zero.
     """
     if not 2 <= grid <= MAX_GRID:
         raise DomainError(f"grid must be 2 to {MAX_GRID}, got {grid}")
     variant, cutoffs, reveals = strategy(eq)
-    p_R = model.protest_prob(eq.mu_R, params)
-    p_NN = model.protest_prob(eq.mu_NN, params)
+    reveal = 1.0 - model.protest_prob(eq.mu_R, params)
+    stay = 1.0 - model.protest_prob(eq.mu_NN, params)
     cs = np.linspace(params.H.lo, params.H.hi, grid)
-    max_regret = 0.0
-    worst: tuple[str, float] | None = None
-    for theta, cutoff, reveal in zip(("G", "B"), cutoffs, reveals):
-        for c in cs:
-            payoffs = _available_payoffs(params, p_R, p_NN, theta, float(c), variant)
-            prescribed = _prescribed_actions(cutoff, reveal, params.H.lo, float(c))
-            regret = max(payoffs.values()) - min(payoffs[a] for a in prescribed)
-            if regret > max_regret:
-                max_regret = regret
-                worst = (theta, float(c))
-    return RegretReport(max(max_regret, 0.0), worst, 0.0, {})
+    conceal = stay - cs
+    regrets = []
+    for alpha, cutoff, r in zip((params.alpha_G, params.alpha_B), cutoffs, reveals):
+        # without concession on offer, reveal is the one open action
+        concede = reveal if variant == "no-concession" else 1.0 - alpha
+        # a type that mixes (0 < r < 1) is prescribed both open actions
+        worst_open = min(reveal if r > 0.0 else concede, concede if r < 1.0 else reveal)
+        prescribed = np.where((cs <= cutoff) & (cutoff > params.H.lo), conceal, worst_open)
+        regrets.append(np.maximum(conceal, max(reveal, concede)) - prescribed)
+    regret = np.concatenate(regrets)
+    i = int(np.argmax(regret))
+    if not regret[i] > 0.0:
+        return RegretReport(0.0, None, 0.0, {})
+    return RegretReport(float(regret[i]), ("GB"[i // grid], float(cs[i % grid])), 0.0, {})
 
 
 def bayes_consistency_check(params: ModelParams, eq) -> RegretReport:

@@ -19,12 +19,13 @@ from repgame import (
     MildEquilibrium,
     ModelParams,
     NoConcessionEquilibrium,
+    RegretReport,
     SevereEquilibrium,
     model,
 )
 from repgame.cli import format_float
 from repgame.simulate import ACTIONS, OBSERVATIONS, THETAS
-from repgame.solver_severe import bound_D_lower, repression_probabilities, solve
+from repgame.solver_severe import bound_D_lower, repression_probabilities, solve, strategy
 from repgame.sweep import COLUMNS, SweepRow, SweepSpec, apply_axis
 
 
@@ -364,3 +365,32 @@ def reference_sweep(spec: SweepSpec) -> list[SweepRow]:
     if not any_valid:
         raise EmptySweepError(f"no valid grid point on {spec.axis} in [{spec.start}, {spec.end}]")
     return rows
+
+
+def reference_best_response(params: ModelParams, eq, grid: int) -> RegretReport:
+    """``repgame.verify.best_response_check`` as a loop over the grid's
+    types, one payoff table and prescribed action set per type: the
+    reference for the array form."""
+    variant, cutoffs, reveals = strategy(eq)
+    p_R = model.protest_prob(eq.mu_R, params)
+    p_NN = model.protest_prob(eq.mu_NN, params)
+    max_regret = 0.0
+    worst = None
+    for theta, alpha, cutoff, reveal in zip(
+        ("G", "B"), (params.alpha_G, params.alpha_B), cutoffs, reveals
+    ):
+        for c in np.linspace(params.H.lo, params.H.hi, grid):
+            c = float(c)
+            payoffs = {"conceal": 1.0 - p_NN - c, "reveal": 1.0 - p_R}
+            if variant != "no-concession":
+                payoffs["concede"] = 1.0 - alpha
+            # the severe corner's cutoff at H.lo conceals no type
+            if c <= cutoff and cutoff > params.H.lo:
+                prescribed = ("conceal",)
+            else:
+                prescribed = ("reveal",) * (reveal > 0.0) + ("concede",) * (reveal < 1.0)
+            regret = max(payoffs.values()) - min(payoffs[a] for a in prescribed)
+            if regret > max_regret:
+                max_regret = regret
+                worst = (theta, c)
+    return RegretReport(max(max_regret, 0.0), worst, 0.0, {})

@@ -611,6 +611,13 @@ class TestEstimate:
         assert code == 5 and out == ""
         assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
 
+    def test_truncated_stats_file_names_line_and_column(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"a": ')
+        code, out, err = run_cli(capsys, "estimate", "--stats", str(path))
+        assert code == 5 and out == ""
+        assert err == f"config error: {path}:1:7: Expecting value\n"
+
     def test_missing_inputs_exit_5(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--q-hat", "0.6")
         assert code == 5

@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from helpers import make_p1, make_p2, reference_draw_params
+from helpers import make_p1, make_p2, reference_best_response, reference_draw_params
 from repgame import (
     AssumptionError,
     BoundedCDF,
@@ -25,7 +25,8 @@ from repgame import (
     solve_severe,
 )
 from repgame import distributions, model, solver_mild, verify
-from repgame.verify import BETA_FLAG, _uniform, draw_params
+from repgame.solver_severe import solve
+from repgame.verify import BETA_FLAG, MAX_GRID, _uniform, draw_params
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +69,50 @@ class TestBestResponse:
         report = best_response_check(make_p2(), bumped, grid=1000)
         assert report.max_regret >= 0.01
 
+    def test_perturbed_bad_type_threshold_creates_regret(self, severe_eq):
+        bumped = dataclasses.replace(severe_eq, c_tilde_B=severe_eq.c_tilde_B + 0.05)
+        report = best_response_check(make_p2(), bumped, grid=1000)
+        assert report.max_regret >= 0.01
+        theta, c = report.worst_type
+        assert theta == "B" and c > severe_eq.c_tilde_B
+
+    @pytest.mark.parametrize(
+        "params, solver", [(make_p1(), solve_mild), (make_p2(), solve_severe)], ids=["p1", "p2"]
+    )
+    def test_largest_grid(self, params, solver):
+        report = best_response_check(params, solver(params), grid=MAX_GRID)
+        assert report.max_regret <= 1e-9
+
     def test_grid_validation(self, mild_eq):
         with pytest.raises(DomainError):
             best_response_check(make_p1(), mild_eq, grid=1)
+
+    def test_matches_reference(self):
+        # solved draws, each with a raised threshold, mild draws' no-concession
+        # equilibria and the severe corner: ties, zero regrets and pinned cutoffs
+        corner = make_p2(gamma=0.6, alpha_B=0.3, H=BoundedCDF.scaled_beta(0.0, 1.0, 0.3, 3.0))
+        cases = [(corner, solve_severe(corner))]
+        rng = np.random.default_rng(5)
+        for regime, raised in (("mild", ["c_tilde"]), ("severe", ["c_tilde_G", "c_tilde_B"])):
+            accepted = 0
+            while accepted < 25:
+                params = draw_params(rng, regime)
+                if params is None:
+                    continue
+                accepted += 1
+                eq = solve(regime, params)
+                cases.append((params, eq))
+                cases += [(params, dataclasses.replace(eq, **{k: getattr(eq, k) * 1.01})) for k in raised]
+                if regime == "mild":
+                    try:
+                        cases.append((params, no_concession_equilibrium(params)))
+                    except RepgameError:
+                        pass
+        for params, eq in cases:
+            for grid in (2, 57, 1000):
+                assert repr(best_response_check(params, eq, grid)) == repr(
+                    reference_best_response(params, eq, grid)
+                )
 
 
 class TestBayesConsistency:
