@@ -67,8 +67,10 @@ def cdf_columns(x, lo, hi, is_beta, a, b) -> np.ndarray:
 def cost_columns(lo, hi, is_beta, a, b) -> SimpleNamespace:
     """A column of uniform or scaled_beta distributions under BoundedCDF's
     names: lo, hi and a ``cdf_columns`` cdf, as ``model.clauses`` reads a
-    block of parameter sets."""
-    return SimpleNamespace(lo=lo, hi=hi, cdf=lambda x: cdf_columns(x, lo, hi, is_beta, a, b))
+    block of parameter sets; ``columns`` holds the five columns."""
+    return SimpleNamespace(
+        lo=lo, hi=hi, columns=(lo, hi, is_beta, a, b), cdf=lambda x: cdf_columns(x, lo, hi, is_beta, a, b)
+    )
 
 
 def _newton_polish(a: float, b: float, p: np.ndarray, t: np.ndarray) -> None:

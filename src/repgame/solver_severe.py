@@ -20,18 +20,20 @@ Every fixed point of the clamped threshold map is the corner or a root of
 the gap-substituted bad-type residual f_B. c_tilde_G never clamps: at
 c_tilde_G = c_lo no type conceals, so p_NN = G(0) = 0 < G(beta_G) - c_lo.
 Uniqueness holds for weakly log-convex H; for other shapes the solver
-scans f_B on a grid that holds H's kinks, returns the fixed point with the
-smallest c_tilde_B and lists the rest in ``multiplicity_note`` rather than
-hiding them.
+scans f_B on a 2,048-point grid that holds H's kinks, returns the fixed
+point with the smallest c_tilde_B and lists the rest in
+``multiplicity_note`` rather than hiding them. The scan evaluates f_B only
+where a monotone bound on a grid interval cannot decide its sign.
 
 A solve runs in three steps: the scan, the root search in each scan cell
 and the corner's bracket, and the build that certifies the fixed points.
-``solve_block`` runs the root searches of a whole block of points in
-lockstep between the other two.
+``solve_block`` runs the bound scans and then the root searches of a whole
+block of points in lockstep; a single solve scans as a block of one point.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -53,6 +55,30 @@ from .solver_mild import (
 )
 
 _SCAN_1D = 2048
+# the bound scan starts each point from this many index intervals of its grid
+_SCAN_START = 8
+# An interval is cleared when its lower bound on f_B exceeds _SLACK or its
+# upper bound falls below -_SLACK. At an interval's ends no margin is needed:
+# each end's own (H(c_G), H(c_B)) is a corner of the box, taken with f_B's
+# own IEEE operations, so the bound there is f_B's computed value, up to any
+# rounding by which G fails to be monotone between two nearby arguments.
+# Inside, the computed f_B strays from the exact bound by rounding alone. The
+# posterior mean m, a convex combination of beta_G, beta_B and 0, is computed
+# to a few ulps of B = max(|beta_G|, |beta_B|) / (1 - gamma). An H or G that
+# is monotone only up to its evaluation error (betainc, np.interp) adds a few
+# ulps of H, times m's slope in H (at most 2 B), and a few ulps of G. G's
+# slope L carries m's error into G(m), and + c - alpha_B rounds to ulps of 1.
+# In all that is about 1e-15 * (1 + L B): under 1e-13 on the sign-law draws
+# with a uniform G (B <= 15, L <= 1.25), a tenth of _SLACK. Where L B is
+# larger, a point whose sign the margin could get wrong lies within about
+# 1e-12 of a root or tangency of f_B, where its computed sign is rounding
+# noise in the full-grid scan too.
+_SLACK = 1e-12
+# Each block point's (zeros, cells) by the id of its params, while
+# _severe_scans runs the bound scans of a block together. The per-point scan
+# step reads them here, not from an argument, so that a single solve and a
+# block call the one step _severe_scan(params, report) alike.
+_PRESCANNED: ContextVar[dict] = ContextVar("_PRESCANNED")
 
 
 @dataclass(frozen=True)
@@ -113,10 +139,11 @@ def solve_block(variant: str, points: list) -> list:
     order. ``variant`` is "mild" or "severe".
 
     The points run through each step of their solve together. The steps
-    around a root search run point by point, and each root search runs on
-    the whole block in one ``find_roots`` call, bit for bit the per-point
-    ``find_root``. A point whose step fails carries its own error and leaves
-    the other points alone.
+    around a root search run point by point, except that the severe scan
+    step's bound scans run on the whole block at once; each root search
+    runs on the whole block in one ``find_roots`` call, bit for bit the
+    per-point ``find_root``. A point whose step fails carries its own error
+    and leaves the other points alone.
     """
     if variant == "mild":
         brackets = [_attempt(solver_mild.threshold_bracket, p, r) for p, r in points]
@@ -124,7 +151,7 @@ def solve_block(variant: str, points: list) -> list:
         roots = _lockstep(equation, [(p, (), b) for (p, _), b in zip(points, brackets)])
         return [_attempt(_mild_build, p, b, c) for (p, _), b, c in zip(points, brackets, roots)]
     if variant == "severe":
-        scans = [_attempt(_severe_scan, p, r) for p, r in points]
+        scans = _severe_scans(points)
         live = [s for s in scans if not isinstance(s, RepgameError)]
         cells = [(s.params, (s.gap,), cell) for s in live for cell in s.cells]
         corners = [(s.params, (s.g_beta_G,), (s.params.H.lo, s.g_beta_G)) for s in live if s.corner]
@@ -202,6 +229,20 @@ def _block(points: list[ModelParams]) -> SimpleNamespace:
     return SimpleNamespace(**block)
 
 
+def _rows(block: SimpleNamespace, rows, names=None) -> SimpleNamespace:
+    """The points of a ``_block`` at the indices ``rows``, as a block of its
+    attributes ``names``, or of all of them."""
+
+    def take(v):
+        if isinstance(v, np.ndarray):
+            return v[rows]
+        if isinstance(v, SimpleNamespace):
+            return cost_columns(*(c[rows] for c in v.columns))
+        return v  # a distribution that every point shares
+
+    return SimpleNamespace(**{k: take(getattr(block, k)) for k in names or vars(block)})
+
+
 def repression_probabilities(eq, params: ModelParams) -> RepressionProbabilities:
     """The six repression/concession probabilities of ``strategy(eq)``,
     conditional on an organized activist."""
@@ -236,14 +277,20 @@ def posterior_nn_severe(c_B: float, c_G: float, params: ModelParams) -> Belief:
     )
 
 
-def _p_nn(params: ModelParams, c_B, c_G):
-    """Protest probability after no news, vectorized over thresholds."""
+def _posterior_mean(params, h_G, h_B):
+    """The no-news posterior mean of beta when the good and bad types
+    conceal with probabilities h_G and h_B: linear-fractional in (h_G, h_B),
+    with a positive denominator, so on a box it takes its extremes at the
+    corners."""
     g, q = params.gamma, params.q
-    h_G = params.H.cdf(c_G)
-    h_B = params.H.cdf(c_B)
     num = g * (h_G * q * params.beta_G + h_B * (1.0 - q) * params.beta_B)
     den = g * (h_G * q + h_B * (1.0 - q)) + 1.0 - g
-    return params.G.cdf(num / den)
+    return num / den
+
+
+def _p_nn(params: ModelParams, c_B, c_G):
+    """Protest probability after no news, vectorized over thresholds."""
+    return params.G.cdf(_posterior_mean(params, params.H.cdf(c_G), params.H.cdf(c_B)))
 
 
 def effect_D_severe(params: ModelParams) -> float:
@@ -261,10 +308,24 @@ def _scan_cells(f, xs: np.ndarray) -> tuple[list[float], list[tuple[float, float
     """(zeros, cells) of a vectorized f scanned on the sorted points xs: the
     points where f is 0, and each cell (a, b) of adjacent points whose ends
     differ in sign and whose left end is no zero, which holds a root."""
+    return _scan_rows(f, xs, np.zeros(xs.size, dtype=np.intp), 1)[0]
+
+
+def _scan_rows(f, xs: np.ndarray, rows: np.ndarray, n: int) -> list:
+    """``_scan_cells`` of n scans at once: xs holds each scan's sorted points
+    in turn, ``rows`` the scan of each point, f evaluates each point in its
+    own scan's parameters, and a cell joins two points of one scan. A list
+    of (zeros, cells), one for each scan."""
     vals = np.asarray(f(xs), dtype=float)
     neg = vals < 0.0
-    i = np.flatnonzero((neg[:-1] != neg[1:]) & (vals[:-1] != 0.0))
-    return xs[vals == 0.0].tolist(), list(zip(xs[i].tolist(), xs[i + 1].tolist()))
+    i = np.flatnonzero((rows[:-1] == rows[1:]) & (neg[:-1] != neg[1:]) & (vals[:-1] != 0.0))
+    z = np.flatnonzero(vals == 0.0)
+    found = [([], []) for _ in range(n)]
+    for r, x in zip(rows[z].tolist(), xs[z].tolist()):
+        found[r][0].append(x)
+    for r, a, b in zip(rows[i].tolist(), xs[i].tolist(), xs[i + 1].tolist()):
+        found[r][1].append((a, b))
+    return found
 
 
 def _distinct(roots: list[float]) -> list[float]:
@@ -277,18 +338,119 @@ def _distinct(roots: list[float]) -> list[float]:
     return out
 
 
+def _grid(lo, hi, k):
+    """Point k of the scan grid on [lo, hi]: np.linspace(lo, hi, _SCAN_1D)[k],
+    bit for bit, by linspace's own formula (for a nonzero step), without
+    making the grid. lo, hi and k may be columns."""
+    return np.where(k == _SCAN_1D - 1, hi, k * ((hi - lo) / (_SCAN_1D - 1)) + lo)
+
+
+def _kinks(H, gap):
+    """Where a piecewise-linear H puts a kink in f_B: its knots x, and x -
+    gap, where c_G = c_B + gap reaches a knot. With gap a column of shape
+    (n, 1), a row of kinks for each entry."""
+    knots = np.array([x for x, _ in H.params])
+    return np.concatenate(np.broadcast_arrays(knots, knots - gap), axis=-1)
+
+
 def _scan_points(params: ModelParams, gap: float) -> np.ndarray:
-    """The scan grid of f_B on [H.lo, alpha_B]: a linspace, plus the points inside
-    where a piecewise-linear H puts a kink in f_B, its knots x and x - gap (a
-    knot of H(c_G) at c_G = c_B + gap). Two roots beside a knot that share a
-    linspace cell then get cells of their own."""
+    """The points of f_B's scan on [H.lo, alpha_B]: the grid, plus the kinks
+    inside, where a piecewise-linear H bends f_B. Two roots beside a kink that
+    share a grid cell then get cells of their own. The bound scan finds
+    ``_scan_cells(f_B, _scan_points(params, gap))`` without evaluating f_B on
+    all of these points."""
     lo, hi = params.H.lo, params.alpha_B
-    xs = np.linspace(lo, hi, _SCAN_1D)
+    xs = _grid(lo, hi, np.arange(_SCAN_1D))
     if params.H.family != "piecewise_linear":
         return xs
-    knots = np.array([x for x, _ in params.H.params])
-    kinks = np.concatenate((knots, knots - gap))
+    kinks = _kinks(params.H, gap)
     return np.union1d(xs, kinks[(kinks > lo) & (kinks < hi)])
+
+
+def _bounds(p, x, h_B, h_G):
+    """(lower, upper) bounds on f_B(c) = G(m) + c - alpha_B over each
+    interval [x[0], x[1]] of c_B, one on each row of the block p, from H(c_B)
+    and H(c_G) at its two ends, the rows of h_B and h_G. H and G are
+    nondecreasing, so G(m) lies between G at the least and at the greatest
+    posterior mean m over the four corners of the box."""
+    m = _posterior_mean(p, h_G[:, None], h_B[None])
+    lower = (p.G.cdf(m.min(axis=(0, 1))) + x[0]) - p.alpha_B
+    upper = (p.G.cdf(m.max(axis=(0, 1))) + x[1]) - p.alpha_B
+    return lower, upper
+
+
+def _bound_scans(p: SimpleNamespace, gap: np.ndarray) -> list:
+    """``_scan_cells(f_B, _scan_points(params, gap))`` of each point of the
+    block p, all of whose points have alpha_B > H.lo, with gap its column of
+    G(beta_G) - alpha_B, found by a bound scan in lockstep.
+
+    Each point starts from _SCAN_START index intervals of its grid. An
+    interval whose ``_bounds`` clear 0 by _SLACK is dropped (interval
+    analysis's exclusion test; Moore, Kearfott and Cloud, *Introduction to
+    Interval Analysis*, SIAM 2009); the rest are halved by index until each
+    is one grid cell. f_B is then evaluated on the ends of the cells left,
+    and on the kinks inside them. A maximal run of dropped intervals has one
+    strict sign at all of its grid points and kinks, its ends included, so
+    no cell that spans it holds a sign change, and it holds no zero.
+    """
+    n = gap.size
+    lo, hi = np.broadcast_to(p.H.lo, n), p.alpha_B
+
+    def h_at(row, k):
+        # H at c_B = x_k and at c_G = x_k + gap, each on its point's row
+        x, H = _grid(lo[row], hi[row], k), _rows(p, row, ("H",)).H
+        return H.cdf(x), H.cdf(x + gap[row])
+
+    edges = np.append(np.arange(0, _SCAN_1D - 1, -(-(_SCAN_1D - 1) // _SCAN_START)), _SCAN_1D - 1)
+    h_B, h_G = (h.reshape(n, -1) for h in h_at(np.repeat(np.arange(n), edges.size), np.tile(edges, n)))
+    # the intervals [i, j] of grid indices, each on its point's row, with
+    # H(c_B) and H(c_G) at the two ends, as rows (at i, at j)
+    row = np.repeat(np.arange(n), edges.size - 1)
+    ij = np.stack((np.tile(edges[:-1], n), np.tile(edges[1:], n)))
+    hb = np.stack((h_B[:, :-1].ravel(), h_B[:, 1:].ravel()))
+    hg = np.stack((h_G[:, :-1].ravel(), h_G[:, 1:].ravel()))
+    cell_rows, cell_lefts = [], []
+    while row.size:
+        q = _rows(p, row, ("gamma", "q", "beta_G", "beta_B", "alpha_B", "G"))
+        lower, upper = _bounds(q, _grid(lo[row], hi[row], ij), hb, hg)
+        live = ~((lower > _SLACK) | (upper < -_SLACK))
+        width = ij[1] - ij[0]
+        cell = live & (width == 1)
+        cell_rows.append(row[cell])
+        cell_lefts.append(ij[0, cell])
+        halve = live & (width > 1)
+        row, ij, hb, hg = row[halve], ij[:, halve], hb[:, halve], hg[:, halve]
+        mid = ij.sum(axis=0) // 2
+        hb_mid, hg_mid = h_at(row, mid)
+        row = np.concatenate((row, row))
+        ij, hb, hg = (
+            np.concatenate(((end[0], at_mid), (at_mid, end[1])), axis=1)
+            for end, at_mid in ((ij, mid), (hb, hb_mid), (hg, hg_mid))
+        )
+
+    row, left = np.concatenate(cell_rows), np.concatenate(cell_lefts)
+    if not row.size:
+        return [([], []) for _ in range(n)]
+    kinked = getattr(p.H, "family", None) == "piecewise_linear"
+    if kinked:
+        kinks = _kinks(p.H, gap[row, None])
+        a, b = _grid(lo[row], hi[row], np.stack((left, left + 1)))
+        inside = (a[:, None] < kinks) & (kinks < b[:, None])
+        kink_rows, kinks = np.broadcast_to(row[:, None], kinks.shape)[inside], kinks[inside]
+    # each cell's ends once, in order of point and index (np.unique would
+    # import numpy.ma)
+    key = np.sort(np.concatenate((row * _SCAN_1D + left, row * _SCAN_1D + left + 1)))
+    row, k = np.divmod(key[np.append(True, key[1:] != key[:-1])], _SCAN_1D)
+    xs = _grid(lo[row], hi[row], k)
+    if kinked:
+        # the kinks merged in by value, a repeated point once, as np.union1d
+        row, xs = np.concatenate((row, kink_rows)), np.concatenate((xs, kinks))
+        order = np.lexsort((xs, row))
+        row, xs = row[order], xs[order]
+        new = np.ones(xs.size, dtype=bool)
+        new[1:] = (row[1:] != row[:-1]) | (xs[1:] != xs[:-1])
+        row, xs = row[new], xs[new]
+    return _scan_rows(_bad_type_equation(_rows(p, row), gap[row]), xs, row, n)
 
 
 def _fixed_point_residual(params: ModelParams, c_lo: float, g_beta_G: float, cb: float, cg: float):
@@ -329,9 +491,31 @@ class _SevereScan:
     corner: bool
 
 
+def _severe_scans(points: list) -> list:
+    """``_severe_scan`` on each (params, report) of points, or the
+    RepgameError that it raises, with the bound scans of the points that
+    pass their check run together, in one ``_bound_scans`` call."""
+    live = [p for p, r in points if r.ok and p.alpha_B > p.H.lo]
+    found = {}
+    if live:
+        try:
+            block = _block(live)
+        except DomainError:
+            pass  # a varying piecewise-linear H or G: each point scans on its own
+        else:
+            gap = block.G.cdf(block.beta_G) - block.alpha_B
+            found = dict(zip(map(id, live), _bound_scans(block, gap)))
+    token = _PRESCANNED.set(found)
+    try:
+        return [_attempt(_severe_scan, p, r) for p, r in points]
+    finally:
+        _PRESCANNED.reset(token)
+
+
 def _severe_scan(params: ModelParams, report: model.AssumptionReport) -> _SevereScan:
     """The first step of ``solve_severe``, for params whose severe check gave
-    ``report``."""
+    ``report``: its bound scan is a block of one point, unless
+    ``_severe_scans`` has run it with the rest of a block."""
     model.require(report, report.failed_clauses(), "severe-conflict assumption")
     c_lo = params.H.lo
     g_beta_G = params.G.cdf(params.beta_G)
@@ -342,7 +526,8 @@ def _severe_scan(params: ModelParams, report: model.AssumptionReport) -> _Severe
     zeros: list[float] = []
     cells: list[tuple[float, float]] = []
     if params.alpha_B > c_lo:
-        zeros, cells = _scan_cells(f_B, _scan_points(params, gap))
+        found = _PRESCANNED.get({}).get(id(params))
+        zeros, cells = found or _bound_scans(_block([params]), np.array([gap]))[0]
     corner = params.alpha_B <= c_lo or f_B(c_lo) >= 0.0
     return _SevereScan(params, g_beta_G, gap, zeros, cells, corner)
 

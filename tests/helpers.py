@@ -22,6 +22,7 @@ from repgame import (
     RegretReport,
     SevereEquilibrium,
     model,
+    solver_severe,
 )
 from repgame.cli import format_float
 from repgame.simulate import ACTIONS, OBSERVATIONS, THETAS
@@ -135,6 +136,14 @@ def severe_interior_roots(params: ModelParams, n: int = 20_001) -> np.ndarray:
         left = (r_B(mid) < 0.0) == lo_neg  # the sign change lies right of mid
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def reference_severe_scan(params: ModelParams, gap: float) -> tuple[list, list]:
+    """(zeros, cells) of the bad-type residual f_B evaluated at every point of
+    the severe scan, its 2,048-point grid and H's kinks: the full-grid
+    oracle for the bound scan of ``repgame.solver_severe``."""
+    f_B = solver_severe._bad_type_equation(params, gap)
+    return solver_severe._scan_cells(f_B, solver_severe._scan_points(params, gap))
 
 
 def severe_grid_argmin(params: ModelParams, n: int = 1500) -> tuple[float, float, float]:

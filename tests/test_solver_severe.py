@@ -13,6 +13,7 @@ from helpers import (
     make_p1,
     make_p2,
     quad_root_positive,
+    reference_severe_scan,
     severe_grid_argmin,
     severe_grid_zoom_oracle,
     severe_indifference_residuals,
@@ -496,6 +497,154 @@ class TestMultiplicityNote:
             cells = roots // (params.alpha_B / (_SCAN_1D - 1))
             shared_cells += np.unique(cells).size < cells.size
         assert shared_cells >= 5  # the corpus has roots that only the knots separate
+
+
+# -- the bound scan against the full-grid scan ----------------------------------
+
+
+def _assert_scans_match_oracle(points: list) -> int:
+    """Each point's scan step, run on the points as one block, finds exactly
+    the full-grid oracle's zeros and cells; the number of points that scan."""
+    scanned = 0
+    for (params, _), scan in zip(points, solver_severe._severe_scans(points)):
+        assert not isinstance(scan, repgame.RepgameError), scan
+        if params.alpha_B > params.H.lo:
+            assert (scan.zeros, scan.cells) == reference_severe_scan(params, scan.gap), params
+            scanned += 1
+        else:
+            assert scan.zeros == scan.cells == []
+    return scanned
+
+
+def _extreme_shapes(seed: int, n: int) -> list:
+    """The first n accepted severe sign-law draws at seed, with a scaled_beta H
+    of shapes 10^U(-1.5, 3.5) and, in about half of them, a scaled_beta G of
+    shapes 10^U(-1, 3): steep and flat f_B."""
+    rng = np.random.default_rng(seed + 100)
+    params = []
+    for p, _ in _accepted_points("severe", seed, n):
+        H = BoundedCDF.scaled_beta(p.H.lo, p.H.hi, *10 ** rng.uniform(-1.5, 3.5, 2))
+        G = BoundedCDF.scaled_beta(p.G.lo, p.G.hi, *10 ** rng.uniform(-1, 3, 2))
+        params.append(dataclasses.replace(p, H=H, G=G if rng.random() < 0.5 else p.G))
+    return params
+
+
+def _checked(params: list) -> list:
+    """(params, report) of the params that pass the severe check."""
+    points = [(p, repgame.model.check_assumption("severe", p)) for p in params]
+    return [(p, r) for p, r in points if r.ok]
+
+
+class TestBoundScan:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sign_law_draws(self, seed):
+        # about three in eight accepted severe draws scan; the rest are corners only
+        assert _assert_scans_match_oracle(_accepted_points("severe", seed, 2000)) >= 700
+
+    def test_extreme_beta_shapes(self):
+        assert _assert_scans_match_oracle(_checked(_extreme_shapes(3, 1500))) >= 250
+
+    def test_bound_holds_inside_random_intervals(self):
+        # f_B at every grid point of an interval lies within the interval's
+        # bounds, up to the slack; 8 intervals of 1 to 64 cells per point
+        params = [p for p, _ in _checked(_extreme_shapes(4, 400)) if p.alpha_B > p.H.lo]
+        params += [p for p, _ in _accepted_points("severe", 4, 400) if p.alpha_B > p.H.lo]
+        block = solver_severe._block(params)
+        gap = block.G.cdf(block.beta_G) - block.alpha_B
+        lo, hi = block.H.lo, block.alpha_B
+        rng = np.random.default_rng(23)
+        row = np.repeat(np.arange(len(params)), 8)
+        i = rng.integers(0, _SCAN_1D - 1, row.size)
+        ij = np.stack((i, np.minimum(i + rng.integers(1, 65, row.size), _SCAN_1D - 1)))
+        x = solver_severe._grid(lo[row], hi[row], ij)
+        rows = solver_severe._rows(block, row)
+        h_B = np.array([rows.H.cdf(x[0]), rows.H.cdf(x[1])])
+        h_G = np.array([rows.H.cdf(x[0] + gap[row]), rows.H.cdf(x[1] + gap[row])])
+        lower, upper = solver_severe._bounds(rows, x, h_B, h_G)
+        # every grid point of every interval, on its point's row
+        size = ij[1] - ij[0] + 1
+        at = np.repeat(np.arange(row.size), size)
+        k = np.concatenate([np.arange(a, b + 1) for a, b in ij.T])
+        f_B = solver_severe._bad_type_equation(solver_severe._rows(block, row[at]), gap[row[at]])
+        values = f_B(solver_severe._grid(lo[row[at]], hi[row[at]], k))
+        assert np.all(values >= lower[at] - solver_severe._SLACK)
+        assert np.all(values <= upper[at] + solver_severe._SLACK)
+        assert len(params) >= 200
+
+    def test_spiky_piecewise_linear_H_and_the_witness(self):
+        # each spiky H differs, so these points scan one by one; the witness's
+        # gammas share an H and scan as one block, kinks included
+        rng = np.random.default_rng(20)
+        spiky = [
+            make_p2(gamma=float(rng.uniform(0.2, 0.95)), q=float(rng.uniform(0.2, 0.8)), H=_spiky_H(rng))
+            for _ in range(300)
+        ]
+        witness = [
+            make_p2(gamma=WITNESS_GAMMA + float(g), q=WITNESS_Q, H=WITNESS_H)
+            for g in rng.uniform(-3e-4, 3e-4, 40)
+        ]
+        assert _assert_scans_match_oracle(_checked(spiky)) >= 150
+        assert _assert_scans_match_oracle(_checked(witness)) == 40
+
+    @pytest.mark.parametrize("alpha_B, g_first", [(0.38, True), (0.28, False)])
+    def test_two_roots_that_only_an_off_diagonal_corner_sees(self, alpha_B, g_first):
+        # H rises steeply where c_G = c_B + gap crosses 0.0995 (H(c_G) jumps,
+        # m rises) and where c_B crosses 0.1 (H(c_B) jumps; beta_B < m, so m
+        # falls), or the other way round. f_B then has a bump or a dip with a
+        # root on either side, inside one interval whose ends agree in sign;
+        # only the corner (H(c_G) at one end, H(c_B) at the other) bounds it.
+        gap = 0.9 - alpha_B
+        s_G, s_B = (0.0995, 0.1) if g_first else (0.1, 0.0995)
+        knots = sorted([(s_B, 0.05), (s_B + 2e-4, 0.5), (s_G + gap, 0.55), (s_G + gap + 2e-4, 0.95)])
+        H = BoundedCDF.piecewise_linear([(0.0, 0.0), *knots, (1.0, 1.0)])
+        points = _checked([make_p2(q=0.8, beta_B=-0.5, alpha_B=alpha_B, H=H)])
+        assert _assert_scans_match_oracle(points) == 1
+        _, cells = reference_severe_scan(points[0][0], gap)
+        assert sum(0.099 < a < 0.101 for a, _ in cells) == 2
+
+    def test_p2_gamma_sweep(self):
+        grid = np.linspace(0.05, 0.95, 300)
+        assert _assert_scans_match_oracle(_checked([make_p2(gamma=float(g)) for g in grid])) >= 200
+
+    def test_block_of_uniform_scaled_beta_and_corner_only_points(self):
+        beta_H = BoundedCDF.scaled_beta(0.0, 1.0, 2.0, 3.0)
+        params = [
+            make_p2(),
+            make_p2(H=beta_H),
+            make_p2(H=BoundedCDF.uniform(0.5, 1.5)),  # alpha_B <= H.lo: the corner only
+            make_p2(gamma=0.7, H=BoundedCDF.scaled_beta(0.45, 1.2, 2.0, 3.0)),  # corner only
+            make_p2(gamma=0.6, G=BoundedCDF.scaled_beta(0.0, 1.2, 1.5, 2.5), H=beta_H),
+            make_p2(q=0.6, H=BoundedCDF.uniform(0.05, 1.1)),
+        ]
+        points = _checked(params)
+        assert len(points) == len(params)
+        assert _assert_scans_match_oracle(points) == 4
+
+    def test_scan_step_evaluates_few_cdf_elements(self, monkeypatch):
+        # the full-grid scan evaluated H(c_B), H(c_G) and G at each of 2,048
+        # points of every point that scans, 1,062,912 elements on these 173
+        points = _accepted_points("severe", 0, 500)
+        elements = []
+        cdf_columns = repgame.distributions.cdf_columns
+
+        def counted(x, *args):
+            elements.append(np.size(x))
+            return cdf_columns(x, *args)
+
+        monkeypatch.setattr(repgame.distributions, "cdf_columns", counted)
+        solver_severe._severe_scans(points)
+        scanning = sum(p.alpha_B > p.H.lo for p, _ in points)
+        assert scanning == 173
+        assert sum(elements) < 0.1 * 3 * _SCAN_1D * scanning
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, 0.4), (-0.0, 1.0), (-0.3, 0.97), (0.123, 0.1230001), (1e-300, 1e-290), (-7.5, 1e6)],
+    )
+    def test_grid_is_linspace_bit_for_bit(self, lo, hi):
+        grid = solver_severe._grid(lo, hi, np.arange(_SCAN_1D))
+        assert np.array_equal(grid.view(np.uint64), np.linspace(lo, hi, _SCAN_1D).view(np.uint64))
+        assert float(solver_severe._grid(lo, hi, _SCAN_1D - 1)) == hi
 
 
 class TestRandomDraws:
