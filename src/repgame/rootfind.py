@@ -86,7 +86,7 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     row that find_root would reject raises its SolverError, the first such
     row's. ``f`` is evaluated on every row at each step, so this pays only
     on blocks of many rows: its one caller is ``solver_severe.solve_block``,
-    for a sweep's grid and the sign-law draws, and a single solve stays on
+    for a sweep's grid and the sign-law draws, and a search of one row runs
     find_root.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)

@@ -27,14 +27,14 @@ where a monotone bound on a grid interval cannot decide its sign.
 
 A solve runs in three steps: the scan, the root search in each scan cell
 and the corner's bracket, and the build that certifies the fixed points.
-``solve_block`` runs the bound scans and then the root searches of a whole
-block of points in lockstep; a single solve scans as a block of one point.
+``solve_block`` states them once: it runs the bound scans of a whole block
+of points together and its root searches in lockstep, and a single solve is
+a block of one point.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,11 +74,6 @@ _SCAN_START = 8
 # 1e-12 of a root or tangency of f_B, where its computed sign is rounding
 # noise in the full-grid scan too.
 _SLACK = 1e-12
-# Each block point's (zeros, cells) by the id of its params, while
-# _severe_scans runs the bound scans of a block together. The per-point scan
-# step reads them here, not from an argument, so that a single solve and a
-# block call the one step _severe_scan(params, report) alike.
-_PRESCANNED: ContextVar[dict] = ContextVar("_PRESCANNED")
 
 
 @dataclass(frozen=True)
@@ -132,24 +127,26 @@ def solve(variant: str, params: ModelParams, tol: float = DEFAULT_TOL):
     raise DomainError(f"unknown variant {variant!r}")
 
 
-def solve_block(variant: str, points: list) -> list:
-    """``solve(variant, params)`` on each ``(params, report)`` of ``points``,
-    where ``report`` is ``model.check_assumption(variant, params)``: each
-    point's equilibrium, or the RepgameError that solve raises on it, in
-    order. ``variant`` is "mild" or "severe".
+def solve_block(variant: str, points: list, tol: float = DEFAULT_TOL) -> list:
+    """``solve(variant, params, tol)`` on each ``(params, report)`` of
+    ``points``, where ``report`` is ``model.check_assumption(variant,
+    params)``: each point's equilibrium, or the RepgameError that solve
+    raises on it, in order. ``variant`` is "mild" or "severe"; a severe
+    solve is this on a block of one point.
 
     The points run through each step of their solve together. The steps
     around a root search run point by point, except that the severe scan
     step's bound scans run on the whole block at once; each root search
-    runs on the whole block in one ``find_roots`` call, bit for bit the
-    per-point ``find_root``. A point whose step fails carries its own error
-    and leaves the other points alone.
+    runs in ``_lockstep``, bit for bit the per-point ``find_root``. A point
+    whose step fails carries its own error and leaves the other points
+    alone.
     """
+    validate_tol(tol)
     if variant == "mild":
         brackets = [_attempt(solver_mild.threshold_bracket, p, r) for p, r in points]
         equation = solver_mild.threshold_equation
         roots = _lockstep(equation, [(p, (), b) for (p, _), b in zip(points, brackets)])
-        return [_attempt(_mild_build, p, b, c) for (p, _), b, c in zip(points, brackets, roots)]
+        return [_attempt(_mild_build, p, b, c, tol) for (p, _), b, c in zip(points, brackets, roots)]
     if variant == "severe":
         scans = _severe_scans(points)
         live = [s for s in scans if not isinstance(s, RepgameError)]
@@ -162,45 +159,51 @@ def solve_block(variant: str, points: list) -> list:
             if not isinstance(s, RepgameError):
                 roots = [next(cell_roots) for _ in s.cells]
                 roots += [next(corner_roots)] if s.corner else []
-                s = _attempt(_severe_build, s, *roots)
+                s = _attempt(_severe_build, s, *roots, tol=tol)
             out.append(s)
         return out
     raise DomainError(f"no block solver for variant {variant!r}")
 
 
-def _attempt(step, *args):
-    """``step(*args)``, or the first RepgameError among ``args``, or the
-    RepgameError that the step raises."""
+def _attempt(step, *args, **kwargs):
+    """``step(*args, **kwargs)``, or the first RepgameError among ``args``,
+    or the RepgameError that the step raises."""
     failed = next((a for a in args if isinstance(a, RepgameError)), None)
     if failed is not None:
         return failed
     try:
-        return step(*args)
+        return step(*args, **kwargs)
     except RepgameError as exc:
         return exc
 
 
-def _mild_build(params: ModelParams, bracket: tuple[float, float], c: float) -> MildEquilibrium:
-    """The steps of ``solve_mild`` after its root search on ``bracket``."""
-    return solver_mild.mild_equilibrium(params, *solver_mild.certify_threshold(params, *bracket, c))
+def _mild_build(params: ModelParams, bracket: tuple, c: float, tol: float) -> MildEquilibrium:
+    """The steps of ``solve_mild`` at tol after its root search on ``bracket``."""
+    c_tilde, residual = solver_mild.certify_threshold(params, *bracket, c, tol)
+    return solver_mild.mild_equilibrium(params, c_tilde, residual, tol)
 
 
 def _lockstep(equation, jobs: list) -> list:
     """``find_root(equation(params, *args), lo, hi)`` for each ``(params,
-    args, (lo, hi))`` of ``jobs``, all in one ``find_roots`` call, on the
-    points as a ``_block`` and each of the args as a column: each job's
-    root, or the RepgameError that its bracket holds in place of (lo, hi).
-    If find_roots raises, each job is searched on its own, so that a job
-    find_root rejects carries its own error."""
+    args, (lo, hi))`` of ``jobs``: each job's root, or the RepgameError that
+    its bracket holds in place of (lo, hi). The searches run in one
+    ``find_roots`` call, on the points as a ``_block`` and each of the args
+    as a column. A search of one row runs find_root, at a fiftieth of the
+    cost, and so does each job on its own if find_roots raises, so that a
+    job find_root rejects carries its own error."""
     out = [bracket for _, _, bracket in jobs]
     live = [i for i, bracket in enumerate(out) if not isinstance(bracket, RepgameError)]
     if not live:
         return out
     points, args = zip(*(jobs[i][:2] for i in live))
     lo, hi = zip(*(out[i] for i in live))
-    try:
-        roots = find_roots(equation(_block(points), *np.array(args).T), lo, hi).tolist()
-    except RepgameError:
+    roots = None
+    if len(live) > 1:
+        try:
+            roots = find_roots(equation(_block(points), *np.array(args).T), lo, hi).tolist()
+        except RepgameError:
+            pass
+    if roots is None:
         roots = [
             _attempt(find_root, equation(p, *a), x, y) for p, a, x, y in zip(points, args, lo, hi)
         ]
@@ -492,59 +495,51 @@ class _SevereScan:
 
 
 def _severe_scans(points: list) -> list:
-    """``_severe_scan`` on each (params, report) of points, or the
-    RepgameError that it raises, with the bound scans of the points that
-    pass their check run together, in one ``_bound_scans`` call."""
-    live = [p for p, r in points if r.ok and p.alpha_B > p.H.lo]
-    found = {}
-    if live:
-        try:
-            block = _block(live)
-        except DomainError:
-            pass  # a varying piecewise-linear H or G: each point scans on its own
-        else:
-            gap = block.G.cdf(block.beta_G) - block.alpha_B
-            found = dict(zip(map(id, live), _bound_scans(block, gap)))
-    token = _PRESCANNED.set(found)
+    """The scan step of a severe solve on each (params, report) of points:
+    ``_severe_scan``, or the RepgameError that it raises, with the zeros and
+    cells of the points that pass it found by one ``_bound_scans`` call over
+    them all, or point by point where ``_block`` cannot hold them."""
+    scans = [_attempt(_severe_scan, p, r) for p, r in points]
+    live = [i for i, s in enumerate(scans) if not isinstance(s, RepgameError)]
+    live = [i for i in live if scans[i].params.alpha_B > scans[i].params.H.lo]
+    if not live:
+        return scans
+    params, gap = [scans[i].params for i in live], np.array([scans[i].gap for i in live])
     try:
-        return [_attempt(_severe_scan, p, r) for p, r in points]
-    finally:
-        _PRESCANNED.reset(token)
+        block = _block(params)
+    except DomainError:  # a varying piecewise-linear H or G
+        found = [_bound_scans(_block([p]), gap[i : i + 1])[0] for i, p in enumerate(params)]
+    else:
+        found = _bound_scans(block, gap)
+    for i, (zeros, cells) in zip(live, found):
+        scans[i] = replace(scans[i], zeros=zeros, cells=cells)
+    return scans
 
 
 def _severe_scan(params: ModelParams, report: model.AssumptionReport) -> _SevereScan:
-    """The first step of ``solve_severe``, for params whose severe check gave
-    ``report``: its bound scan is a block of one point, unless
-    ``_severe_scans`` has run it with the rest of a block."""
+    """The per-point part of the scan step, for params whose severe check
+    gave ``report``: the check, G(beta_G), the gap and the corner test, with
+    no zeros or cells yet. ``_severe_scans`` fills those in."""
     model.require(report, report.failed_clauses(), "severe-conflict assumption")
-    c_lo = params.H.lo
     g_beta_G = params.G.cdf(params.beta_G)
     gap = g_beta_G - params.alpha_B
     if gap <= 0.0:
         raise SolverError(f"threshold gap G(beta_G) - alpha_B = {gap} not positive")
-    f_B = _bad_type_equation(params, gap)
-    zeros: list[float] = []
-    cells: list[tuple[float, float]] = []
-    if params.alpha_B > c_lo:
-        found = _PRESCANNED.get({}).get(id(params))
-        zeros, cells = found or _bound_scans(_block([params]), np.array([gap]))[0]
-    corner = params.alpha_B <= c_lo or f_B(c_lo) >= 0.0
-    return _SevereScan(params, g_beta_G, gap, zeros, cells, corner)
+    c_lo = params.H.lo
+    corner = params.alpha_B <= c_lo or _bad_type_equation(params, gap)(c_lo) >= 0.0
+    return _SevereScan(params, g_beta_G, gap, [], [], corner)
 
 
 def solve_severe(params: ModelParams, tol: float = DEFAULT_TOL) -> SevereEquilibrium:
-    """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G)."""
-    validate_tol(tol)
-    scan = _severe_scan(params, model.check_assumption("severe", params))
-    f_B = _bad_type_equation(params, scan.gap)
-    roots = [find_root(f_B, a, b) for a, b in scan.cells]
-    if scan.corner:
-        f_G = _corner_equation(params, scan.g_beta_G)
-        roots.append(find_root(f_G, params.H.lo, scan.g_beta_G))
-    return _severe_build(scan, *roots, tol=tol)
+    """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G):
+    ``solve_block`` on a block of one point."""
+    (eq,) = solve_block("severe", [(params, model.check_assumption("severe", params))], tol)
+    if isinstance(eq, RepgameError):
+        raise eq
+    return eq
 
 
-def _severe_build(scan: _SevereScan, *roots: float, tol: float = DEFAULT_TOL) -> SevereEquilibrium:
+def _severe_build(scan: _SevereScan, *roots: float, tol: float) -> SevereEquilibrium:
     """The last step of ``solve_severe``: the equilibrium from find_root's
     ``roots``, one in each of the scan's cells and then, if the corner is
     consistent, the corner's c_G, with every fixed point certified at tol."""

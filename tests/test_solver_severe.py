@@ -353,6 +353,56 @@ def test_severe_solve_evaluates_g_beta_g_once(monkeypatch, params, corner):
     assert callers.count("solver_severe.py") == 1
 
 
+def test_severe_block_evaluates_g_beta_g_once_per_point(monkeypatch):
+    # each point's scalar G(beta_G) feeds its bound scan too: no block form
+    G = BoundedCDF.uniform(0.0, 1.0)  # one object, which the block keeps
+    points = _checked([make_p2(gamma=float(g), G=G) for g in np.linspace(0.05, 0.95, 30)])
+    cdf = BoundedCDF.cdf
+    sizes = []
+
+    def counting(self, x):
+        caller = Path(sys._getframe(1).f_code.co_filename).name
+        if self is G and np.size(x) and np.all(np.asarray(x) == 0.9) and caller == "solver_severe.py":
+            sizes.append(np.size(x))
+        return cdf(self, x)
+
+    monkeypatch.setattr(BoundedCDF, "cdf", counting)
+    solved = solve_block("severe", points)
+    assert not any(isinstance(eq, repgame.RepgameError) for eq in solved)
+    assert sizes == [1] * len(points) and len(points) >= 20
+
+
+def test_only_lockstep_searches_for_roots():
+    # a single solve and a block share one solve path, and one function in it
+    # runs find_root or find_roots
+    tree = ast.parse(Path(solver_severe.__file__).read_text(encoding="utf-8"))
+    users = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id in ("find_root", "find_roots")
+    }
+    assert users == {"_lockstep"}
+
+
+def test_lockstep_runs_find_roots_on_two_or_more_rows(monkeypatch, p2):
+    # one row costs find_roots about fifty times what find_root costs, and a
+    # row whose bracket failed is no row
+    calls = []
+    find_roots = solver_severe.find_roots
+    monkeypatch.setattr(solver_severe, "find_roots", lambda *args: calls.append(args) or find_roots(*args))
+    (scan,) = solver_severe._severe_scans([(p2, repgame.model.check_assumption("severe", p2))])
+    f_B, job = solver_severe._bad_type_equation, (p2, (scan.gap,), scan.cells[0])
+    one = solver_severe._lockstep(f_B, [job])
+    rejected = (p2, (scan.gap,), repgame.SolverError("no bracket"))
+    assert solver_severe._lockstep(f_B, [rejected, job])[1:] == one
+    assert calls == []
+    assert solver_severe._lockstep(f_B, [job, job]) == one + one
+    assert len(calls) == 1
+    assert one == [find_root(f_B(p2, scan.gap), *scan.cells[0])]
+
+
 class TestScanRoots1D:
     @staticmethod
     def _check(f, xs, expected):
@@ -687,19 +737,19 @@ def _outcome(result):
     return repr(result)
 
 
-def _solve_each(variant: str, points: list) -> list:
+def _solve_each(variant: str, points: list, tol: float = solver_mild.DEFAULT_TOL) -> list:
     out = []
     for params, _ in points:
         try:
-            out.append(solve(variant, params))
+            out.append(solve(variant, params, tol))
         except repgame.RepgameError as exc:
             out.append(exc)
     return out
 
 
-def assert_block_matches_solve(variant: str, points: list) -> list:
-    got = [_outcome(r) for r in solve_block(variant, points)]
-    assert got == [_outcome(r) for r in _solve_each(variant, points)]
+def assert_block_matches_solve(variant: str, points: list, tol: float = solver_mild.DEFAULT_TOL) -> list:
+    got = [_outcome(r) for r in solve_block(variant, points, tol)]
+    assert got == [_outcome(r) for r in _solve_each(variant, points, tol)]
     return got
 
 
@@ -731,7 +781,7 @@ class TestSolveBlock:
         ]
         points = [(p, repgame.model.check_assumption("severe", p)) for p in params]
         assert_block_matches_solve("severe", points)
-        assert sum(len(solver_severe._severe_scan(*pt).cells) > 1 for pt in points) >= 10
+        assert sum(len(scan.cells) > 1 for scan in solver_severe._severe_scans(points)) >= 10
 
     def test_varying_piecewise_linear_cost_is_solved_point_by_point(self):
         # no column form holds a piecewise-linear H that varies across the block
@@ -752,6 +802,16 @@ class TestSolveBlock:
         assert solve_block("mild", []) == solve_block("severe", []) == []
         with pytest.raises(DomainError, match="no block solver"):
             solve_block("no-concession", [])
+
+    @pytest.mark.parametrize("regime", ["mild", "severe"])
+    def test_tol_reaches_every_point(self, regime):
+        # at 1e-16 some residuals pass and some fail: 13 of the mild draws
+        # and 9 of the severe ones fail
+        got = assert_block_matches_solve(regime, _accepted_points(regime, 0, 60), tol=1e-16)
+        assert 5 <= sum(isinstance(r, tuple) for r in got) <= 55
+        for tol in (0.0, math.nan):
+            with pytest.raises(DomainError, match="tol must be finite and positive"):
+                solve_block(regime, [], tol=tol)
 
 
 class TestSolveBlockFailures:
@@ -812,16 +872,18 @@ class TestSolveBlockFailures:
 
     def test_severe_interior_cell_that_find_roots_rejects(self, monkeypatch):
         points = _accepted_points("severe", 0, 60)
-        interior = [i for i, pt in enumerate(points) if solver_severe._severe_scan(*pt).cells]
+        interior = [i for i, s in enumerate(solver_severe._severe_scans(points)) if s.cells]
         chosen = {interior[0], interior[-1]}
         qs = {points[i][0].q for i in chosen}
-        scan = solver_severe._severe_scan
+        scans = solver_severe._severe_scans
 
-        def flipped_cells(params, report):
-            s = scan(params, report)
-            return dataclasses.replace(s, cells=[(b, a) for a, b in s.cells]) if params.q in qs else s
+        def flipped_cells(points):
+            return [
+                dataclasses.replace(s, cells=[(b, a) for a, b in s.cells]) if s.params.q in qs else s
+                for s in scans(points)
+            ]
 
-        monkeypatch.setattr(solver_severe, "_severe_scan", flipped_cells)
+        monkeypatch.setattr(solver_severe, "_severe_scans", flipped_cells)
         got = self._check("severe", points, chosen)
         assert got[interior[0]][1].startswith("empty bracket")
 

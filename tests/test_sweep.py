@@ -305,8 +305,8 @@ class TestSevereLockstepFailures:
 
 
 def test_only_solve_block_calls_find_roots():
-    # the lockstep loses to find_root on small blocks, so a single solve stays
-    # scalar; a mild sweep and the sign-law draws reach it through solve_block
+    # the lockstep loses to find_root on small blocks, so a search of one row
+    # runs find_root; sweeps and the sign-law draws reach it through solve_block
     sites = []
     for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
