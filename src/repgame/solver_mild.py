@@ -16,6 +16,13 @@ decreasing, so the root is unique and bracketed on (c_lo, alpha_G).
 Two indifference identities anchor everything downstream: the probability
 of protest after revealed repression equals alpha_G, and after no news it
 equals alpha_G - c_tilde.
+
+A solve runs in three steps: ``threshold_bracket`` checks the point and
+brackets the root, the root search runs on that bracket, and
+``mild_equilibrium`` certifies the root and builds the equilibrium.
+``solve_mild`` runs them on one point around ``find_root``;
+``solver_severe.solve_block`` runs them on a block, with one lockstep root
+search.
 """
 
 from __future__ import annotations
@@ -164,7 +171,7 @@ def threshold_bracket(
     params: ModelParams, report: model.AssumptionReport, relaxed: bool = False
 ) -> tuple[float, float]:
     """[lo, hi] with the threshold equation's root inside, for params whose
-    mild check gave ``report``: the first step of ``solve_threshold``."""
+    mild check gave ``report``: the first step of ``solve_mild``."""
     if relaxed:
         _require_h_free(report)
     else:
@@ -179,40 +186,6 @@ def threshold_bracket(
     if f(pad_lo) < 0.0 < f(pad_hi):
         return pad_lo, pad_hi
     return lo, hi
-
-
-def certify_threshold(
-    params: ModelParams,
-    lo: float,
-    hi: float,
-    c: float,
-    tol: float = DEFAULT_TOL,
-    relaxed: bool = False,
-) -> tuple[float, float]:
-    """(c_tilde, residual) from find_root's root c on ``threshold_bracket``'s
-    [lo, hi]: the last step of ``solve_threshold``."""
-    c_tilde, residual = _certify(threshold_equation(params), c, lo, hi, tol, "threshold")
-    if not relaxed and not params.H.lo < c_tilde < params.alpha_G:
-        raise SolverError(f"threshold {c_tilde} escaped ({params.H.lo}, {params.alpha_G})")
-    return c_tilde, residual
-
-
-def solve_threshold(
-    params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool = False
-) -> tuple[float, float]:
-    """(c_tilde, residual): the concealment threshold, the root of the
-    no-news indifference, and the indifference's absolute value there.
-
-    With ``relaxed=True`` only the clauses that do not involve H are
-    enforced and the bracket is widened to [0, alpha_G], allowing boundary
-    roots. This supports limit analyses where H degenerates and the
-    H-dependent clauses necessarily fail; the root c_tilde = alpha_G (no
-    concealment ever pays) is then legitimate.
-    """
-    validate_tol(tol)
-    lo, hi = threshold_bracket(params, model.check_assumption("mild", params), relaxed)
-    c = find_root(threshold_equation(params), lo, hi)
-    return certify_threshold(params, lo, hi, c, tol, relaxed)
 
 
 def reveal_likelihood_ratio(params: ModelParams, g_inv: float) -> float:
@@ -260,15 +233,31 @@ def solve_mild(
     Raises AssumptionError when the mild-conflict check fails, and
     SolverError if any equilibrium identity fails to certify at the
     requested tolerance (which would indicate a bug, not bad inputs).
+
+    With ``relaxed=True`` only the clauses that do not involve H are
+    enforced and the bracket is widened to [0, alpha_G], allowing boundary
+    roots. This supports limit analyses where H degenerates and the
+    H-dependent clauses necessarily fail; the root c_tilde = alpha_G (no
+    concealment ever pays) is then legitimate.
     """
-    return mild_equilibrium(params, *solve_threshold(params, tol, relaxed=relaxed), tol)
+    validate_tol(tol)
+    bracket = threshold_bracket(params, model.check_assumption("mild", params), relaxed)
+    c = find_root(threshold_equation(params), *bracket)
+    return mild_equilibrium(params, bracket, c, tol, relaxed)
 
 
 def mild_equilibrium(
-    params: ModelParams, c_tilde: float, residual: float, tol: float = DEFAULT_TOL
+    params: ModelParams, bracket: tuple[float, float], c: float, tol: float, relaxed: bool = False
 ) -> MildEquilibrium:
-    """The equilibrium at ``solve_threshold``'s (c_tilde, residual), with its
-    identities certified at tol: the rest of ``solve_mild``."""
+    """The equilibrium at find_root's root c of the threshold equation on
+    ``threshold_bracket``'s ``bracket``: the last step of ``solve_mild``.
+    It certifies c as c_tilde at tol, with the adjacent-float retry of
+    ``_certify``, checks that c_tilde lies inside (H.lo, alpha_G) unless
+    ``relaxed``, and builds the derived quantities with their identities
+    certified at tol."""
+    c_tilde, residual = _certify(threshold_equation(params), c, *bracket, tol, "threshold")
+    if not relaxed and not params.H.lo < c_tilde < params.alpha_G:
+        raise SolverError(f"threshold {c_tilde} escaped ({params.H.lo}, {params.alpha_G})")
     be = model.beta_e(params)
 
     h_mass = params.H.cdf(c_tilde)

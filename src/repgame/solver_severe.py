@@ -146,7 +146,8 @@ def solve_block(variant: str, points: list, tol: float = DEFAULT_TOL) -> list:
         brackets = [_attempt(solver_mild.threshold_bracket, p, r) for p, r in points]
         equation = solver_mild.threshold_equation
         roots = _lockstep(equation, [(p, (), b) for (p, _), b in zip(points, brackets)])
-        return [_attempt(_mild_build, p, b, c, tol) for (p, _), b, c in zip(points, brackets, roots)]
+        build = solver_mild.mild_equilibrium
+        return [_attempt(build, p, b, c, tol) for (p, _), b, c in zip(points, brackets, roots)]
     if variant == "severe":
         scans = _severe_scans(points)
         live = [s for s in scans if not isinstance(s, RepgameError)]
@@ -175,12 +176,6 @@ def _attempt(step, *args, **kwargs):
         return step(*args, **kwargs)
     except RepgameError as exc:
         return exc
-
-
-def _mild_build(params: ModelParams, bracket: tuple, c: float, tol: float) -> MildEquilibrium:
-    """The steps of ``solve_mild`` at tol after its root search on ``bracket``."""
-    c_tilde, residual = solver_mild.certify_threshold(params, *bracket, c, tol)
-    return solver_mild.mild_equilibrium(params, c_tilde, residual, tol)
 
 
 def _lockstep(equation, jobs: list) -> list:
@@ -423,6 +418,8 @@ def _bound_scans(p: SimpleNamespace, gap: np.ndarray) -> list:
         cell_lefts.append(ij[0, cell])
         halve = live & (width > 1)
         row, ij, hb, hg = row[halve], ij[:, halve], hb[:, halve], hg[:, halve]
+        if not row.size:
+            break
         mid = ij.sum(axis=0) // 2
         hb_mid, hg_mid = h_at(row, mid)
         row = np.concatenate((row, row))

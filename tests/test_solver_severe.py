@@ -372,18 +372,28 @@ def test_severe_block_evaluates_g_beta_g_once_per_point(monkeypatch):
     assert sizes == [1] * len(points) and len(points) >= 20
 
 
-def test_only_lockstep_searches_for_roots():
-    # a single solve and a block share one solve path, and one function in it
-    # runs find_root or find_roots
-    tree = ast.parse(Path(solver_severe.__file__).read_text(encoding="utf-8"))
-    users = {
+def _functions_naming(module, names) -> set:
+    """The functions of ``module``'s source that name any of ``names``."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return {
         fn.name
         for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Name) and node.id in ("find_root", "find_roots")
+        if isinstance(node, ast.Name) and node.id in names
     }
-    assert users == {"_lockstep"}
+
+
+def test_only_lockstep_searches_for_roots():
+    # a single solve and a block share one solve path, and one function in it
+    # runs find_root or find_roots
+    assert _functions_naming(solver_severe, ("find_root", "find_roots")) == {"_lockstep"}
+
+
+def test_mild_solve_searches_for_its_root_in_one_place():
+    # solve_mild runs the steps that a block runs around its lockstep search;
+    # the no-concession solve searches for its own threshold
+    assert _functions_naming(solver_mild, ("find_root",)) == {"solve_mild", "no_concession_equilibrium"}
 
 
 def test_lockstep_runs_find_roots_on_two_or_more_rows(monkeypatch, p2):
@@ -688,6 +698,29 @@ class TestBoundScan:
         assert sum(elements) < 0.1 * 3 * _SCAN_1D * scanning
 
     @pytest.mark.parametrize(
+        "solve_p2",
+        [
+            lambda: solve_severe(make_p2()),
+            lambda: run_sweep(SweepSpec("gamma", 0.05, 0.95, 30, make_p2(), variant="severe")),
+        ],
+        ids=["solve", "sweep"],
+    )
+    def test_scan_makes_no_cdf_call_on_empty_arrays(self, monkeypatch, solve_p2):
+        # the bound scan ends once no interval is left to halve, with no pass
+        # over emptied rows
+        sizes = []
+        cdf_columns = repgame.distributions.cdf_columns
+
+        def counted(x, *args):
+            sizes.append(np.size(x))
+            return cdf_columns(x, *args)
+
+        monkeypatch.setattr(repgame.distributions, "cdf_columns", counted)
+        solve_p2()
+        assert len(sizes) > 30
+        assert sizes.count(0) == 0
+
+    @pytest.mark.parametrize(
         "lo, hi",
         [(0.0, 0.4), (-0.0, 1.0), (-0.3, 0.97), (0.123, 0.1230001), (1e-300, 1e-290), (-7.5, 1e6)],
     )
@@ -825,7 +858,7 @@ class TestSolveBlockFailures:
         assert failed == sorted(chosen)
         return got
 
-    @pytest.mark.parametrize("step", ["threshold_bracket", "certify_threshold", "mild_equilibrium"])
+    @pytest.mark.parametrize("step", ["threshold_bracket", "mild_equilibrium"])
     def test_mild_step(self, monkeypatch, step):
         points = _accepted_points("mild", 0, 60)
         chosen = {3, 17, 41}

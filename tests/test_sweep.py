@@ -166,7 +166,7 @@ BETA_H = BoundedCDF.scaled_beta(0.0, 1.0, 2.0, 3.0)
 BETA_G = BoundedCDF.scaled_beta(0.0, 1.2, 1.5, 2.5)
 BETA_H2 = BoundedCDF.scaled_beta(0.0, 1.0, 0.7, 1.8)
 # the steps of a mild solve, in solver_mild, in the order they run
-SOLVE_STEPS = ("threshold_bracket", "certify_threshold", "mild_equilibrium")
+SOLVE_STEPS = ("threshold_bracket", "mild_equilibrium")
 # and of a severe solve, in solver_severe
 SEVERE_STEPS = ("_severe_scan", "_severe_build")
 PIECEWISE_G = BoundedCDF.piecewise_linear([(0.0, 0.0), (0.3, 0.2), (0.7, 0.75), (1.0, 1.0)])
