@@ -332,9 +332,10 @@ def _cmd_verify(args) -> int:
 
 
 # -- parser ---------------------------------------------------------------------
-# The choice tuples are written out rather than read from model and sweep, so
-# that building the parser imports neither; tests/test_cli.py pins them to
-# model.REGIMES, sweep.SWEEP_AXES and sweep.VARIANTS.
+# The choice tuples and --tol's default are written out, so that building the
+# parser imports no model module; tests/test_cli.py pins them to model.REGIMES,
+# sweep.SWEEP_AXES, sweep.VARIANTS and solver_mild.DEFAULT_TOL.
+DEFAULT_TOL = 1e-10
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-mild", help="solve the mild-conflict equilibrium")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_solve, variant="mild")
 
     p = sub.add_parser("solve-severe", help="solve the severe-conflict equilibrium")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument(
         "--scan",
         type=int,
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--variant", choices=("mild", "severe", "no-concession"), default="mild")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--episodes-out", default=None, help="write per-episode CSV here")
     p.set_defaults(func=_cmd_simulate)
 
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--draws", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_verify)
 
     return parser

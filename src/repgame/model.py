@@ -250,3 +250,10 @@ def require(report: AssumptionReport, failed: list[str], what: str) -> None:
     """Raise an AssumptionError carrying ``report`` if ``failed`` names a clause."""
     if failed:
         raise AssumptionError(f"{what} failed: {failed}", report)
+
+
+def require_regime(regime: str, params: ModelParams) -> ModelParams:
+    """``params`` if ``check_assumption(regime, params)`` passes, else require's AssumptionError."""
+    report = check_assumption(regime, params)
+    require(report, report.failed_clauses(), f"{regime}-conflict assumption")
+    return params

@@ -17,7 +17,7 @@ Two indifference identities anchor everything downstream: the probability
 of protest after revealed repression equals alpha_G, and after no news it
 equals alpha_G - c_tilde.
 
-A solve runs in three steps: ``threshold_bracket`` checks the point and
+A solve checks the point and then runs in three steps: ``threshold_bracket``
 brackets the root, the root search runs on that bracket, and
 ``mild_equilibrium`` certifies the root and builds the equilibrium.
 ``solve_mild`` runs them on one point around ``find_root``;
@@ -167,15 +167,10 @@ def threshold_equation(params):
     return lambda c: _threshold_residual(params, be, params.alpha_G, c)
 
 
-def threshold_bracket(
-    params: ModelParams, report: model.AssumptionReport, relaxed: bool = False
-) -> tuple[float, float]:
-    """[lo, hi] with the threshold equation's root inside, for params whose
-    mild check gave ``report``: the first step of ``solve_mild``."""
-    if relaxed:
-        _require_h_free(report)
-    else:
-        model.require(report, report.failed_clauses(), "mild-conflict assumption")
+def threshold_bracket(params: ModelParams, relaxed: bool = False) -> tuple[float, float]:
+    """[lo, hi] with the threshold equation's root inside, for checked
+    params: the first step of ``solve_mild`` after its check. ``relaxed``
+    widens the bracket's lower end to 0."""
     lo, hi = 0.0 if relaxed else params.H.lo, params.alpha_G
     f = threshold_equation(params)
     f_lo, f_hi = f(lo), f(hi)
@@ -241,7 +236,11 @@ def solve_mild(
     concealment ever pays) is then legitimate.
     """
     validate_tol(tol)
-    bracket = threshold_bracket(params, model.check_assumption("mild", params), relaxed)
+    if relaxed:
+        _require_h_free(model.check_assumption("mild", params))
+    else:
+        model.require_regime("mild", params)
+    bracket = threshold_bracket(params, relaxed)
     c = find_root(threshold_equation(params), *bracket)
     return mild_equilibrium(params, bracket, c, tol, relaxed)
 

@@ -128,42 +128,43 @@ def solve(variant: str, params: ModelParams, tol: float = DEFAULT_TOL):
 
 
 def solve_block(variant: str, points: list, tol: float = DEFAULT_TOL) -> list:
-    """``solve(variant, params, tol)`` on each ``(params, report)`` of
-    ``points``, where ``report`` is ``model.check_assumption(variant,
-    params)``: each point's equilibrium, or the RepgameError that solve
-    raises on it, in order. ``variant`` is "mild" or "severe"; a severe
-    solve is this on a block of one point.
+    """``solve(variant, params, tol)`` on each ``params`` of ``points``: each
+    point's equilibrium, or the RepgameError that solve raises on it, in
+    order. ``variant`` is "mild" or "severe"; a severe solve is this on a
+    block of one point.
 
-    The points run through each step of their solve together. The steps
-    around a root search run point by point, except that the severe scan
-    step's bound scans run on the whole block at once; each root search
-    runs in ``_lockstep``, bit for bit the per-point ``find_root``. A point
-    whose step fails carries its own error and leaves the other points
-    alone.
+    The points run through each step of their solve together, the first of
+    which is the regime check, ``model.require_regime``. The steps around a
+    root search run point by point, except that the severe scan step's bound
+    scans run on the whole block at once; each root search runs in
+    ``_lockstep``, bit for bit the per-point ``find_root``. A point whose
+    step fails carries its own error, the check's with its report, and
+    leaves the other points alone.
     """
     validate_tol(tol)
+    if variant not in model.REGIMES:
+        raise DomainError(f"no block solver for variant {variant!r}")
+    points = [_attempt(model.require_regime, variant, p) for p in points]
     if variant == "mild":
-        brackets = [_attempt(solver_mild.threshold_bracket, p, r) for p, r in points]
+        brackets = [_attempt(solver_mild.threshold_bracket, p) for p in points]
         equation = solver_mild.threshold_equation
-        roots = _lockstep(equation, [(p, (), b) for (p, _), b in zip(points, brackets)])
+        roots = _lockstep(equation, [(p, (), b) for p, b in zip(points, brackets)])
         build = solver_mild.mild_equilibrium
-        return [_attempt(build, p, b, c, tol) for (p, _), b, c in zip(points, brackets, roots)]
-    if variant == "severe":
-        scans = _severe_scans(points)
-        live = [s for s in scans if not isinstance(s, RepgameError)]
-        cells = [(s.params, (s.gap,), cell) for s in live for cell in s.cells]
-        corners = [(s.params, (s.g_beta_G,), (s.params.H.lo, s.g_beta_G)) for s in live if s.corner]
-        cell_roots = iter(_lockstep(_bad_type_equation, cells))
-        corner_roots = iter(_lockstep(_corner_equation, corners))
-        out = []
-        for s in scans:
-            if not isinstance(s, RepgameError):
-                roots = [next(cell_roots) for _ in s.cells]
-                roots += [next(corner_roots)] if s.corner else []
-                s = _attempt(_severe_build, s, *roots, tol=tol)
-            out.append(s)
-        return out
-    raise DomainError(f"no block solver for variant {variant!r}")
+        return [_attempt(build, p, b, c, tol) for p, b, c in zip(points, brackets, roots)]
+    scans = _severe_scans(points)
+    live = [s for s in scans if not isinstance(s, RepgameError)]
+    cells = [(s.params, (s.gap,), cell) for s in live for cell in s.cells]
+    corners = [(s.params, (s.g_beta_G,), (s.params.H.lo, s.g_beta_G)) for s in live if s.corner]
+    cell_roots = iter(_lockstep(_bad_type_equation, cells))
+    corner_roots = iter(_lockstep(_corner_equation, corners))
+    out = []
+    for s in scans:
+        if not isinstance(s, RepgameError):
+            roots = [next(cell_roots) for _ in s.cells]
+            roots += [next(corner_roots)] if s.corner else []
+            s = _attempt(_severe_build, s, *roots, tol=tol)
+        out.append(s)
+    return out
 
 
 def _attempt(step, *args, **kwargs):
@@ -297,8 +298,7 @@ def effect_D_severe(params: ModelParams) -> float:
     D = G(gamma*beta_e) - G(beta_G) < 0 whenever the severe-conflict check
     passes; the solve is not needed for this quantity.
     """
-    report = model.check_assumption("severe", params)
-    model.require(report, report.failed_clauses(), "severe-conflict assumption")
+    model.require_regime("severe", params)
     return params.G.cdf(params.gamma * model.beta_e(params)) - params.G.cdf(params.beta_G)
 
 
@@ -492,11 +492,12 @@ class _SevereScan:
 
 
 def _severe_scans(points: list) -> list:
-    """The scan step of a severe solve on each (params, report) of points:
-    ``_severe_scan``, or the RepgameError that it raises, with the zeros and
-    cells of the points that pass it found by one ``_bound_scans`` call over
-    them all, or point by point where ``_block`` cannot hold them."""
-    scans = [_attempt(_severe_scan, p, r) for p, r in points]
+    """The scan step of a severe solve on each point of points, checked
+    params or the error that the check gave: ``_severe_scan``, or the error,
+    with the zeros and cells of the points that pass it found by one
+    ``_bound_scans`` call over them all, or point by point where ``_block``
+    cannot hold them."""
+    scans = [_attempt(_severe_scan, p) for p in points]
     live = [i for i, s in enumerate(scans) if not isinstance(s, RepgameError)]
     live = [i for i in live if scans[i].params.alpha_B > scans[i].params.H.lo]
     if not live:
@@ -513,11 +514,10 @@ def _severe_scans(points: list) -> list:
     return scans
 
 
-def _severe_scan(params: ModelParams, report: model.AssumptionReport) -> _SevereScan:
-    """The per-point part of the scan step, for params whose severe check
-    gave ``report``: the check, G(beta_G), the gap and the corner test, with
-    no zeros or cells yet. ``_severe_scans`` fills those in."""
-    model.require(report, report.failed_clauses(), "severe-conflict assumption")
+def _severe_scan(params: ModelParams) -> _SevereScan:
+    """The per-point part of the scan step, for params that pass the severe
+    check: G(beta_G), the gap and the corner test, with no zeros or cells
+    yet. ``_severe_scans`` fills those in."""
     g_beta_G = params.G.cdf(params.beta_G)
     gap = g_beta_G - params.alpha_B
     if gap <= 0.0:
@@ -530,7 +530,7 @@ def _severe_scan(params: ModelParams, report: model.AssumptionReport) -> _Severe
 def solve_severe(params: ModelParams, tol: float = DEFAULT_TOL) -> SevereEquilibrium:
     """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G):
     ``solve_block`` on a block of one point."""
-    (eq,) = solve_block("severe", [(params, model.check_assumption("severe", params))], tol)
+    (eq,) = solve_block("severe", [params], tol)
     if isinstance(eq, RepgameError):
         raise eq
     return eq

@@ -1,18 +1,18 @@
 """One-axis parameter sweeps emitting tabular equilibrium data.
 
-Each grid point re-validates the operative assumption; invalid points are
-kept in the output with ``assumption_ok`` false and empty numeric cells, so
-a sweep records why parts of an axis range are out of range instead of
-silently dropping them. Rows are ordered by axis value and fully
-deterministic. A sweep solves all its valid points in one
-``solver_severe.solve_block`` call, whose lockstep root searches are bit
-for bit the per-point ones. The classic exercise: sweeping the lower edge
-of the concealment-cost support moves revealed and total repression in
-opposite directions, so observed repression is a misleading trend proxy.
+A sweep solves its type-valid points in one ``solver_severe.solve_block``
+call, which checks each point's assumption and is bit for bit the
+point-by-point solve. Invalid points are kept with ``assumption_ok`` false
+and empty numeric cells, so a sweep records why parts of an axis range are
+out of range instead of silently dropping them. Rows are ordered by axis
+value and fully deterministic. The classic exercise: sweeping the lower
+edge of the concealment-cost support moves revealed and total repression
+in opposite directions, so observed repression is a misleading trend proxy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model
 from .distributions import BoundedCDF
-from .errors import DomainError, EmptySweepError, RepgameError
+from .errors import AssumptionError, DomainError, EmptySweepError, RepgameError
 from .model import ModelParams
 from .solver_severe import bound_D_lower, repression_probabilities, solve_block
 
@@ -120,23 +120,18 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     A failure raises the first failing point's error, in grid order, as
     solving point by point would.
     """
-    rows: list[SweepRow | None] = []
-    pending: list[tuple] = []  # (row index, axis value, params, report) of each valid point
+    rows: list[SweepRow] = []  # invalid until solved
+    pending: list[tuple] = []  # (row index, axis value, params) of each type-valid point
     for value in np.linspace(spec.start, spec.end, spec.steps):
         value = float(value)
-        try:
-            trial = apply_axis(spec.base, spec.axis, value)
-        except DomainError:
-            rows.append(SweepRow(axis_value=value, assumption_ok=False))
+        with contextlib.suppress(DomainError):
+            pending.append((len(rows), value, apply_axis(spec.base, spec.axis, value)))
+        rows.append(SweepRow(axis_value=value, assumption_ok=False))
+    solved = solve_block(spec.variant, [trial for _, _, trial in pending])
+    for (i, value, trial), eq in zip(pending, solved):
+        # only the regime check raises AssumptionError on a solve
+        if isinstance(eq, AssumptionError):
             continue
-        report = model.check_assumption(spec.variant, trial)
-        if not report.ok:
-            rows.append(SweepRow(axis_value=value, assumption_ok=False))
-            continue
-        pending.append((len(rows), value, trial, report))
-        rows.append(None)
-    solved = solve_block(spec.variant, [(trial, report) for _, _, trial, report in pending])
-    for (i, value, trial, _), eq in zip(pending, solved):
         if isinstance(eq, RepgameError):
             raise eq
         rows[i] = _row(spec.variant, value, trial, eq)

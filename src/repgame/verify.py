@@ -404,14 +404,11 @@ def _cost_dist(lo: float, hi: float, flag: float, a: float, b: float) -> Bounded
 
 
 def _accepted(rows: np.ndarray, regime: str):
-    """(index, params, report) of each row that passes the screen and then
-    the full regime check, which stays the authority, with its report."""
+    """(index, params) of each row that passes the screen. The regime check
+    of the solve that follows stays the authority."""
     keep = _screen(rows, regime)
     for i, row in zip(keep.tolist(), rows[keep].tolist()):
-        params = ModelParams(*row[:6], _cost_dist(*row[6:11]), _cost_dist(*row[11:]))
-        report = model.check_assumption(regime, params)
-        if report.ok:
-            yield i, params, report
+        yield i, ModelParams(*row[:6], _cost_dist(*row[6:11]), _cost_dist(*row[11:]))
 
 
 def draw_params(rng: np.random.Generator, regime: str) -> ModelParams | None:
@@ -419,9 +416,9 @@ def draw_params(rng: np.random.Generator, regime: str) -> ModelParams | None:
 
     Draws exactly the proposal's doubles (5, 2 more if G has beta shapes, 7,
     2 more if H has) and runs them through the parser and screen that
-    ``sign_law_check`` runs on whole blocks. Only a survivor is built and
-    fully checked, and the result and the rng use are what building and
-    checking every proposal gives.
+    ``sign_law_check`` runs on whole blocks. Only a survivor is built, and
+    the result and the rng use are what building and checking every
+    proposal gives.
     """
     parts = [rng.random(5)]
     if parts[-1][4] < BETA_FLAG:
@@ -430,12 +427,11 @@ def draw_params(rng: np.random.Generator, regime: str) -> ModelParams | None:
     if parts[-1][6] < BETA_FLAG:
         parts.append(rng.random(2))
     rows, _ = _parse(np.concatenate(parts), regime)
-    return next((params for _, params, _ in _accepted(rows, regime)), None)
+    return next((params for _, params in _accepted(rows, regime)), None)
 
 
 def _accepted_draws(rng: np.random.Generator, regime: str, budget: int):
-    """(index, params, report) of each accepted proposal among the first
-    ``budget``, with its regime check's report.
+    """(index, params) of each accepted proposal among the first ``budget``.
 
     The doubles come in blocks of ``BLOCK_PROPOSALS`` longest proposals; for
     ``default_rng`` these are the doubles that scalar draws give, so the
@@ -447,10 +443,10 @@ def _accepted_draws(rng: np.random.Generator, regime: str, budget: int):
     while base < budget:
         u = np.concatenate((u, rng.random(16 * BLOCK_PROPOSALS)))
         rows, used = _parse(u, regime)
-        for i, params, report in _accepted(rows, regime):
+        for i, params in _accepted(rows, regime):
             if base + i >= budget:
                 return
-            yield base + i, params, report
+            yield base + i, params
         base += len(rows)
         u = u[used:]
 
@@ -488,21 +484,21 @@ def sign_law_check(
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    draws = []  # (index, params, report, reference); the reference is None in the severe regime
+    draws = []  # (index, params, reference); the reference is None in the severe regime
     predicted = 0
-    for index, params, report in _accepted_draws(rng, regime, budget):
+    for index, params in _accepted_draws(rng, regime, budget):
         ref = None
         if regime == "mild":
             ref = params.G.cdf(params.gamma * model.beta_e(params)) - params.alpha_G
-        draws.append((index, params, report, ref))
+        draws.append((index, params, ref))
         predicted += ref is None or abs(ref) >= KNIFE_EDGE
         if predicted == n_draws:
             break
-    solved = solve_block(regime, [(params, report) for _, params, report, _ in draws])
+    solved = solve_block(regime, [params for _, params, _ in draws])
     checked = 0
     used = budget  # unless n_draws are accepted first
     failures: list[dict] = []
-    for (index, params, _, ref), eq in zip(draws, solved):
+    for (index, params, ref), eq in zip(draws, solved):
         if isinstance(eq, RepgameError):
             failures.append({"params": params.to_dict(), "error": str(eq)})
         elif ref is None:

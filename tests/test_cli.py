@@ -942,11 +942,20 @@ class TestColdStart:
         assert proc.stdout.startswith("usage: repgame ")
 
 
-def _choices(command: str, flag: str) -> tuple:
+def _actions(flag: str) -> dict:
+    """Each subcommand's action for ``flag``, by command name."""
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    (action,) = [a for a in commands.choices[command]._actions if flag in a.option_strings]
-    return tuple(action.choices)
+    return {
+        command: action
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if flag in action.option_strings
+    }
+
+
+def _choices(command: str, flag: str) -> tuple:
+    return tuple(_actions(flag)[command].choices)
 
 
 class TestParserVocabulary:
@@ -970,6 +979,13 @@ class TestParserVocabulary:
         p1, p2 = make_p1(), make_p2()
         eqs = (solve_mild(p1), solve_severe(p2), no_concession_equilibrium(p1))
         assert _choices("simulate", "--variant") == tuple(strategy(eq)[0] for eq in eqs)
+
+    def test_tol_default_is_the_solvers(self):
+        from repgame import solver_mild
+
+        tols = _actions("--tol")
+        assert sorted(tols) == ["simulate", "solve-mild", "solve-severe", "verify"]
+        assert {action.default for action in tols.values()} == {solver_mild.DEFAULT_TOL}
 
 
 class TestPackageExports:

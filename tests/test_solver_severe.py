@@ -215,6 +215,30 @@ class TestStrategy:
                     sites.append((path.name, node.lineno))
         assert sites and {name for name, _ in sites} == {"model.py"}, sites
 
+    def test_solve_block_is_the_one_check_of_a_blocks_points(self):
+        # sweeps and sign-law draws hand solve_block unchecked parameter
+        # sets, and its first step checks each one; a single mild solve and
+        # the closed-form severe effect check their own point
+        functions = []  # (module, function, the names it uses)
+        for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(fn, ast.FunctionDef):
+                    names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(fn)}
+                    functions.append((path.name, fn.name, names))
+        callers = {
+            ("sweep.py", "run_sweep"),
+            *(("verify.py", f) for f in ("_accepted", "_accepted_draws", "draw_params", "sign_law_check")),
+        }
+        seen = {(m, f): names for m, f, names in functions if (m, f) in callers}
+        assert seen.keys() == callers
+        for site, names in seen.items():
+            assert not names & {"check_assumption", "require"}, site
+        assert {(m, f) for m, f, names in functions if "require_regime" in names} == {
+            ("solver_severe.py", "solve_block"),
+            ("solver_mild.py", "solve_mild"),
+            ("solver_severe.py", "effect_D_severe"),
+        }
+
 
 class TestSolve:
     @pytest.mark.parametrize(
@@ -402,7 +426,7 @@ def test_lockstep_runs_find_roots_on_two_or_more_rows(monkeypatch, p2):
     calls = []
     find_roots = solver_severe.find_roots
     monkeypatch.setattr(solver_severe, "find_roots", lambda *args: calls.append(args) or find_roots(*args))
-    (scan,) = solver_severe._severe_scans([(p2, repgame.model.check_assumption("severe", p2))])
+    (scan,) = solver_severe._severe_scans([p2])
     f_B, job = solver_severe._bad_type_equation, (p2, (scan.gap,), scan.cells[0])
     one = solver_severe._lockstep(f_B, [job])
     rejected = (p2, (scan.gap,), repgame.SolverError("no bracket"))
@@ -566,7 +590,7 @@ def _assert_scans_match_oracle(points: list) -> int:
     """Each point's scan step, run on the points as one block, finds exactly
     the full-grid oracle's zeros and cells; the number of points that scan."""
     scanned = 0
-    for (params, _), scan in zip(points, solver_severe._severe_scans(points)):
+    for params, scan in zip(points, solver_severe._severe_scans(points)):
         assert not isinstance(scan, repgame.RepgameError), scan
         if params.alpha_B > params.H.lo:
             assert (scan.zeros, scan.cells) == reference_severe_scan(params, scan.gap), params
@@ -582,7 +606,7 @@ def _extreme_shapes(seed: int, n: int) -> list:
     shapes 10^U(-1, 3): steep and flat f_B."""
     rng = np.random.default_rng(seed + 100)
     params = []
-    for p, _ in _accepted_points("severe", seed, n):
+    for p in _accepted_points("severe", seed, n):
         H = BoundedCDF.scaled_beta(p.H.lo, p.H.hi, *10 ** rng.uniform(-1.5, 3.5, 2))
         G = BoundedCDF.scaled_beta(p.G.lo, p.G.hi, *10 ** rng.uniform(-1, 3, 2))
         params.append(dataclasses.replace(p, H=H, G=G if rng.random() < 0.5 else p.G))
@@ -590,9 +614,8 @@ def _extreme_shapes(seed: int, n: int) -> list:
 
 
 def _checked(params: list) -> list:
-    """(params, report) of the params that pass the severe check."""
-    points = [(p, repgame.model.check_assumption("severe", p)) for p in params]
-    return [(p, r) for p, r in points if r.ok]
+    """The params that pass the severe check."""
+    return [p for p in params if repgame.model.check_assumption("severe", p).ok]
 
 
 class TestBoundScan:
@@ -607,8 +630,8 @@ class TestBoundScan:
     def test_bound_holds_inside_random_intervals(self):
         # f_B at every grid point of an interval lies within the interval's
         # bounds, up to the slack; 8 intervals of 1 to 64 cells per point
-        params = [p for p, _ in _checked(_extreme_shapes(4, 400)) if p.alpha_B > p.H.lo]
-        params += [p for p, _ in _accepted_points("severe", 4, 400) if p.alpha_B > p.H.lo]
+        params = [p for p in _checked(_extreme_shapes(4, 400)) if p.alpha_B > p.H.lo]
+        params += [p for p in _accepted_points("severe", 4, 400) if p.alpha_B > p.H.lo]
         block = solver_severe._block(params)
         gap = block.G.cdf(block.beta_G) - block.alpha_B
         lo, hi = block.H.lo, block.alpha_B
@@ -659,7 +682,7 @@ class TestBoundScan:
         H = BoundedCDF.piecewise_linear([(0.0, 0.0), *knots, (1.0, 1.0)])
         points = _checked([make_p2(q=0.8, beta_B=-0.5, alpha_B=alpha_B, H=H)])
         assert _assert_scans_match_oracle(points) == 1
-        _, cells = reference_severe_scan(points[0][0], gap)
+        _, cells = reference_severe_scan(points[0], gap)
         assert sum(0.099 < a < 0.101 for a, _ in cells) == 2
 
     def test_p2_gamma_sweep(self):
@@ -693,7 +716,7 @@ class TestBoundScan:
 
         monkeypatch.setattr(repgame.distributions, "cdf_columns", counted)
         solver_severe._severe_scans(points)
-        scanning = sum(p.alpha_B > p.H.lo for p, _ in points)
+        scanning = sum(p.alpha_B > p.H.lo for p in points)
         assert scanning == 173
         assert sum(elements) < 0.1 * 3 * _SCAN_1D * scanning
 
@@ -755,11 +778,11 @@ class TestRandomDraws:
 
 
 def _accepted_points(regime: str, seed: int, n: int) -> list:
-    """(params, report) of the first n accepted sign-law draws."""
+    """The params of the first n accepted sign-law draws."""
     from repgame import verify
 
     draws = verify._accepted_draws(np.random.default_rng(seed), regime, 100_000)
-    return [(params, report) for _, params, report in itertools.islice(draws, n)]
+    return [params for _, params in itertools.islice(draws, n)]
 
 
 def _outcome(result):
@@ -772,7 +795,7 @@ def _outcome(result):
 
 def _solve_each(variant: str, points: list, tol: float = solver_mild.DEFAULT_TOL) -> list:
     out = []
-    for params, _ in points:
+    for params in points:
         try:
             out.append(solve(variant, params, tol))
         except repgame.RepgameError as exc:
@@ -812,24 +835,23 @@ class TestSolveBlock:
             make_p2(gamma=WITNESS_GAMMA + float(g), q=WITNESS_Q, H=WITNESS_H)
             for g in rng.uniform(-3e-4, 3e-4, 40)
         ]
-        points = [(p, repgame.model.check_assumption("severe", p)) for p in params]
-        assert_block_matches_solve("severe", points)
-        assert sum(len(scan.cells) > 1 for scan in solver_severe._severe_scans(points)) >= 10
+        assert_block_matches_solve("severe", params)
+        assert sum(len(scan.cells) > 1 for scan in solver_severe._severe_scans(params)) >= 10
 
     def test_varying_piecewise_linear_cost_is_solved_point_by_point(self):
         # no column form holds a piecewise-linear H that varies across the block
         rng = np.random.default_rng(3)
         params = [make_p2(gamma=g, H=_spiky_H(rng)) for g in (0.3, 0.5, 0.7)]
-        points = [(p, repgame.model.check_assumption("severe", p)) for p in params]
-        got = assert_block_matches_solve("severe", points)
+        got = assert_block_matches_solve("severe", params)
         assert all(isinstance(r, str) for r in got)
         with pytest.raises(DomainError, match="piecewise-linear"):
             solver_severe._block(params)
 
     def test_failed_check_carries_its_assumption_error(self, p1, p2):
-        points = [(p, repgame.model.check_assumption("severe", p)) for p in (p2, p1, p2)]
+        points = [p2, p1, p2]
         got = assert_block_matches_solve("severe", points)
         assert got[1][0] is AssumptionError and got[0] == got[2]
+        assert solve_block("severe", points)[1].report == _solve_each("severe", points)[1].report
 
     def test_empty_block_and_unknown_variant(self):
         assert solve_block("mild", []) == solve_block("severe", []) == []
@@ -862,14 +884,14 @@ class TestSolveBlockFailures:
     def test_mild_step(self, monkeypatch, step):
         points = _accepted_points("mild", 0, 60)
         chosen = {3, 17, 41}
-        failing = _failing_at({points[i][0].q for i in chosen}, getattr(solver_mild, step), step)
+        failing = _failing_at({points[i].q for i in chosen}, getattr(solver_mild, step), step)
         monkeypatch.setattr(solver_mild, step, failing)
         got = self._check("mild", points, chosen)
-        assert got[3] == (repgame.SolverError, f"{step} fails at q={points[3][0].q}")
+        assert got[3] == (repgame.SolverError, f"{step} fails at q={points[3].q}")
 
     def test_mild_bracket_that_find_roots_rejects(self, monkeypatch):
         points = _accepted_points("mild", 0, 60)
-        qs = {points[i][0].q for i in (5, 30)}
+        qs = {points[i].q for i in (5, 30)}
         bracket = solver_mild.threshold_bracket
 
         def reversed_bracket(params, *args):
@@ -883,19 +905,19 @@ class TestSolveBlockFailures:
     def test_severe_scan(self, monkeypatch):
         points = _accepted_points("severe", 0, 60)
         chosen = {0, 22}
-        qs = {points[i][0].q for i in chosen}
+        qs = {points[i].q for i in chosen}
         monkeypatch.setattr(solver_severe, "_severe_scan", _failing_at(qs, solver_severe._severe_scan, "scan"))
         self._check("severe", points, chosen)
 
     def test_severe_corner_bracket_that_find_roots_rejects(self, monkeypatch):
         points = _accepted_points("severe", 0, 60)
-        corners = [i for i, pt in enumerate(points) if solver_severe._severe_scan(*pt).corner]
+        corners = [i for i, p in enumerate(points) if solver_severe._severe_scan(p).corner]
         chosen = {corners[1], corners[-2]}
-        qs = {points[i][0].q for i in chosen}
+        qs = {points[i].q for i in chosen}
         scan = solver_severe._severe_scan
 
-        def empty_corner_bracket(params, report):
-            s = scan(params, report)
+        def empty_corner_bracket(params):
+            s = scan(params)
             return dataclasses.replace(s, g_beta_G=params.H.lo) if params.q in qs else s
 
         monkeypatch.setattr(solver_severe, "_severe_scan", empty_corner_bracket)
@@ -907,7 +929,7 @@ class TestSolveBlockFailures:
         points = _accepted_points("severe", 0, 60)
         interior = [i for i, s in enumerate(solver_severe._severe_scans(points)) if s.cells]
         chosen = {interior[0], interior[-1]}
-        qs = {points[i][0].q for i in chosen}
+        qs = {points[i].q for i in chosen}
         scans = solver_severe._severe_scans
 
         def flipped_cells(points):
@@ -923,10 +945,10 @@ class TestSolveBlockFailures:
     def test_severe_build_residual(self, monkeypatch):
         # a tol below the chosen points' nonzero residuals fails their build step
         points = _accepted_points("severe", 0, 60)
-        eqs = [solve("severe", p) for p, _ in points]
+        eqs = [solve("severe", p) for p in points]
         inexact = [i for i, eq in enumerate(eqs) if max(eq.residual_B, eq.residual_G) > 0.0]
         chosen = {inexact[0], inexact[len(inexact) // 2], inexact[-1]}
-        qs = {points[i][0].q for i in chosen}
+        qs = {points[i].q for i in chosen}
         build = solver_severe._severe_build
 
         def strict(scan, *roots, tol=solver_mild.DEFAULT_TOL):

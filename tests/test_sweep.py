@@ -225,9 +225,7 @@ class TestLockstepMatchesPointByPoint:
         # looked up by its bracket would go to the wrong point
         spec = SweepSpec("G_lo", 0.0, 0.35, 60, make_p1())
         points = [sweep.apply_axis(spec.base, "G_lo", float(v)) for v in np.linspace(0.0, 0.35, 60)]
-        brackets = {
-            solver_mild.threshold_bracket(p, model.check_assumption("mild", p)) for p in points
-        }
+        brackets = {solver_mild.threshold_bracket(p) for p in points}
         rows = run_sweep(spec)
         assert len(brackets) == 1
         assert len({row.c_tilde for row in rows}) == 60

@@ -368,7 +368,7 @@ class TestSignLawBlocks:
         if block is not None:
             monkeypatch.setattr(verify, "BLOCK_PROPOSALS", block)
         accepted = verify._accepted_draws(np.random.default_rng(4), regime, 3000)
-        got = [(i, p.to_dict()) for i, p, _ in accepted]
+        got = [(i, p.to_dict()) for i, p in accepted]
         rng = np.random.default_rng(4)
         want = [(i, p.to_dict()) for i in range(3000) if (p := reference_draw_params(rng, regime))]
         assert got == want and len(want) > 50
@@ -404,7 +404,7 @@ class TestSignLawKnifeEdge:
             return beta_e(p)
 
         monkeypatch.setattr(model, "beta_e", knife_beta_e)
-        for index, params, _ in verify._accepted_draws(np.random.default_rng(0), "mild", 100_000):
+        for index, params in verify._accepted_draws(np.random.default_rng(0), "mild", 100_000):
             knife.add(params.q)
             ref = params.G.cdf(params.gamma * model.beta_e(params)) - params.alpha_G
             if abs(ref) < 1e-12 and model.check_assumption("mild", params).ok:
@@ -423,6 +423,36 @@ class TestSignLawKnifeEdge:
         assert got.to_dict() == reference_sign_law.__wrapped__("mild", 40, 0).to_dict()
         assert [f.get("error") for f in got.failures] == [f"knife edge at q={params.q}"]
         assert got.n_checked == 40
+
+
+class TestSignLawCheckAuthority:
+    def test_draw_that_the_check_rejects_is_a_failure(self, monkeypatch):
+        # a screen that also passes one type-valid row failing a mild clause:
+        # the block's regime check rejects that draw, and the report lists it
+        # as a failure instead of dropping it
+        screen = verify._screen
+        extra = []
+
+        def looser(rows, regime):
+            keep = screen(rows, regime).tolist()
+            if not extra:
+                p = verify._columns(rows)
+                typed = np.flatnonzero(p.beta_G > np.maximum(p.beta_B, 0.0)).tolist()
+                extra.append(next(i for i in typed if i not in keep))
+                row = rows[extra[0]].tolist()
+                extra.append(ModelParams(*row[:6], verify._cost_dist(*row[6:11]),
+                                         verify._cost_dist(*row[11:])))
+                keep = sorted(keep + extra[:1])
+            return np.array(keep, dtype=np.intp)
+
+        monkeypatch.setattr(verify, "_screen", looser)
+        got = sign_law_check("mild", n_draws=40, seed=0)
+        index, params = extra
+        assert not model.check_assumption("mild", params).ok and index < 40
+        assert len(got.failures) == 1 and got.n_checked == 40
+        (failure,) = got.failures
+        assert failure["params"] == params.to_dict()
+        assert failure["error"].startswith("mild-conflict assumption failed")
 
 
 class TestClauseStatement:
