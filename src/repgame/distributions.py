@@ -47,38 +47,84 @@ def _maybe_scalar(out: np.ndarray, x) -> float | np.ndarray:
 
 def cdf_columns(x, lo, hi, is_beta, a, b) -> np.ndarray:
     """The clamped uniform or scaled_beta CDF at x, a scalar or a column:
-    lo, hi, is_beta, a and b are one distribution's scalars or one column
-    per row, and a row with ``is_beta`` false is uniform and leaves its
-    shapes a, b unused.
+    lo, hi, is_beta, a and b are one distribution's scalars, is_beta a
+    bool, or one column per row, and a row with ``is_beta`` false is
+    uniform and leaves its shapes a, b unused.
 
     These are ``BoundedCDF.cdf``'s scalar-path IEEE operations elementwise,
     so each value is bit for bit the scalar one; np.clip keeps -0.0 and
     NaN, as the scalar clamp does.
     """
     t = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-    if np.any(is_beta):
+    # a bool is tested without numpy: the block paths make hundreds of calls
+    if isinstance(is_beta, bool):
+        return betainc(a, b, t) if is_beta else t
+    if is_beta.any():
         _load_beta_functions()
-        if np.ndim(is_beta) == 0:
-            return betainc(a, b, t)
         t[is_beta] = betainc(a[is_beta], b[is_beta], t[is_beta])
     return t
 
 
+def quantile_columns(p, lo, hi, is_beta, a, b) -> np.ndarray:
+    """The uniform or scaled_beta quantile at each p in [0, 1], a column,
+    of the distributions that ``cdf_columns`` takes. These are
+    ``BoundedCDF.quantile``'s operations elementwise, so each value is bit
+    for bit the scalar one; the caller checks the range of p."""
+    t = np.asarray(p, dtype=float)
+    if isinstance(is_beta, bool):
+        if is_beta:
+            t = _unit_quantile(a, b, np.atleast_1d(t))
+    elif is_beta.any():
+        _load_beta_functions()
+        t = t.copy()
+        t[is_beta] = _unit_quantile(a[is_beta], b[is_beta], t[is_beta])
+    return lo + (hi - lo) * t
+
+
 def cost_columns(lo, hi, is_beta, a, b) -> SimpleNamespace:
     """A column of uniform or scaled_beta distributions under BoundedCDF's
-    names: lo, hi and a ``cdf_columns`` cdf, as ``model.clauses`` reads a
-    block of parameter sets; ``columns`` holds the five columns."""
+    names: lo, hi and a ``cdf_columns`` cdf and ``quantile_columns``
+    quantile, as ``model.clauses`` reads a block of parameter sets;
+    ``columns`` holds the five columns."""
+    columns = (lo, hi, is_beta, a, b)
     return SimpleNamespace(
-        lo=lo, hi=hi, columns=(lo, hi, is_beta, a, b), cdf=lambda x: cdf_columns(x, lo, hi, is_beta, a, b)
+        lo=lo,
+        hi=hi,
+        columns=columns,
+        cdf=lambda x: cdf_columns(x, *columns),
+        quantile=lambda p: quantile_columns(p, *columns),
     )
 
 
-def _newton_polish(a: float, b: float, p: np.ndarray, t: np.ndarray) -> None:
+def _take(shape, rows):
+    """A beta shape at the selected ``rows``: itself if it is one scalar."""
+    return shape[rows] if isinstance(shape, np.ndarray) else shape
+
+
+def _unit_quantile(a, b, unit: np.ndarray) -> np.ndarray:
+    """The Beta(a, b) quantile at each unit in [0, 1], with a and b scalars
+    or columns beside unit."""
+    t = np.atleast_1d(betaincinv(a, b, unit))
+    # betaincinv underflows to NaN deep in a tail, and at rare interior p
+    # returns exactly 0 or 1 (a = 1.1875, b = 2.0625 at p = cdf(0.15)); the
+    # mirrored form is stable there (the lost tail mass is below 1 ulp)
+    bad = ~np.isfinite(t) | ((t == 0.0) & (unit > 0.0)) | ((t == 1.0) & (unit < 1.0))
+    if bad.any():
+        t[bad] = 1.0 - betaincinv(_take(b, bad), _take(a, bad), 1.0 - unit[bad])
+        still = ~np.isfinite(t)
+        if still.any():
+            t[still] = np.where(unit[still] >= 0.5, 1.0, 0.0)
+    _newton_polish(a, b, unit, t)
+    return t
+
+
+def _newton_polish(a, b, p: np.ndarray, t: np.ndarray) -> None:
     """One Newton step on betainc(a, b, t) = p, in place, where 0 < p < 1 and
-    0 < t < 1. betaincinv alone can miss by ~1e-9 (symmetric shapes near 1
-    at p near 0.5); a step is kept only if it is finite and inside (0, 1)."""
+    0 < t < 1, with a and b scalars or columns beside p. betaincinv alone
+    can miss by ~1e-9 (symmetric shapes near 1 at p near 0.5); a step is
+    kept only if it is finite and inside (0, 1)."""
     inner = (p > 0.0) & (p < 1.0) & (t > 0.0) & (t < 1.0)
-    ti, pi = t[inner], p[inner]
+    ti, pi, a, b = t[inner], p[inner], _take(a, inner), _take(b, inner)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pdf = np.exp((a - 1.0) * np.log(ti) + (b - 1.0) * np.log1p(-ti) - betaln(a, b))
         step = ti - (betainc(a, b, ti) - pi) / pdf
@@ -185,27 +231,13 @@ class BoundedCDF:
         ps = np.asarray(p, dtype=float)
         if np.any(ps < 0.0) or np.any(ps > 1.0):
             raise DomainError(f"quantile argument outside [0, 1]: {p!r}")
-        if self.family == "uniform":
-            out = self.lo + (self.hi - self.lo) * ps
-        elif self.family == "scaled_beta":
-            a, b = self.params
-            unit = np.atleast_1d(np.asarray(ps, dtype=float))
-            t = np.atleast_1d(betaincinv(a, b, unit))
-            # betaincinv underflows to NaN deep in a tail, and at rare interior
-            # p returns exactly 0 or 1 (a = 1.1875, b = 2.0625 at p =
-            # cdf(0.15)); the mirrored form is stable there (the lost tail
-            # mass is below 1 ulp)
-            bad = ~np.isfinite(t) | ((t == 0.0) & (unit > 0.0)) | ((t == 1.0) & (unit < 1.0))
-            if bad.any():
-                t[bad] = 1.0 - betaincinv(b, a, 1.0 - unit[bad])
-                still = ~np.isfinite(t)
-                if still.any():
-                    t[still] = np.where(unit[still] >= 0.5, 1.0, 0.0)
-            _newton_polish(a, b, unit, t)
-            out = self.lo + (self.hi - self.lo) * t.reshape(np.shape(ps))
-        else:
+        if self.family == "piecewise_linear":
             kx, kf = self._knot_arrays()
             out = np.interp(ps, kf, kx)
+        else:
+            a, b = self.params or (1.0, 1.0)  # a uniform's shapes go unused
+            out = quantile_columns(ps, self.lo, self.hi, self.family == "scaled_beta", a, b)
+            out = out.reshape(np.shape(ps))
         return _maybe_scalar(out, p)
 
     def sample(self, u):

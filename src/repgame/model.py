@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
-from .distributions import BoundedCDF
+from .distributions import BoundedCDF, cost_columns
 from .errors import AssumptionError, DomainError, read_field
 
 BELIEF_SUM_TOL = 1e-12
@@ -121,9 +122,13 @@ class Belief:
 
 
 def prior(params: ModelParams) -> Belief:
-    """Common prior over types: (gamma*q, gamma*(1-q), 1-gamma)."""
+    """Common prior over types: (gamma*q, gamma*(1-q), 1-gamma). Of a
+    ``_block``, the columns under Belief's names, unchecked."""
     g = params.gamma
-    return Belief(g * params.q, g * (1.0 - params.q), 1.0 - g)
+    mu_G, mu_B, mu_N = g * params.q, g * (1.0 - params.q), 1.0 - g
+    if isinstance(params, ModelParams):
+        return Belief(mu_G, mu_B, mu_N)
+    return SimpleNamespace(mu_G=mu_G, mu_B=mu_B, mu_N=mu_N)
 
 
 def beta_e(params: ModelParams) -> float:
@@ -132,7 +137,8 @@ def beta_e(params: ModelParams) -> float:
 
 
 def rho_tilde(belief: Belief, params: ModelParams) -> float:
-    """Protest-cost cutoff: the public protests iff rho <= rho_tilde(mu)."""
+    """Protest-cost cutoff: the public protests iff rho <= rho_tilde(mu).
+    Of a ``_block``, each row's, at a belief of columns."""
     return belief.mu_G * params.beta_G + belief.mu_B * params.beta_B
 
 
@@ -222,6 +228,15 @@ def _no_news_bound(p, be):
         return np.where(g_h > 0.0, be / (1.0 + (1.0 - p.gamma) / g_h), 0.0)
 
 
+def holds(regime: str, p):
+    """Whether every clause of ``clauses(regime, p)`` holds: a bool, or of
+    a block, a column of them, each row's bit for bit its own."""
+    ok = True
+    for _, lhs, rhs in clauses(regime, p):
+        ok = ok & (lhs < rhs)
+    return ok
+
+
 def _report(regime: str, params: ModelParams) -> AssumptionReport:
     # equality counts as failure: the clauses are strict inequalities
     checks = clauses(regime, params)
@@ -257,3 +272,40 @@ def require_regime(regime: str, params: ModelParams) -> ModelParams:
     report = check_assumption(regime, params)
     require(report, report.failed_clauses(), f"{regime}-conflict assumption")
     return params
+
+
+# -- blocks ------------------------------------------------------------------
+
+
+def _block(points: list[ModelParams]) -> SimpleNamespace:
+    """The points as columns under ModelParams' attribute names, as
+    ``clauses`` takes them. A cost distribution that every point shares
+    stays itself; one that varies becomes ``cost_columns``, which holds
+    uniform and scaled_beta distributions only, so a varying
+    piecewise-linear one raises DomainError."""
+    block = {k: np.array([getattr(p, k) for p in points]) for k in _SCALARS}
+    for name in ("G", "H"):
+        dists = [getattr(p, name) for p in points]
+        if all(d == dists[0] for d in dists):
+            block[name] = dists[0]
+        elif any(d.family == "piecewise_linear" for d in dists):
+            raise DomainError(f"a block's {name} varies and is piecewise-linear")
+        else:
+            lo, hi, a, b = np.array([(d.lo, d.hi, *(d.params or (1.0, 1.0))) for d in dists]).T
+            is_beta = np.array([d.family == "scaled_beta" for d in dists])
+            block[name] = cost_columns(lo, hi, is_beta, a, b)
+    return SimpleNamespace(**block)
+
+
+def _rows(block: SimpleNamespace, rows, names=None) -> SimpleNamespace:
+    """The points of a ``_block`` at the indices ``rows``, as a block of its
+    attributes ``names``, or of all of them."""
+
+    def take(v):
+        if isinstance(v, np.ndarray):
+            return v[rows]
+        if isinstance(v, SimpleNamespace):
+            return cost_columns(*(c[rows] for c in v.columns))
+        return v  # a distribution that every point shares
+
+    return SimpleNamespace(**{k: take(getattr(block, k)) for k in names or vars(block)})

@@ -19,19 +19,31 @@ equals alpha_G - c_tilde.
 
 A solve checks the point and then runs in three steps: ``threshold_bracket``
 brackets the root, the root search runs on that bracket, and
-``mild_equilibrium`` certifies the root and builds the equilibrium.
-``solve_mild`` runs them on one point around ``find_root``;
-``solver_severe.solve_block`` runs them on a block, with one lockstep root
-search.
+``mild_equilibrium`` certifies the root and builds the equilibrium. The two
+steps around the search are column statements over a ``model._block`` of
+points, each row bit for bit its point's own. ``solve_mild`` runs them on
+a block of one around ``find_root``; ``solver_severe.solve_block`` runs
+them on a whole block, with one lockstep root search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
+
+import numpy as np
 
 from . import model
-from .errors import AssumptionError, DomainError, EstimationError, InconsistentInputsError, SolverError
+from .errors import (
+    AssumptionError,
+    DomainError,
+    EstimationError,
+    InconsistentInputsError,
+    RepgameError,
+    SolverError,
+)
 from .model import Belief, ModelParams
 from .rootfind import find_root, ulp_bracket
 
@@ -167,33 +179,27 @@ def threshold_equation(params):
     return lambda c: _threshold_residual(params, be, params.alpha_G, c)
 
 
-def threshold_bracket(params: ModelParams, relaxed: bool = False) -> tuple[float, float]:
-    """[lo, hi] with the threshold equation's root inside, for checked
-    params: the first step of ``solve_mild`` after its check. ``relaxed``
-    widens the bracket's lower end to 0."""
-    lo, hi = 0.0 if relaxed else params.H.lo, params.alpha_G
-    f = threshold_equation(params)
+def threshold_bracket(p, relaxed: bool = False) -> list:
+    """Each row's [lo, hi] with the threshold equation's root inside, for a
+    ``model._block`` p of checked points: the first step of a mild solve
+    after its check. A row is its pair of floats, or the SolverError of an
+    equation that its ends do not bracket. ``relaxed`` widens each
+    bracket's lower end to 0."""
+    hi = p.alpha_G
+    lo = np.broadcast_to(0.0 if relaxed else p.H.lo, hi.shape)
+    f = threshold_equation(p)
     f_lo, f_hi = f(lo), f(hi)
-    if f_lo > 0.0 or f_hi < 0.0:
-        # numerically impossible under the assumption check, guarded anyway
-        raise SolverError(f"threshold equation not bracketed: f({lo})={f_lo}, f({hi})={f_hi}")
     pad_lo, pad_hi = lo + _BRACKET_PAD, hi - _BRACKET_PAD
-    if f(pad_lo) < 0.0 < f(pad_hi):
-        return pad_lo, pad_hi
-    return lo, hi
-
-
-def reveal_likelihood_ratio(params: ModelParams, g_inv: float) -> float:
-    """kappa: odds of publicly repressing a good versus a bad activist, at
-    g_inv = G^{-1}(alpha_G)."""
-    num = g_inv - params.beta_B
-    den = params.beta_G - g_inv
-    if den <= 0.0 or num <= 0.0:
-        raise SolverError(
-            f"reveal likelihood ratio undefined: Ginv(alpha_G)={g_inv} "
-            f"not inside (beta_B, beta_G)"
-        )
-    return (1.0 - params.q) / params.q * num / den
+    padded = (f(pad_lo) < 0.0) & (0.0 < f(pad_hi))
+    out = []
+    for row in zip(*(v.tolist() for v in (lo, hi, f_lo, f_hi, pad_lo, pad_hi, padded))):
+        a, b, f_a, f_b, pad_a, pad_b, pad = row
+        if f_a > 0.0 or f_b < 0.0:
+            # numerically impossible under the assumption check, guarded anyway
+            out.append(SolverError(f"threshold equation not bracketed: f({a})={f_a}, f({b})={f_b}"))
+        else:
+            out.append((pad_a, pad_b) if pad else (a, b))
+    return out
 
 
 def _probabilities(
@@ -234,73 +240,156 @@ def solve_mild(
     roots. This supports limit analyses where H degenerates and the
     H-dependent clauses necessarily fail; the root c_tilde = alpha_G (no
     concealment ever pays) is then legitimate.
+
+    After the check, the steps are a block solve's, on a block of one.
     """
     validate_tol(tol)
     if relaxed:
         _require_h_free(model.check_assumption("mild", params))
     else:
         model.require_regime("mild", params)
-    bracket = threshold_bracket(params, relaxed)
+    block = model._block([params])
+    (bracket,) = threshold_bracket(block, relaxed)
+    if isinstance(bracket, RepgameError):
+        raise bracket
     c = find_root(threshold_equation(params), *bracket)
-    return mild_equilibrium(params, bracket, c, tol, relaxed)
+    (eq,) = mild_equilibrium(block, [params], [bracket], [c], tol, relaxed)
+    if isinstance(eq, RepgameError):
+        raise eq
+    return eq
+
+
+_PROBABILITIES = tuple(f.name for f in fields(RepressionProbabilities))
+# one row of mild_equilibrium's columns: the floats that its checks and its
+# equilibrium read
+_Row = namedtuple(
+    "_Row",
+    "c_tilde residual gamma_prime nn_G nn_B nn_N g_inv num den kappa r_G r_B r_N "
+    "revealed_alt total_alt p_R p_NN p_prior " + " ".join(_PROBABILITIES),
+)
 
 
 def mild_equilibrium(
-    params: ModelParams, bracket: tuple[float, float], c: float, tol: float, relaxed: bool = False
-) -> MildEquilibrium:
-    """The equilibrium at find_root's root c of the threshold equation on
-    ``threshold_bracket``'s ``bracket``: the last step of ``solve_mild``.
-    It certifies c as c_tilde at tol, with the adjacent-float retry of
-    ``_certify``, checks that c_tilde lies inside (H.lo, alpha_G) unless
-    ``relaxed``, and builds the derived quantities with their identities
-    certified at tol."""
-    c_tilde, residual = _certify(threshold_equation(params), c, *bracket, tol, "threshold")
-    if not relaxed and not params.H.lo < c_tilde < params.alpha_G:
-        raise SolverError(f"threshold {c_tilde} escaped ({params.H.lo}, {params.alpha_G})")
-    be = model.beta_e(params)
+    p, points: list, brackets: list, roots: list, tol: float, relaxed: bool = False
+) -> list:
+    """The equilibrium of each row of the ``model._block`` p of ``points``,
+    at find_root's root of the threshold equation on the row's bracket from
+    ``threshold_bracket``: the last step of a mild solve. A row whose root
+    is a RepgameError, its bracket's or its search's, keeps it.
 
-    h_mass = params.H.cdf(c_tilde)
-    gp = _gamma_prime(h_mass, params.gamma)
-    q = params.q
-    mu_NN = Belief(gp * q, gp * (1.0 - q), 1.0 - gp)
-    g_inv = params.G.quantile(params.alpha_G)
-    kappa = reveal_likelihood_ratio(params, g_inv)
-    mu_R = Belief.normalized(kappa * q, 1.0 - q, 0.0)
-    probs = _probabilities(q, (h_mass, h_mass), (kappa, 1.0))
-    # the same probabilities written directly in the payoff parameters
-    not_concealed = 1.0 - h_mass
-    revealed_alt = (params.beta_G - params.beta_B) / (params.beta_G - g_inv) * (1.0 - q) * not_concealed
-    total_alt = 1.0 - (be - g_inv) / (params.beta_G - g_inv) * not_concealed
-    revealed, total = probs.prob_revealed, probs.prob_total
-    if abs(revealed - revealed_alt) > _IDENTITY_TOL or abs(total - total_alt) > _IDENTITY_TOL:
-        raise SolverError(
-            f"probability closed forms disagree: revealed {revealed} vs {revealed_alt}, "
-            f"total {total} vs {total_alt}"
-        )
-
-    p_R = model.protest_prob(mu_R, params)
-    p_NN = model.protest_prob(mu_NN, params)
-    p_prior = model.protest_prob(model.prior(params), params)
+    Each root is certified as c_tilde at tol, with the adjacent-float retry
+    of ``_certify`` on the rows whose residual is not within tol. c_tilde
+    must then lie inside (H.lo, alpha_G) unless ``relaxed``, and the derived
+    quantities are built in columns, with their identities certified at
+    tol. A row is its MildEquilibrium, or the first error of these checks
+    in this order, each check made on the row's own floats.
+    """
+    out = list(roots)
+    live = [i for i, c in enumerate(roots) if not isinstance(c, RepgameError)]
+    if not live:
+        return out
+    if len(live) < len(roots):
+        p = model._rows(p, live)
+    c = np.array([roots[i] for i in live])
+    residual = np.abs(threshold_equation(p)(c))
+    retry = np.flatnonzero(~(residual <= tol)).tolist()
+    c, residual = c.tolist(), residual.tolist()
+    for k in retry:
+        i = live[k]
+        try:
+            c[k], residual[k] = _certify(threshold_equation(points[i]), c[k], *brackets[i], tol, "threshold")
+        except RepgameError as exc:
+            out[i] = exc
+    columns = _equilibrium_columns(p, np.array(c))
     guard = max(10.0 * tol, 1e-12)
-    if abs(p_R - params.alpha_G) > guard:
-        raise SolverError(f"protest-after-reveal {p_R} != alpha_G {params.alpha_G}")
-    if abs(p_NN - (params.alpha_G - c_tilde)) > guard:
-        raise SolverError(f"protest-after-no-news {p_NN} != alpha_G - c_tilde")
+    for i, row in zip(live, zip(c, residual, *(v.tolist() for v in columns))):
+        if not isinstance(out[i], RepgameError):
+            try:
+                out[i] = _equilibrium(points[i], _Row._make(row), relaxed, guard)
+            except RepgameError as exc:
+                out[i] = exc
+    return out
 
+
+def _equilibrium_columns(p, c_tilde: np.ndarray) -> tuple:
+    """The columns of ``_Row`` after c_tilde and its residual, of the block
+    p at the thresholds c_tilde: each the scalar build's IEEE operations,
+    elementwise."""
+    be = model.beta_e(p)
+    h_mass = p.H.cdf(c_tilde)
+    gp = _gamma_prime(h_mass, p.gamma)
+    q = p.q
+    mu_NN = SimpleNamespace(mu_G=gp * q, mu_B=gp * (1.0 - q), mu_N=1.0 - gp)
+    g_inv = p.G.quantile(p.alpha_G)
+    # kappa, the odds of publicly repressing a good versus a bad activist,
+    # is defined where g_inv lies inside (beta_B, beta_G): num, den > 0
+    num, den = g_inv - p.beta_B, p.beta_G - g_inv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = (1.0 - q) / q * num / den
+        # mu_R = Belief.normalized(kappa * q, 1 - q, 0)
+        w_G, w_B = kappa * q, 1.0 - q
+        w = w_G + w_B + 0.0
+        mu_R = SimpleNamespace(mu_G=w_G / w, mu_B=w_B / w, mu_N=0.0 / w)
+        probs = _probabilities(q, (h_mass, h_mass), (kappa, 1.0))
+        # the same probabilities written directly in the payoff parameters
+        not_concealed = 1.0 - h_mass
+        revealed_alt = (p.beta_G - p.beta_B) / den * (1.0 - q) * not_concealed
+        total_alt = 1.0 - (be - g_inv) / den * not_concealed
+    p_R, p_NN, p_prior = (model.protest_prob(mu, p) for mu in (mu_R, mu_NN, model.prior(p)))
+    return (
+        gp,
+        *vars(mu_NN).values(),
+        g_inv,
+        num,
+        den,
+        kappa,
+        *vars(mu_R).values(),
+        revealed_alt,
+        total_alt,
+        p_R,
+        p_NN,
+        p_prior,
+        *vars(probs).values(),
+    )
+
+
+def _equilibrium(params: ModelParams, r: _Row, relaxed: bool, guard: float) -> MildEquilibrium:
+    """The MildEquilibrium of the row r of ``mild_equilibrium``'s columns,
+    whose residual is certified, or the first error of its other checks."""
+    if not relaxed and not params.H.lo < r.c_tilde < params.alpha_G:
+        raise SolverError(f"threshold {r.c_tilde} escaped ({params.H.lo}, {params.alpha_G})")
+    mu_NN = Belief(r.nn_G, r.nn_B, r.nn_N)
+    if r.den <= 0.0 or r.num <= 0.0:
+        raise SolverError(
+            f"reveal likelihood ratio undefined: Ginv(alpha_G)={r.g_inv} "
+            f"not inside (beta_B, beta_G)"
+        )
+    # Belief.normalized's positive-total check passes: kappa > 0 here
+    mu_R = Belief(r.r_G, r.r_B, r.r_N)
+    revealed, total = r.prob_revealed, r.prob_total
+    if abs(revealed - r.revealed_alt) > _IDENTITY_TOL or abs(total - r.total_alt) > _IDENTITY_TOL:
+        raise SolverError(
+            f"probability closed forms disagree: revealed {revealed} vs {r.revealed_alt}, "
+            f"total {total} vs {r.total_alt}"
+        )
+    if abs(r.p_R - params.alpha_G) > guard:
+        raise SolverError(f"protest-after-reveal {r.p_R} != alpha_G {params.alpha_G}")
+    if abs(r.p_NN - (params.alpha_G - r.c_tilde)) > guard:
+        raise SolverError(f"protest-after-no-news {r.p_NN} != alpha_G - c_tilde")
     return MildEquilibrium(
-        c_tilde=c_tilde,
-        kappa=kappa,
-        gamma_prime=gp,
+        c_tilde=r.c_tilde,
+        kappa=r.kappa,
+        gamma_prime=r.gamma_prime,
         mu_R=mu_R,
         mu_NN=mu_NN,
         q_prime=mu_R.mu_G,
-        **vars(probs),
-        p_R=p_R,
-        p_NN=p_NN,
-        p_prior=p_prior,
-        D=p_prior - p_R,
-        D_lower=-c_tilde,  # = p_NN - p_R, certified above
-        residual=residual,
+        **{name: getattr(r, name) for name in _PROBABILITIES},
+        p_R=r.p_R,
+        p_NN=r.p_NN,
+        p_prior=r.p_prior,
+        D=r.p_prior - r.p_R,
+        D_lower=-r.c_tilde,  # = p_NN - p_R, certified above
+        residual=r.residual,
     )
 
 

@@ -27,20 +27,21 @@ where a monotone bound on a grid interval cannot decide its sign.
 
 A solve runs in three steps: the scan, the root search in each scan cell
 and the corner's bracket, and the build that certifies the fixed points.
-``solve_block`` states them once: it runs the bound scans of a whole block
-of points together and its root searches in lockstep, and a single solve is
-a block of one point.
+``solve_block`` states them once, after one column pass of the regime
+check over a ``model._block`` of the points: it runs the bound scans of the
+whole block together and its root searches in lockstep, and a single solve
+is a block of one point. The rest of the scan step and the build run point
+by point. ``solve_block`` also runs the mild solve's column steps on a
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import model, solver_mild
-from .distributions import cost_columns
 from .errors import DomainError, RepgameError, SolverError
 from .model import Belief, ModelParams
 from .rootfind import find_root, find_roots
@@ -133,30 +134,57 @@ def solve_block(variant: str, points: list, tol: float = DEFAULT_TOL) -> list:
     order. ``variant`` is "mild" or "severe"; a severe solve is this on a
     block of one point.
 
-    The points run through each step of their solve together, the first of
-    which is the regime check, ``model.require_regime``. The steps around a
-    root search run point by point, except that the severe scan step's bound
-    scans run on the whole block at once; each root search runs in
-    ``_lockstep``, bit for bit the per-point ``find_root``. A point whose
-    step fails carries its own error, the check's with its report, and
+    The points run through each step of their solve together, as one
+    ``model._block``, or as blocks of one where a varying piecewise-linear
+    G or H keeps them from being one. The first step is the regime check,
+    one pass of ``model.holds`` over the block, and a point that fails it
+    gets ``model.require_regime``'s error with its report. A mild solve's
+    bracket and build steps are column statements over the block, and the
+    severe scan step's bound scans run on the whole block at once; each
+    root search runs in ``_lockstep``, bit for bit the per-point
+    ``find_root``. A point whose step fails carries its own error and
     leaves the other points alone.
     """
     validate_tol(tol)
     if variant not in model.REGIMES:
         raise DomainError(f"no block solver for variant {variant!r}")
-    points = [_attempt(model.require_regime, variant, p) for p in points]
-    if variant == "mild":
-        brackets = [_attempt(solver_mild.threshold_bracket, p) for p in points]
-        equation = solver_mild.threshold_equation
-        roots = _lockstep(equation, [(p, (), b) for p, b in zip(points, brackets)])
-        build = solver_mild.mild_equilibrium
-        return [_attempt(build, p, b, c, tol) for p, b, c in zip(points, brackets, roots)]
-    scans = _severe_scans(points)
-    live = [s for s in scans if not isinstance(s, RepgameError)]
-    cells = [(s.params, (s.gap,), cell) for s in live for cell in s.cells]
-    corners = [(s.params, (s.g_beta_G,), (s.params.H.lo, s.g_beta_G)) for s in live if s.corner]
-    cell_roots = iter(_lockstep(_bad_type_equation, cells))
-    corner_roots = iter(_lockstep(_corner_equation, corners))
+    if not points:
+        return []
+    try:
+        block = model._block(points)
+    except DomainError:  # a varying piecewise-linear G or H
+        return [eq for p in points for eq in solve_block(variant, [p], tol)]
+    passed = model.holds(variant, block).tolist()
+    out = [p if ok else _attempt(model.require_regime, variant, p) for p, ok in zip(points, passed)]
+    live = [i for i, p in enumerate(out) if not isinstance(p, RepgameError)]
+    if not live:
+        return out
+    if len(live) < len(points):
+        block, points = model._rows(block, live), [points[i] for i in live]
+    solve_checked = _solve_mild_block if variant == "mild" else _solve_severe_block
+    for i, eq in zip(live, solve_checked(block, points, tol)):
+        out[i] = eq
+    return out
+
+
+def _solve_mild_block(block, points: list, tol: float) -> list:
+    """The steps of a mild solve after the check, on the ``model._block``
+    of points that pass it."""
+    brackets = solver_mild.threshold_bracket(block)
+    jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
+    roots = _lockstep(solver_mild.threshold_equation, block, points, jobs)
+    return solver_mild.mild_equilibrium(block, points, brackets, roots, tol)
+
+
+def _solve_severe_block(block, points: list, tol: float) -> list:
+    """The steps of a severe solve after the check, on the ``model._block``
+    of points that pass it."""
+    scans = _severe_scans(block, points)
+    live = [(i, s) for i, s in enumerate(scans) if not isinstance(s, RepgameError)]
+    cells = [(i, (s.gap,), cell) for i, s in live for cell in s.cells]
+    corners = [(i, (s.g_beta_G,), (s.params.H.lo, s.g_beta_G)) for i, s in live if s.corner]
+    cell_roots = iter(_lockstep(_bad_type_equation, block, points, cells))
+    corner_roots = iter(_lockstep(_corner_equation, block, points, corners))
     out = []
     for s in scans:
         if not isinstance(s, RepgameError):
@@ -179,67 +207,35 @@ def _attempt(step, *args, **kwargs):
         return exc
 
 
-def _lockstep(equation, jobs: list) -> list:
-    """``find_root(equation(params, *args), lo, hi)`` for each ``(params,
-    args, (lo, hi))`` of ``jobs``: each job's root, or the RepgameError that
-    its bracket holds in place of (lo, hi). The searches run in one
-    ``find_roots`` call, on the points as a ``_block`` and each of the args
-    as a column. A search of one row runs find_root, at a fiftieth of the
-    cost, and so does each job on its own if find_roots raises, so that a
-    job find_root rejects carries its own error."""
+def _lockstep(equation, block, points: list, jobs: list) -> list:
+    """``find_root(equation(points[i], *args), lo, hi)`` for each ``(i,
+    args, (lo, hi))`` of ``jobs``, where ``block`` is the ``model._block``
+    of points: each job's root, or the RepgameError that its bracket holds
+    in place of (lo, hi). The searches run in one ``find_roots`` call, on
+    the jobs' rows of the block and each of the args as a column. A search
+    of one row runs find_root, at a fiftieth of the cost, and so does each
+    job on its own if find_roots raises, so that a job find_root rejects
+    carries its own error."""
     out = [bracket for _, _, bracket in jobs]
-    live = [i for i, bracket in enumerate(out) if not isinstance(bracket, RepgameError)]
+    live = [k for k, bracket in enumerate(out) if not isinstance(bracket, RepgameError)]
     if not live:
         return out
-    points, args = zip(*(jobs[i][:2] for i in live))
-    lo, hi = zip(*(out[i] for i in live))
+    rows, args = zip(*(jobs[k][:2] for k in live))
+    lo, hi = zip(*(out[k] for k in live))
     roots = None
     if len(live) > 1:
         try:
-            roots = find_roots(equation(_block(points), *np.array(args).T), lo, hi).tolist()
+            f = equation(model._rows(block, list(rows)), *np.array(args).T)
+            roots = find_roots(f, lo, hi).tolist()
         except RepgameError:
             pass
     if roots is None:
         roots = [
-            _attempt(find_root, equation(p, *a), x, y) for p, a, x, y in zip(points, args, lo, hi)
+            _attempt(find_root, equation(points[i], *a), x, y) for i, a, x, y in zip(rows, args, lo, hi)
         ]
-    for i, root in zip(live, roots):
-        out[i] = root
+    for k, root in zip(live, roots):
+        out[k] = root
     return out
-
-
-def _block(points: list[ModelParams]) -> SimpleNamespace:
-    """The points as columns under ModelParams' attribute names, as
-    ``model.clauses`` takes them. A cost distribution that every point
-    shares stays itself; one that varies becomes ``cost_columns``, which
-    holds uniform and scaled_beta distributions only, so a varying
-    piecewise-linear one raises DomainError."""
-    block = {k: np.array([getattr(p, k) for p in points]) for k in model._SCALARS}
-    for name in ("G", "H"):
-        dists = [getattr(p, name) for p in points]
-        if all(d == dists[0] for d in dists):
-            block[name] = dists[0]
-        elif any(d.family == "piecewise_linear" for d in dists):
-            raise DomainError(f"a block's {name} varies and is piecewise-linear")
-        else:
-            lo, hi, a, b = np.array([(d.lo, d.hi, *(d.params or (1.0, 1.0))) for d in dists]).T
-            is_beta = np.array([d.family == "scaled_beta" for d in dists])
-            block[name] = cost_columns(lo, hi, is_beta, a, b)
-    return SimpleNamespace(**block)
-
-
-def _rows(block: SimpleNamespace, rows, names=None) -> SimpleNamespace:
-    """The points of a ``_block`` at the indices ``rows``, as a block of its
-    attributes ``names``, or of all of them."""
-
-    def take(v):
-        if isinstance(v, np.ndarray):
-            return v[rows]
-        if isinstance(v, SimpleNamespace):
-            return cost_columns(*(c[rows] for c in v.columns))
-        return v  # a distribution that every point shares
-
-    return SimpleNamespace(**{k: take(getattr(block, k)) for k in names or vars(block)})
 
 
 def repression_probabilities(eq, params: ModelParams) -> RepressionProbabilities:
@@ -377,7 +373,7 @@ def _bounds(p, x, h_B, h_G):
     return lower, upper
 
 
-def _bound_scans(p: SimpleNamespace, gap: np.ndarray) -> list:
+def _bound_scans(p, gap: np.ndarray) -> list:
     """``_scan_cells(f_B, _scan_points(params, gap))`` of each point of the
     block p, all of whose points have alpha_B > H.lo, with gap its column of
     G(beta_G) - alpha_B, found by a bound scan in lockstep.
@@ -396,7 +392,7 @@ def _bound_scans(p: SimpleNamespace, gap: np.ndarray) -> list:
 
     def h_at(row, k):
         # H at c_B = x_k and at c_G = x_k + gap, each on its point's row
-        x, H = _grid(lo[row], hi[row], k), _rows(p, row, ("H",)).H
+        x, H = _grid(lo[row], hi[row], k), model._rows(p, row, ("H",)).H
         return H.cdf(x), H.cdf(x + gap[row])
 
     edges = np.append(np.arange(0, _SCAN_1D - 1, -(-(_SCAN_1D - 1) // _SCAN_START)), _SCAN_1D - 1)
@@ -409,7 +405,7 @@ def _bound_scans(p: SimpleNamespace, gap: np.ndarray) -> list:
     hg = np.stack((h_G[:, :-1].ravel(), h_G[:, 1:].ravel()))
     cell_rows, cell_lefts = [], []
     while row.size:
-        q = _rows(p, row, ("gamma", "q", "beta_G", "beta_B", "alpha_B", "G"))
+        q = model._rows(p, row, ("gamma", "q", "beta_G", "beta_B", "alpha_B", "G"))
         lower, upper = _bounds(q, _grid(lo[row], hi[row], ij), hb, hg)
         live = ~((lower > _SLACK) | (upper < -_SLACK))
         width = ij[1] - ij[0]
@@ -450,7 +446,7 @@ def _bound_scans(p: SimpleNamespace, gap: np.ndarray) -> list:
         new = np.ones(xs.size, dtype=bool)
         new[1:] = (row[1:] != row[:-1]) | (xs[1:] != xs[:-1])
         row, xs = row[new], xs[new]
-    return _scan_rows(_bad_type_equation(_rows(p, row), gap[row]), xs, row, n)
+    return _scan_rows(_bad_type_equation(model._rows(p, row), gap[row]), xs, row, n)
 
 
 def _fixed_point_residual(params: ModelParams, c_lo: float, g_beta_G: float, cb: float, cg: float):
@@ -491,24 +487,17 @@ class _SevereScan:
     corner: bool
 
 
-def _severe_scans(points: list) -> list:
-    """The scan step of a severe solve on each point of points, checked
-    params or the error that the check gave: ``_severe_scan``, or the error,
-    with the zeros and cells of the points that pass it found by one
-    ``_bound_scans`` call over them all, or point by point where ``_block``
-    cannot hold them."""
+def _severe_scans(block, points: list) -> list:
+    """The scan step of a severe solve on each of ``points``, checked
+    params, with ``block`` their ``model._block``: ``_severe_scan``, or
+    its error, with the zeros and cells of the points that pass it found
+    by one ``_bound_scans`` call over them all."""
     scans = [_attempt(_severe_scan, p) for p in points]
     live = [i for i, s in enumerate(scans) if not isinstance(s, RepgameError)]
     live = [i for i in live if scans[i].params.alpha_B > scans[i].params.H.lo]
     if not live:
         return scans
-    params, gap = [scans[i].params for i in live], np.array([scans[i].gap for i in live])
-    try:
-        block = _block(params)
-    except DomainError:  # a varying piecewise-linear H or G
-        found = [_bound_scans(_block([p]), gap[i : i + 1])[0] for i, p in enumerate(params)]
-    else:
-        found = _bound_scans(block, gap)
+    found = _bound_scans(model._rows(block, live), np.array([scans[i].gap for i in live]))
     for i, (zeros, cells) in zip(live, found):
         scans[i] = replace(scans[i], zeros=zeros, cells=cells)
     return scans

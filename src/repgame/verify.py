@@ -391,10 +391,7 @@ def _screen(rows: np.ndarray, regime: str) -> np.ndarray:
     exactly when building and checking it fails.
     """
     p = _columns(rows)
-    ok = p.beta_G > np.maximum(p.beta_B, 0.0)
-    for _, lhs, rhs in model.clauses(regime, p):
-        ok &= lhs < rhs
-    return np.flatnonzero(ok)
+    return np.flatnonzero((p.beta_G > np.maximum(p.beta_B, 0.0)) & model.holds(regime, p))
 
 
 def _cost_dist(lo: float, hi: float, flag: float, a: float, b: float) -> BoundedCDF:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repgame import (
+    Belief,
     BoundedCDF,
     DomainError,
     EmptySweepError,
@@ -20,11 +21,15 @@ from repgame import (
     ModelParams,
     NoConcessionEquilibrium,
     RegretReport,
+    RepgameError,
     SevereEquilibrium,
+    SolverError,
     model,
+    solver_mild,
     solver_severe,
 )
 from repgame.cli import format_float
+from repgame.rootfind import find_root
 from repgame.simulate import ACTIONS, OBSERVATIONS, THETAS
 from repgame.solver_severe import bound_D_lower, repression_probabilities, solve, strategy
 from repgame.sweep import COLUMNS, SweepRow, SweepSpec, apply_axis
@@ -349,10 +354,108 @@ def reference_draw_params(rng: np.random.Generator, regime: str) -> ModelParams 
     return params if report.ok else None
 
 
+def reference_threshold_bracket(params: ModelParams, relaxed: bool = False) -> tuple[float, float]:
+    """[lo, hi] with the mild threshold equation's root inside, point by
+    point: the reference for the column step ``solver_mild.threshold_bracket``."""
+    lo, hi = 0.0 if relaxed else params.H.lo, params.alpha_G
+    f = solver_mild.threshold_equation(params)
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo > 0.0 or f_hi < 0.0:
+        raise SolverError(f"threshold equation not bracketed: f({lo})={f_lo}, f({hi})={f_hi}")
+    pad_lo, pad_hi = lo + solver_mild._BRACKET_PAD, hi - solver_mild._BRACKET_PAD
+    if f(pad_lo) < 0.0 < f(pad_hi):
+        return pad_lo, pad_hi
+    return lo, hi
+
+
+def reference_mild_equilibrium(
+    params: ModelParams, bracket: tuple[float, float], c: float, tol: float, relaxed: bool = False
+) -> MildEquilibrium:
+    """The mild equilibrium at the root c on ``bracket``, built and checked
+    point by point in Python floats, its checks in the solver's order: the
+    reference for the column step ``solver_mild.mild_equilibrium``."""
+    f = solver_mild.threshold_equation(params)
+    c_tilde, residual = solver_mild._certify(f, c, *bracket, tol, "threshold")
+    if not relaxed and not params.H.lo < c_tilde < params.alpha_G:
+        raise SolverError(f"threshold {c_tilde} escaped ({params.H.lo}, {params.alpha_G})")
+    be = model.beta_e(params)
+    h_mass = params.H.cdf(c_tilde)
+    gp = params.gamma * h_mass / (params.gamma * h_mass + 1.0 - params.gamma)
+    q = params.q
+    mu_NN = Belief(gp * q, gp * (1.0 - q), 1.0 - gp)
+    g_inv = params.G.quantile(params.alpha_G)
+    num, den = g_inv - params.beta_B, params.beta_G - g_inv
+    if den <= 0.0 or num <= 0.0:
+        raise SolverError(
+            f"reveal likelihood ratio undefined: Ginv(alpha_G)={g_inv} not inside (beta_B, beta_G)"
+        )
+    kappa = (1.0 - q) / q * num / den
+    mu_R = Belief.normalized(kappa * q, 1.0 - q, 0.0)
+    probs = solver_mild._probabilities(q, (h_mass, h_mass), (kappa, 1.0))
+    not_concealed = 1.0 - h_mass
+    revealed_alt = (params.beta_G - params.beta_B) / (params.beta_G - g_inv) * (1.0 - q) * not_concealed
+    total_alt = 1.0 - (be - g_inv) / (params.beta_G - g_inv) * not_concealed
+    revealed, total = probs.prob_revealed, probs.prob_total
+    identity_tol = solver_mild._IDENTITY_TOL
+    if abs(revealed - revealed_alt) > identity_tol or abs(total - total_alt) > identity_tol:
+        raise SolverError(
+            f"probability closed forms disagree: revealed {revealed} vs {revealed_alt}, "
+            f"total {total} vs {total_alt}"
+        )
+    p_R = model.protest_prob(mu_R, params)
+    p_NN = model.protest_prob(mu_NN, params)
+    p_prior = model.protest_prob(model.prior(params), params)
+    guard = max(10.0 * tol, 1e-12)
+    if abs(p_R - params.alpha_G) > guard:
+        raise SolverError(f"protest-after-reveal {p_R} != alpha_G {params.alpha_G}")
+    if abs(p_NN - (params.alpha_G - c_tilde)) > guard:
+        raise SolverError(f"protest-after-no-news {p_NN} != alpha_G - c_tilde")
+    return MildEquilibrium(
+        c_tilde=c_tilde,
+        kappa=kappa,
+        gamma_prime=gp,
+        mu_R=mu_R,
+        mu_NN=mu_NN,
+        q_prime=mu_R.mu_G,
+        **vars(probs),
+        p_R=p_R,
+        p_NN=p_NN,
+        p_prior=p_prior,
+        D=p_prior - p_R,
+        D_lower=-c_tilde,
+        residual=residual,
+    )
+
+
+def reference_solve_mild(params: ModelParams, tol: float = solver_mild.DEFAULT_TOL) -> MildEquilibrium:
+    """A checked mild solve of one point through the point-by-point
+    references and ``find_root``."""
+    model.require_regime("mild", params)
+    bracket = reference_threshold_bracket(params)
+    c = find_root(solver_mild.threshold_equation(params), *bracket)
+    return reference_mild_equilibrium(params, bracket, c, tol)
+
+
+def failing_rows(step, qs: set, what: str):
+    """``step``, a column step of a mild solve, with a SolverError in place
+    of its output on each row of its block whose q is in qs, unless that
+    output is an error already."""
+
+    def failing(p, *args, **kwargs):
+        out = step(p, *args, **kwargs)
+        return [
+            SolverError(f"{what} fails at q={q}") if q in qs and not isinstance(r, RepgameError) else r
+            for q, r in zip(p.q.tolist(), out)
+        ]
+
+    return failing
+
+
 def reference_sweep(spec: SweepSpec) -> list[SweepRow]:
     """``repgame.sweep.run_sweep`` as a loop that solves one point at a
-    time, each through ``solve``: the reference for the lockstep mild sweep.
-    A failing point raises at once, so the first one in grid order does."""
+    time, a mild one through ``reference_solve_mild`` and a severe one
+    through ``solve``: the reference for the block sweep. A failing point
+    raises at once, so the first one in grid order does."""
     rows: list[SweepRow] = []
     any_valid = False
     cols = COLUMNS[spec.variant]
@@ -366,7 +469,7 @@ def reference_sweep(spec: SweepSpec) -> list[SweepRow]:
         if not model.check_assumption(spec.variant, trial).ok:
             rows.append(SweepRow(axis_value=value, assumption_ok=False))
             continue
-        eq = solve(spec.variant, trial)
+        eq = reference_solve_mild(trial) if spec.variant == "mild" else solve(spec.variant, trial)
         probs = repression_probabilities(eq, trial)
         found = {c: getattr(probs if c.startswith("prob_") else eq, c) for c in cols[2:-1]}
         rows.append(SweepRow(value, True, D_lower=bound_D_lower(eq), **found))

@@ -272,3 +272,57 @@ def test_sampling_law_ks(dist):
     rng = np.random.default_rng(12345)
     samples = dist.sample(rng.random(100_000))
     assert ks_distance(dist, samples) < 0.01
+
+
+# (a, b, p) the scaled_beta rows of the column quantile must get right:
+# betaincinv returns exactly 0 at an interior p, the mirrored-tail case of
+# test_scaled_beta_quantile_hard_cases (p = cdf(0.15)); it underflows to NaN
+# at the deepest tail p; and p = 0, 1 pin the ends
+QUANTILE_ROWS = [
+    (1.1875, 2.0625, 0.21760810950394924),
+    (1.5, 1.125, 0.7601445496759371),
+    (1.0625, 1.0625, 0.5000000000000001),
+    (3.0, 0.5, 5e-324),
+    (3.0, 0.5, 1e-320),
+    (0.05, 2000.0, 1e-300),
+    (50.0, 0.2, 0.9999999999999999),
+    (2.0, 5.0, 0.0),
+    (2.0, 5.0, 1.0),
+    (0.7, 1.8, 0.3),
+]
+
+
+def test_quantile_columns_match_per_row_quantile():
+    # uniform and scaled_beta rows in one column: each row is its own
+    # distribution's quantile, bit for bit
+    rng = np.random.default_rng(8)
+    dists, ps = [], []
+    for a, b, p in QUANTILE_ROWS:
+        lo = float(rng.uniform(0.0, 0.5))
+        hi = lo + float(rng.uniform(0.3, 1.5))
+        dists += [BoundedCDF.scaled_beta(lo, hi, a, b), BoundedCDF.uniform(lo, hi)]
+        ps += [p, p]
+    for p in (0.0, 1.0, 1e-300, 0.6):
+        dists.append(BoundedCDF.uniform(0.1, 1.3))
+        ps.append(p)
+    want = np.array([d.quantile(p) for d, p in zip(dists, ps)])
+    lo, hi, a, b = np.array([(d.lo, d.hi, *(d.params or (1.0, 1.0))) for d in dists]).T
+    is_beta = np.array([d.family == "scaled_beta" for d in dists])
+    got = distributions.quantile_columns(np.array(ps), lo, hi, is_beta, a, b)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the rows do reach the fallbacks: an exact 0 at an interior p, and NaN
+    unit = distributions.betaincinv(a[is_beta], b[is_beta], np.array(ps)[is_beta])
+    assert unit[0] == 0.0 and np.isnan(unit).any()
+
+
+@pytest.mark.parametrize("a, b, p", QUANTILE_ROWS)
+def test_quantile_of_one_shared_distribution_matches_columns(a, b, p):
+    # a shared distribution's scalar shapes and a column of its shapes agree
+    d = BoundedCDF.scaled_beta(0.2, 1.1, a, b)
+    ps = np.array([p, 0.5, p])
+    columns = [np.full(3, v) for v in (d.lo, d.hi, True, a, b)]
+    columns[2] = columns[2].astype(bool)
+    got = distributions.quantile_columns(ps, *columns)
+    want = np.array([d.quantile(float(x)) for x in ps])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(d.quantile(ps).view(np.uint64), want.view(np.uint64))

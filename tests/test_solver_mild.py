@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,15 +10,19 @@ from hypothesis import strategies as st
 from helpers import (
     bisect,
     make_p1,
+    make_p2,
     mild_threshold_equation,
     no_concession_equation,
     quad_root_positive,
+    reference_mild_equilibrium,
+    reference_solve_mild,
 )
 from repgame import (
     AssumptionError,
     BoundedCDF,
     DomainError,
     InconsistentInputsError,
+    RepgameError,
     SolverError,
     bound_D_lower,
     effect_D_mild,
@@ -26,10 +31,12 @@ from repgame import (
     estimator_total,
     limit_H_degenerate,
     no_concession_equilibrium,
+    solve_block,
     solve_mild,
     solve_no_concession,
 )
-from repgame import solver_mild
+from repgame import model, solver_mild, sweep, verify
+from repgame.rootfind import find_root
 from repgame.verify import draw_params
 
 # Frozen oracle values for the benchmark parameters. With uniform G and H the
@@ -117,13 +124,14 @@ class TestSolveMildP1:
 
 
 def test_solve_mild_evaluates_g_inverse_once(monkeypatch):
-    # reveal_likelihood_ratio and the closed-form cross-check share one G^{-1}(alpha_G)
+    # kappa and the closed-form cross-check share one G^{-1}(alpha_G), which a
+    # solve of one takes as a column of one
     params = make_p1(G=BoundedCDF.scaled_beta(0.0, 1.0, 2.0, 2.0))
     quantile = BoundedCDF.quantile
     calls = []
 
     def counting(self, u):
-        if self is params.G and np.ndim(u) == 0 and u == params.alpha_G:
+        if self is params.G and np.all(np.asarray(u) == params.alpha_G):
             calls.append(u)
         return quantile(self, u)
 
@@ -338,3 +346,128 @@ class TestHugePayoffs:
         monkeypatch.setattr(solver_mild, "find_root", lambda f, lo, hi: hi)
         with pytest.raises(SolverError, match="threshold residual"):
             solve_mild(p1)
+
+
+# -- the column steps against the point-by-point oracle ------------------------
+
+
+def _outcome(result):
+    """An equilibrium as its repr, which spells each float's bits; an error
+    as its type, message and report."""
+    if isinstance(result, RepgameError):
+        return type(result), str(result), getattr(result, "report", None)
+    return repr(result)
+
+
+def _attempt(f, *args):
+    try:
+        return f(*args)
+    except RepgameError as exc:
+        return exc
+
+
+def _mild_draws(seed: int, n: int) -> list:
+    draws = verify._accepted_draws(np.random.default_rng(seed), "mild", 100_000)
+    return [params for _, params in itertools.islice(draws, n)]
+
+
+class TestBlockMatchesScalarOracle:
+    """A block's check, bracket and build, in columns, give each point the
+    point-by-point solve's result bit for bit, errors included."""
+
+    @staticmethod
+    def _assert_matches(points, tol=solver_mild.DEFAULT_TOL):
+        got = [_outcome(r) for r in solve_block("mild", points, tol)]
+        assert got == [_outcome(_attempt(reference_solve_mild, p, tol)) for p in points]
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_first_1000_sign_law_draws(self, seed):
+        points = _mild_draws(seed, 1000)
+        # two points that fail the check, inside the block
+        points[10:10] = [make_p2()]
+        points[500:500] = [make_p1(alpha_B=0.5)]
+        got = self._assert_matches(points)
+        assert sum(isinstance(r, str) for r in got) == 1000
+
+    def test_p1_H_lo_grid(self):
+        points = [sweep.apply_axis(make_p1(), "H_lo", float(v)) for v in np.linspace(0.0, 0.55, 1000)]
+        got = self._assert_matches(points)
+        assert all(isinstance(r, str) for r in got)
+
+    def test_failing_residuals(self):
+        # at 1e-16 some residuals fail even the adjacent-float retry
+        got = self._assert_matches(_mild_draws(0, 200), tol=1e-16)
+        assert 10 <= sum(isinstance(r, tuple) for r in got) <= 190
+
+
+class TestBuildCheckOrder:
+    """A failure injected into each check of the build, with every later
+    check failing too: the row carries the first failure in the scalar
+    order, as the oracle does, and the rows around it keep their own."""
+
+    @staticmethod
+    def _build(points, tol=solver_mild.DEFAULT_TOL, moved=()):
+        """Each point's build outcome, its error message or None, checked
+        against the oracle's; the root of each row in ``moved`` is moved
+        past alpha_G, by 0.01."""
+        block = model._block(points)
+        brackets = solver_mild.threshold_bracket(block)
+        roots = [
+            p.alpha_G + 0.01 if i in moved else find_root(solver_mild.threshold_equation(p), *b)
+            for i, (p, b) in enumerate(zip(points, brackets))
+        ]
+        got = solver_mild.mild_equilibrium(block, points, brackets, roots, tol)
+        want = [_attempt(reference_mild_equilibrium, *args, tol) for args in zip(points, brackets, roots)]
+        assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
+        return [str(r) if isinstance(r, RepgameError) else None for r in got]
+
+    @staticmethod
+    def _fail_later_checks(monkeypatch, closed_form=True, p_R=True):
+        """Fail the closed-form check and the p_R (or only the p_NN) guard."""
+        if closed_form:
+            monkeypatch.setattr(solver_mild, "_IDENTITY_TOL", -1.0)
+        protest_prob = model.protest_prob
+        # p_R's belief is the only one with mu_N = 0
+        bump = (lambda mu: 1e3) if p_R else (lambda mu: 1e3 * (mu.mu_N > 0.0))
+        monkeypatch.setattr(model, "protest_prob", lambda mu, params: protest_prob(mu, params) + bump(mu))
+
+    def test_residual_retry(self, monkeypatch):
+        # a root past alpha_G misses tol, and no adjacent float pair brackets it
+        self._fail_later_checks(monkeypatch)
+        errors = self._build(_mild_draws(0, 6), moved={1, 3, 5})
+        assert all(e.startswith("threshold residual") for e in errors[1::2])
+        assert all(e.startswith("probability closed forms") for e in errors[::2])
+        # below float resolution the retry fails as ill-conditioned
+        assert any("ill-conditioned" in (e or "") for e in self._build(_mild_draws(1, 40), tol=1e-300))
+
+    def test_escape(self, monkeypatch):
+        # a tol of 10 passes the root past alpha_G, and the escape check fails it
+        self._fail_later_checks(monkeypatch)
+        errors = self._build(_mild_draws(0, 6), tol=10.0, moved={1, 3, 5})
+        assert all(e.startswith("threshold ") and "escaped" in e for e in errors[1::2])
+        assert all(e.startswith("probability closed forms") for e in errors[::2])
+
+    def test_kappa(self, monkeypatch):
+        # beta_B at or above G^{-1}(alpha_G) = 0.6 leaves kappa undefined
+        self._fail_later_checks(monkeypatch)
+        points = [make_p1(beta_B=float(b)) for b in np.linspace(0.4, 0.9, 6)]
+        errors = self._build(points)
+        assert [e.split(":")[0] for e in errors] == ["probability closed forms disagree"] * 2 + [
+            "reveal likelihood ratio undefined"
+        ] * 4
+
+    def test_closed_forms(self, monkeypatch):
+        self._fail_later_checks(monkeypatch)
+        errors = self._build(_mild_draws(2, 6))
+        assert all(e.startswith("probability closed forms disagree") for e in errors)
+
+    def test_p_R_guard(self, monkeypatch):
+        self._fail_later_checks(monkeypatch, closed_form=False)
+        errors = self._build(_mild_draws(2, 6))
+        assert all(e.startswith("protest-after-reveal") for e in errors)
+
+    def test_p_NN_guard(self, monkeypatch):
+        self._fail_later_checks(monkeypatch, closed_form=False, p_R=False)
+        errors = self._build(_mild_draws(2, 6))
+        assert all(e.startswith("protest-after-no-news") for e in errors)

@@ -10,6 +10,7 @@ import pytest
 
 import repgame
 from helpers import (
+    failing_rows,
     make_p1,
     make_p2,
     quad_root_positive,
@@ -426,13 +427,14 @@ def test_lockstep_runs_find_roots_on_two_or_more_rows(monkeypatch, p2):
     calls = []
     find_roots = solver_severe.find_roots
     monkeypatch.setattr(solver_severe, "find_roots", lambda *args: calls.append(args) or find_roots(*args))
-    (scan,) = solver_severe._severe_scans([p2])
-    f_B, job = solver_severe._bad_type_equation, (p2, (scan.gap,), scan.cells[0])
-    one = solver_severe._lockstep(f_B, [job])
-    rejected = (p2, (scan.gap,), repgame.SolverError("no bracket"))
-    assert solver_severe._lockstep(f_B, [rejected, job])[1:] == one
+    (scan,) = _scans([p2])
+    block = repgame.model._block([p2])
+    f_B, job = solver_severe._bad_type_equation, (0, (scan.gap,), scan.cells[0])
+    one = solver_severe._lockstep(f_B, block, [p2], [job])
+    rejected = (0, (scan.gap,), repgame.SolverError("no bracket"))
+    assert solver_severe._lockstep(f_B, block, [p2], [rejected, job])[1:] == one
     assert calls == []
-    assert solver_severe._lockstep(f_B, [job, job]) == one + one
+    assert solver_severe._lockstep(f_B, block, [p2], [job, job]) == one + one
     assert len(calls) == 1
     assert one == [find_root(f_B(p2, scan.gap), *scan.cells[0])]
 
@@ -586,11 +588,20 @@ class TestMultiplicityNote:
 # -- the bound scan against the full-grid scan ----------------------------------
 
 
+def _scans(points: list) -> list:
+    """The scan step of checked points, as solve_block runs it: on one block
+    of them, or on blocks of one where no block holds them."""
+    try:
+        return solver_severe._severe_scans(repgame.model._block(points), points)
+    except DomainError:
+        return [s for p in points for s in _scans([p])]
+
+
 def _assert_scans_match_oracle(points: list) -> int:
     """Each point's scan step, run on the points as one block, finds exactly
     the full-grid oracle's zeros and cells; the number of points that scan."""
     scanned = 0
-    for params, scan in zip(points, solver_severe._severe_scans(points)):
+    for params, scan in zip(points, _scans(points)):
         assert not isinstance(scan, repgame.RepgameError), scan
         if params.alpha_B > params.H.lo:
             assert (scan.zeros, scan.cells) == reference_severe_scan(params, scan.gap), params
@@ -632,7 +643,7 @@ class TestBoundScan:
         # bounds, up to the slack; 8 intervals of 1 to 64 cells per point
         params = [p for p in _checked(_extreme_shapes(4, 400)) if p.alpha_B > p.H.lo]
         params += [p for p in _accepted_points("severe", 4, 400) if p.alpha_B > p.H.lo]
-        block = solver_severe._block(params)
+        block = repgame.model._block(params)
         gap = block.G.cdf(block.beta_G) - block.alpha_B
         lo, hi = block.H.lo, block.alpha_B
         rng = np.random.default_rng(23)
@@ -640,7 +651,7 @@ class TestBoundScan:
         i = rng.integers(0, _SCAN_1D - 1, row.size)
         ij = np.stack((i, np.minimum(i + rng.integers(1, 65, row.size), _SCAN_1D - 1)))
         x = solver_severe._grid(lo[row], hi[row], ij)
-        rows = solver_severe._rows(block, row)
+        rows = repgame.model._rows(block, row)
         h_B = np.array([rows.H.cdf(x[0]), rows.H.cdf(x[1])])
         h_G = np.array([rows.H.cdf(x[0] + gap[row]), rows.H.cdf(x[1] + gap[row])])
         lower, upper = solver_severe._bounds(rows, x, h_B, h_G)
@@ -648,7 +659,7 @@ class TestBoundScan:
         size = ij[1] - ij[0] + 1
         at = np.repeat(np.arange(row.size), size)
         k = np.concatenate([np.arange(a, b + 1) for a, b in ij.T])
-        f_B = solver_severe._bad_type_equation(solver_severe._rows(block, row[at]), gap[row[at]])
+        f_B = solver_severe._bad_type_equation(repgame.model._rows(block, row[at]), gap[row[at]])
         values = f_B(solver_severe._grid(lo[row[at]], hi[row[at]], k))
         assert np.all(values >= lower[at] - solver_severe._SLACK)
         assert np.all(values <= upper[at] + solver_severe._SLACK)
@@ -715,7 +726,7 @@ class TestBoundScan:
             return cdf_columns(x, *args)
 
         monkeypatch.setattr(repgame.distributions, "cdf_columns", counted)
-        solver_severe._severe_scans(points)
+        _scans(points)
         scanning = sum(p.alpha_B > p.H.lo for p in points)
         assert scanning == 173
         assert sum(elements) < 0.1 * 3 * _SCAN_1D * scanning
@@ -836,7 +847,7 @@ class TestSolveBlock:
             for g in rng.uniform(-3e-4, 3e-4, 40)
         ]
         assert_block_matches_solve("severe", params)
-        assert sum(len(scan.cells) > 1 for scan in solver_severe._severe_scans(params)) >= 10
+        assert sum(len(scan.cells) > 1 for scan in _scans(params)) >= 10
 
     def test_varying_piecewise_linear_cost_is_solved_point_by_point(self):
         # no column form holds a piecewise-linear H that varies across the block
@@ -845,7 +856,7 @@ class TestSolveBlock:
         got = assert_block_matches_solve("severe", params)
         assert all(isinstance(r, str) for r in got)
         with pytest.raises(DomainError, match="piecewise-linear"):
-            solver_severe._block(params)
+            repgame.model._block(params)
 
     def test_failed_check_carries_its_assumption_error(self, p1, p2):
         points = [p2, p1, p2]
@@ -882,9 +893,10 @@ class TestSolveBlockFailures:
 
     @pytest.mark.parametrize("step", ["threshold_bracket", "mild_equilibrium"])
     def test_mild_step(self, monkeypatch, step):
+        # the failure is injected into the column step's outputs on the chosen rows
         points = _accepted_points("mild", 0, 60)
         chosen = {3, 17, 41}
-        failing = _failing_at({points[i].q for i in chosen}, getattr(solver_mild, step), step)
+        failing = failing_rows(getattr(solver_mild, step), {points[i].q for i in chosen}, step)
         monkeypatch.setattr(solver_mild, step, failing)
         got = self._check("mild", points, chosen)
         assert got[3] == (repgame.SolverError, f"{step} fails at q={points[3].q}")
@@ -894,9 +906,8 @@ class TestSolveBlockFailures:
         qs = {points[i].q for i in (5, 30)}
         bracket = solver_mild.threshold_bracket
 
-        def reversed_bracket(params, *args):
-            lo, hi = bracket(params, *args)
-            return (hi, lo) if params.q in qs else (lo, hi)
+        def reversed_bracket(p, *args):
+            return [b[::-1] if q in qs else b for q, b in zip(p.q.tolist(), bracket(p, *args))]
 
         monkeypatch.setattr(solver_mild, "threshold_bracket", reversed_bracket)
         got = self._check("mild", points, {5, 30})
@@ -927,15 +938,15 @@ class TestSolveBlockFailures:
 
     def test_severe_interior_cell_that_find_roots_rejects(self, monkeypatch):
         points = _accepted_points("severe", 0, 60)
-        interior = [i for i, s in enumerate(solver_severe._severe_scans(points)) if s.cells]
+        interior = [i for i, s in enumerate(_scans(points)) if s.cells]
         chosen = {interior[0], interior[-1]}
         qs = {points[i].q for i in chosen}
         scans = solver_severe._severe_scans
 
-        def flipped_cells(points):
+        def flipped_cells(block, points):
             return [
                 dataclasses.replace(s, cells=[(b, a) for a, b in s.cells]) if s.params.q in qs else s
-                for s in scans(points)
+                for s in scans(block, points)
             ]
 
         monkeypatch.setattr(solver_severe, "_severe_scans", flipped_cells)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repgame
-from helpers import make_p1, make_p2, reference_sweep
+from helpers import failing_rows, make_p1, make_p2, reference_sweep
 from repgame import (
     BoundedCDF,
     DomainError,
@@ -225,27 +225,36 @@ class TestLockstepMatchesPointByPoint:
         # looked up by its bracket would go to the wrong point
         spec = SweepSpec("G_lo", 0.0, 0.35, 60, make_p1())
         points = [sweep.apply_axis(spec.base, "G_lo", float(v)) for v in np.linspace(0.0, 0.35, 60)]
-        brackets = {solver_mild.threshold_bracket(p) for p in points}
+        brackets = set(solver_mild.threshold_bracket(model._block(points)))
         rows = run_sweep(spec)
         assert len(brackets) == 1
         assert len({row.c_tilde for row in rows}) == 60
         assert _bits(rows) == _bits(reference_sweep(spec))
 
-    def test_one_assumption_check_per_point(self, monkeypatch):
-        calls = []
-        check = model.check_assumption_mild
-        monkeypatch.setattr(model, "check_assumption_mild", lambda p: calls.append(p) or check(p))
-        rows = run_sweep(SweepSpec("alpha_G", 0.55, 0.75, 9, make_p1()))
-        assert len(calls) == 9
-        assert sum(row.assumption_ok for row in rows) == 6
-
-    def test_one_assumption_check_per_severe_point(self, monkeypatch):
-        calls = []
-        check = model.check_assumption_severe
-        monkeypatch.setattr(model, "check_assumption_severe", lambda p: calls.append(p) or check(p))
-        rows = run_sweep(SweepSpec("q", 0.1, 0.9, 9, make_p2(), variant="severe"))
-        assert len(calls) == 9
-        assert sum(row.assumption_ok for row in rows) == 6
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SweepSpec("alpha_G", 0.55, 0.75, 9, make_p1()),
+            SweepSpec("q", 0.1, 0.9, 9, make_p2(), variant="severe"),
+        ],
+        ids=["mild", "severe"],
+    )
+    def test_one_clause_pass_per_block(self, monkeypatch, spec):
+        # the block's points are checked by one column pass of the clauses,
+        # and only the 3 of 9 points that fail it get a scalar check, for
+        # the report that their AssumptionError carries
+        passes, checked = [], []
+        holds = model.holds
+        monkeypatch.setattr(model, "holds", lambda regime, p: passes.append(p) or holds(regime, p))
+        name = f"check_assumption_{spec.variant}"
+        check = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda p: checked.append(p) or check(p))
+        rows = run_sweep(spec)
+        assert len(passes) == 1 and passes[0].q.size == 9
+        valid = [row.assumption_ok for row in rows]
+        assert valid.count(True) == 6
+        failing = [sweep.apply_axis(spec.base, spec.axis, row.axis_value) for row in rows if not row.assumption_ok]
+        assert checked == failing
 
 
 class TestLockstepFailures:
@@ -259,19 +268,12 @@ class TestLockstepFailures:
         fails: dict[str, set] = {}
         fails.setdefault(first, set()).add(grid[3])
         fails.setdefault(second, set()).add(grid[7])
+        # the failures are injected into the column steps' outputs
         for step, qs in fails.items():
-
-            def failing(params, *args, _step=step, _qs=qs, _run=getattr(solver_mild, step)):
-                if params.q in _qs:
-                    raise SolverError(f"{_step} fails at q={params.q}")
-                return _run(params, *args)
-
-            monkeypatch.setattr(solver_mild, step, failing)
+            monkeypatch.setattr(solver_mild, step, failing_rows(getattr(solver_mild, step), qs, step))
         with pytest.raises(SolverError) as got:
             run_sweep(spec)
-        with pytest.raises(SolverError) as want:
-            reference_sweep(spec)
-        assert str(got.value) == str(want.value) == f"{first} fails at q={grid[3]}"
+        assert str(got.value) == f"{first} fails at q={grid[3]}"
 
 
 class TestSevereLockstepFailures:

@@ -413,10 +413,9 @@ class TestSignLawKnifeEdge:
         assert knife and index < 30
         bracket = solver_mild.threshold_bracket
 
-        def failing(params, *args):
-            if params.q in knife:
-                raise SolverError(f"knife edge at q={params.q}")
-            return bracket(params, *args)
+        def failing(p, *args):
+            out = bracket(p, *args)
+            return [SolverError(f"knife edge at q={q}") if q in knife else b for q, b in zip(p.q.tolist(), out)]
 
         monkeypatch.setattr(solver_mild, "threshold_bracket", failing)
         got = sign_law_check("mild", n_draws=40, seed=0)
