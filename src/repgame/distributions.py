@@ -236,8 +236,8 @@ class BoundedCDF:
             out = np.interp(ps, kf, kx)
         else:
             a, b = self.params or (1.0, 1.0)  # a uniform's shapes go unused
-            out = quantile_columns(ps, self.lo, self.hi, self.family == "scaled_beta", a, b)
-            out = out.reshape(np.shape(ps))
+            out = quantile_columns(ps.ravel(), self.lo, self.hi, self.family == "scaled_beta", a, b)
+            out = out.reshape(ps.shape)
         return _maybe_scalar(out, p)
 
     def sample(self, u):

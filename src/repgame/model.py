@@ -300,6 +300,7 @@ def _block(points: list[ModelParams]) -> SimpleNamespace:
 def _rows(block: SimpleNamespace, rows, names=None) -> SimpleNamespace:
     """The points of a ``_block`` at the indices ``rows``, as a block of its
     attributes ``names``, or of all of them."""
+    rows = np.asarray(rows, dtype=np.intp)  # a list once, not once per column
 
     def take(v):
         if isinstance(v, np.ndarray):

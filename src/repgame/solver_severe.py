@@ -28,16 +28,21 @@ where a monotone bound on a grid interval cannot decide its sign.
 A solve runs in three steps: the scan, the root search in each scan cell
 and the corner's bracket, and the build that certifies the fixed points.
 ``solve_block`` states them once, after one column pass of the regime
-check over a ``model._block`` of the points: it runs the bound scans of the
-whole block together and its root searches in lockstep, and a single solve
-is a block of one point. The rest of the scan step and the build run point
-by point. ``solve_block`` also runs the mild solve's column steps on a
-block.
+check over a ``model._block`` of the points, and a single solve is a block
+of one point. The scan and the build are column statements over the block,
+each row bit for bit its point's own, with the bound scans of the whole
+block run together; the root searches run in lockstep. Only what a row
+holds apart runs row by row: its cells and roots, its corner's
+adjacent-float retry, its multiplicity note and its checks, in the scalar
+order. ``solve_block`` also runs the mild solve's column steps on a block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,12 +143,12 @@ def solve_block(variant: str, points: list, tol: float = DEFAULT_TOL) -> list:
     ``model._block``, or as blocks of one where a varying piecewise-linear
     G or H keeps them from being one. The first step is the regime check,
     one pass of ``model.holds`` over the block, and a point that fails it
-    gets ``model.require_regime``'s error with its report. A mild solve's
-    bracket and build steps are column statements over the block, and the
-    severe scan step's bound scans run on the whole block at once; each
-    root search runs in ``_lockstep``, bit for bit the per-point
-    ``find_root``. A point whose step fails carries its own error and
-    leaves the other points alone.
+    gets ``model.require_regime``'s error with its report. The steps around
+    each root search are column statements over the block: a mild solve's
+    bracket and build, and a severe solve's scan and build. Each root
+    search runs in ``_lockstep``, bit for bit the per-point ``find_root``.
+    A point whose step fails carries its own error and leaves the other
+    points alone.
     """
     validate_tol(tol)
     if variant not in model.REGIMES:
@@ -179,30 +184,25 @@ def _solve_mild_block(block, points: list, tol: float) -> list:
 def _solve_severe_block(block, points: list, tol: float) -> list:
     """The steps of a severe solve after the check, on the ``model._block``
     of points that pass it."""
-    scans = _severe_scans(block, points)
+    scans = _severe_scans(block)
     live = [(i, s) for i, s in enumerate(scans) if not isinstance(s, RepgameError)]
     cells = [(i, (s.gap,), cell) for i, s in live for cell in s.cells]
-    corners = [(i, (s.g_beta_G,), (s.params.H.lo, s.g_beta_G)) for i, s in live if s.corner]
+    corners = [(i, (s.g_beta_G,), (points[i].H.lo, s.g_beta_G)) for i, s in live if s.corner]
     cell_roots = iter(_lockstep(_bad_type_equation, block, points, cells))
     corner_roots = iter(_lockstep(_corner_equation, block, points, corners))
-    out = []
-    for s in scans:
-        if not isinstance(s, RepgameError):
-            roots = [next(cell_roots) for _ in s.cells]
-            roots += [next(corner_roots)] if s.corner else []
-            s = _attempt(_severe_build, s, *roots, tol=tol)
-        out.append(s)
-    return out
+    roots = [
+        []
+        if isinstance(s, RepgameError)
+        else [next(cell_roots) for _ in s.cells] + ([next(corner_roots)] if s.corner else [])
+        for s in scans
+    ]
+    return severe_equilibrium(block, points, scans, roots, tol)
 
 
-def _attempt(step, *args, **kwargs):
-    """``step(*args, **kwargs)``, or the first RepgameError among ``args``,
-    or the RepgameError that the step raises."""
-    failed = next((a for a in args if isinstance(a, RepgameError)), None)
-    if failed is not None:
-        return failed
+def _attempt(step, *args):
+    """``step(*args)``, or the RepgameError that it raises."""
     try:
-        return step(*args, **kwargs)
+        return step(*args)
     except RepgameError as exc:
         return exc
 
@@ -264,12 +264,14 @@ def posterior_nn_severe(c_B: float, c_G: float, params: ModelParams) -> Belief:
     """
     if c_B > c_G:
         raise DomainError(f"need c_B <= c_G, got {c_B} > {c_G}")
+    return Belief.normalized(*_nn_weights(params, c_B, c_G))
+
+
+def _nn_weights(params, c_B, c_G):
+    """The unnormalized no-news posterior (gamma*H(c_G)*q, gamma*H(c_B)*(1-q),
+    1-gamma); of a block, each row's, at columns of thresholds."""
     g, q = params.gamma, params.q
-    return Belief.normalized(
-        g * params.H.cdf(c_G) * q,
-        g * params.H.cdf(c_B) * (1.0 - q),
-        1.0 - g,
-    )
+    return g * params.H.cdf(c_G) * q, g * params.H.cdf(c_B) * (1.0 - q), 1.0 - g
 
 
 def _posterior_mean(params, h_G, h_B):
@@ -472,48 +474,40 @@ def _corner_equation(params, g_beta_G):
     return lambda cg: _p_nn(params, params.H.lo, cg) + cg - g_beta_G
 
 
-@dataclass(frozen=True)
-class _SevereScan:
-    """What the scan step of a severe solve finds: the points where f_B is 0
-    and the cells that each hold one root of it, on the scan of [H.lo,
-    alpha_B], and whether the corner is consistent, so that its c_G is
-    solved on [H.lo, G(beta_G)]."""
+class _SevereScan(NamedTuple):
+    """What the scan step of a severe solve finds on a point: G(beta_G), the
+    gap G(beta_G) - alpha_B, the points where f_B is 0 and the cells that
+    each hold one root of it, on the scan of [H.lo, alpha_B], and whether the
+    corner is consistent, so that its c_G is solved on [H.lo, G(beta_G)]."""
 
-    params: ModelParams
     g_beta_G: float
     gap: float
-    zeros: list[float]
-    cells: list[tuple[float, float]]
+    zeros: list
+    cells: list
     corner: bool
 
 
-def _severe_scans(block, points: list) -> list:
-    """The scan step of a severe solve on each of ``points``, checked
-    params, with ``block`` their ``model._block``: ``_severe_scan``, or
-    its error, with the zeros and cells of the points that pass it found
-    by one ``_bound_scans`` call over them all."""
-    scans = [_attempt(_severe_scan, p) for p in points]
-    live = [i for i, s in enumerate(scans) if not isinstance(s, RepgameError)]
-    live = [i for i in live if scans[i].params.alpha_B > scans[i].params.H.lo]
-    if not live:
-        return scans
-    found = _bound_scans(model._rows(block, live), np.array([scans[i].gap for i in live]))
-    for i, (zeros, cells) in zip(live, found):
-        scans[i] = replace(scans[i], zeros=zeros, cells=cells)
-    return scans
-
-
-def _severe_scan(params: ModelParams) -> _SevereScan:
-    """The per-point part of the scan step, for params that pass the severe
-    check: G(beta_G), the gap and the corner test, with no zeros or cells
-    yet. ``_severe_scans`` fills those in."""
-    g_beta_G = params.G.cdf(params.beta_G)
-    gap = g_beta_G - params.alpha_B
-    if gap <= 0.0:
-        raise SolverError(f"threshold gap G(beta_G) - alpha_B = {gap} not positive")
-    c_lo = params.H.lo
-    corner = params.alpha_B <= c_lo or _bad_type_equation(params, gap)(c_lo) >= 0.0
-    return _SevereScan(params, g_beta_G, gap, [], [], corner)
+def _severe_scans(p) -> list:
+    """The scan step of a severe solve on each row of the ``model._block`` p
+    of checked points: its _SevereScan, or the SolverError of a gap that is
+    not positive. G(beta_G), the gap and the corner test are column
+    statements, each row bit for bit its point's own, and one
+    ``_bound_scans`` call finds the zeros and cells of the rows that scan."""
+    g_beta_G = p.G.cdf(p.beta_G)
+    gap = g_beta_G - p.alpha_B
+    c_lo = np.broadcast_to(p.H.lo, gap.shape)
+    corner = (p.alpha_B <= c_lo) | (_bad_type_equation(p, gap)(c_lo) >= 0.0)
+    failed = gap <= 0.0
+    scans = ~failed & (p.alpha_B > c_lo)
+    rows = np.flatnonzero(scans)
+    found = iter(_bound_scans(model._rows(p, rows), gap[rows]) if rows.size else ())
+    out = []
+    for g, d, bad, scanned, c in zip(*(v.tolist() for v in (g_beta_G, gap, failed, scans, corner))):
+        if bad:
+            out.append(SolverError(f"threshold gap G(beta_G) - alpha_B = {d} not positive"))
+        else:
+            out.append(_SevereScan(g, d, *(next(found) if scanned else ([], [])), c))
+    return out
 
 
 def solve_severe(params: ModelParams, tol: float = DEFAULT_TOL) -> SevereEquilibrium:
@@ -525,72 +519,137 @@ def solve_severe(params: ModelParams, tol: float = DEFAULT_TOL) -> SevereEquilib
     return eq
 
 
-def _severe_build(scan: _SevereScan, *roots: float, tol: float) -> SevereEquilibrium:
-    """The last step of ``solve_severe``: the equilibrium from find_root's
-    ``roots``, one in each of the scan's cells and then, if the corner is
-    consistent, the corner's c_G, with every fixed point certified at tol."""
-    params, g_beta_G, gap = scan.params, scan.g_beta_G, scan.gap
-    c_lo = params.H.lo
-    found = _distinct(scan.zeros + list(roots[: len(scan.cells)]))
-    interior_roots = [r for r in found if r > c_lo + 1e-12]
+# revealed repression identifies the good type
+_MU_R = Belief(1.0, 0.0, 0.0)
+# one row of severe_equilibrium's columns: the floats that its checks and its
+# equilibrium read
+_Row = namedtuple("_Row", "nn_G nn_B nn_N p_NN p_R p_prior residual_B residual_G")
 
-    candidates: list[tuple[float, float, bool]] = []
-    if scan.corner:
-        f_G = _corner_equation(params, g_beta_G)
-        corner_root, _ = _certify(f_G, roots[-1], c_lo, g_beta_G, tol, "severe corner")
-        candidates.append((c_lo, corner_root, True))
-    candidates.extend((r, r + gap, False) for r in interior_roots)
+
+def severe_equilibrium(p, points: list, scans: list, roots: list, tol: float) -> list:
+    """The equilibrium of each row of the ``model._block`` p of ``points``,
+    from its ``_severe_scans`` entry and its list of find_root's ``roots``,
+    one in each of the scan's cells and then, if the corner is consistent,
+    the corner's c_G: the last step of a severe solve. A row whose scan or
+    one of whose roots is a RepgameError keeps the first of them.
+
+    The corner roots are certified at tol, with the adjacent-float retry of
+    ``_certify`` on the rows whose residual is not within tol. Each row then
+    takes the fixed point with the smallest (c_B, c_G) among the corner and
+    its distinct interior roots, and lists the others in its
+    ``multiplicity_note``. The no-news posterior, the protest probabilities
+    and the residuals are built in columns, and each row's checks run on its
+    own floats: a row is its SevereEquilibrium, or the first error of these
+    checks in this order.
+    """
+    out = [next((a for a in (s, *r) if isinstance(a, RepgameError)), None) for s, r in zip(scans, roots)]
+    corners = [i for i, e in enumerate(out) if e is None and scans[i].corner]
+    corner_c_G = {}
+    if corners:
+        g_beta_G = np.array([scans[i].g_beta_G for i in corners])
+        c = np.array([roots[i][-1] for i in corners])
+        residual = np.abs(_corner_equation(model._rows(p, corners), g_beta_G)(c))
+        retry = np.flatnonzero(~(residual <= tol)).tolist()
+        c = c.tolist()
+        for k in retry:
+            i, g = corners[k], scans[corners[k]].g_beta_G
+            f_G = _corner_equation(points[i], g)
+            try:
+                c[k], _ = _certify(f_G, c[k], points[i].H.lo, g, tol, "severe corner")
+            except RepgameError as exc:
+                out[i] = exc
+        corner_c_G = dict(zip(corners, c))
+    picked = []
+    for i, e in enumerate(out):
+        if e is None:
+            try:
+                picked.append((i, *_fixed_point(points[i], scans[i], roots[i], corner_c_G.get(i))))
+            except RepgameError as exc:
+                out[i] = exc
+    if not picked:
+        return out
+    rows, c_B, c_G, corner, notes = zip(*picked)
+    if len(rows) < len(points):
+        p = model._rows(p, rows)
+    g_beta_G = np.array([scans[i].g_beta_G for i in rows])
+    columns = _equilibrium_columns(p, *map(np.array, (c_B, c_G, corner)), g_beta_G)
+    for i, *fixed_point, r in zip(rows, c_B, c_G, corner, notes, zip(*(v.tolist() for v in columns))):
+        try:
+            out[i] = _equilibrium(*fixed_point, scans[i].gap, _Row._make(r), tol)
+        except RepgameError as exc:
+            out[i] = exc
+    return out
+
+
+def _fixed_point(params: ModelParams, scan: _SevereScan, roots: list, corner_c_G) -> tuple:
+    """(c_B, c_G, corner, multiplicity_note) of the fixed point with the
+    smallest (c_B, c_G) among the corner, at its certified ``corner_c_G``,
+    and the distinct interior roots of the scan's zeros and its cells'
+    ``roots``, with an entry in the note for each of the others."""
+    c_lo = params.H.lo
+    found = _distinct(scan.zeros + roots[: len(scan.cells)])
+    candidates = [(c_lo, corner_c_G, True)] if scan.corner else []
+    candidates += [(r, r + scan.gap, False) for r in found if r > c_lo + 1e-12]
     if not candidates:
         raise SolverError("no severe-conflict fixed point found on the bracket")
     candidates.sort(key=lambda t: (t[0], t[1]))
-    cb, cg, corner = candidates[0]
+    note = tuple(
+        {
+            "c_tilde_B": ob,
+            "c_tilde_G": og,
+            "residual": _fixed_point_residual(params, c_lo, scan.g_beta_G, ob, og),
+            "source": "corner" if ocorner else "interior-scan",
+        }
+        for ob, og, ocorner in candidates[1:]
+    )
+    return (*candidates[0], note)
 
-    note: list[dict] = []
-    for ob, og, ocorner in candidates[1:]:
-        note.append(
-            {
-                "c_tilde_B": ob,
-                "c_tilde_G": og,
-                "residual": _fixed_point_residual(params, c_lo, g_beta_G, ob, og),
-                "source": "corner" if ocorner else "interior-scan",
-            }
-        )
 
-    mu_NN = posterior_nn_severe(cb, cg, params)
-    p_NN = model.protest_prob(mu_NN, params)
-    mu_R = Belief(1.0, 0.0, 0.0)
-    p_R = model.protest_prob(mu_R, params)
-    p_prior = model.protest_prob(model.prior(params), params)
+def _equilibrium_columns(p, c_B, c_G, corner, g_beta_G) -> tuple:
+    """The columns of ``_Row``, of the block p at the fixed points (c_B,
+    c_G), with ``corner`` and G(beta_G) columns beside them: each the scalar
+    build's IEEE operations, elementwise."""
+    w_G, w_B, w_N = _nn_weights(p, c_B, c_G)
+    total = w_G + w_B + w_N
+    mu_NN = SimpleNamespace(mu_G=w_G / total, mu_B=w_B / total, mu_N=w_N / total)
+    p_NN, p_R, p_prior = (model.protest_prob(mu, p) for mu in (mu_NN, _MU_R, model.prior(p)))
+    residual_G = np.abs(g_beta_G - p_NN - c_G)
+    # at the corner the bad type's slack must be <= 0: conceding dominates;
+    # np.where, not np.maximum, keeps max(slack, 0.0)'s signed zero
+    slack_B = p.alpha_B - p_NN - c_B
+    residual_B = np.where(corner, np.where(0.0 > slack_B, 0.0, slack_B), np.abs(slack_B))
+    return (*vars(mu_NN).values(), p_NN, p_R, p_prior, residual_B, residual_G)
 
-    residual_G = abs(g_beta_G - p_NN - cg)
-    if corner:
-        slack_B = params.alpha_B - p_NN - cb  # must be <= 0: conceding dominates
-        residual_B = max(slack_B, 0.0)
-    else:
-        residual_B = abs(params.alpha_B - p_NN - cb)
-    if residual_G > tol or residual_B > tol:
+
+def _equilibrium(cb: float, cg: float, corner: bool, note: tuple, gap: float, r: _Row, tol: float):
+    """The SevereEquilibrium at the fixed point (cb, cg) from the row r of
+    ``severe_equilibrium``'s columns, or the first error of its checks."""
+    if cb > cg:  # posterior_nn_severe's check
+        raise DomainError(f"need c_B <= c_G, got {cb} > {cg}")
+    # Belief.normalized's positive-total check passes: the weight 1 - gamma is positive
+    mu_NN = Belief(r.nn_G, r.nn_B, r.nn_N)
+    if r.residual_G > tol or r.residual_B > tol:
         raise SolverError(
-            f"severe indifference residuals ({residual_B:.3e}, {residual_G:.3e}) exceed tol"
+            f"severe indifference residuals ({r.residual_B:.3e}, {r.residual_G:.3e}) exceed tol"
         )
     if not cb < cg:
         raise SolverError(f"thresholds out of order: c_tilde_B={cb} >= c_tilde_G={cg}")
     if not (corner or abs((cg - cb) - gap) <= 10.0 * tol):
         raise SolverError(f"interior gap identity violated: {cg - cb} != {gap}")
-    D = p_prior - p_R
+    D = r.p_prior - r.p_R
     if D >= 0.0:
         raise SolverError(f"severe-conflict effect must be a backlash, got D={D}")
-
     return SevereEquilibrium(
         c_tilde_B=cb,
         c_tilde_G=cg,
         corner=corner,
-        mu_R=mu_R,
+        mu_R=_MU_R,
         mu_NN=mu_NN,
-        p_R=p_R,
-        p_NN=p_NN,
-        p_prior=p_prior,
+        p_R=r.p_R,
+        p_NN=r.p_NN,
+        p_prior=r.p_prior,
         D=D,
-        multiplicity_note=tuple(note),
-        residual_B=residual_B,
-        residual_G=residual_G,
+        multiplicity_note=note,
+        residual_B=r.residual_B,
+        residual_G=r.residual_G,
     )

@@ -359,7 +359,9 @@ def _parse(u: np.ndarray, regime: str) -> tuple[np.ndarray, int]:
     g_beta = flag[4 : 4 + m]
     # an index clipped at the end belongs to a start whose proposal cannot fit
     h_beta = np.take(flag, np.arange(11, 11 + m) + 2 * g_beta, mode="clip")
-    lengths = (12 + 2 * g_beta + 2 * h_beta).tolist()
+    # the chain visits about one start in thirteen: index bytes, whose items
+    # are ints, rather than build a list of every start's length
+    lengths = (12 + 2 * g_beta + 2 * h_beta).astype(np.uint8).tobytes()
     starts = []
     s = 0
     while s < m and s + lengths[s] <= n:

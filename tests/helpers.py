@@ -151,6 +151,113 @@ def reference_severe_scan(params: ModelParams, gap: float) -> tuple[list, list]:
     return solver_severe._scan_cells(f_B, solver_severe._scan_points(params, gap))
 
 
+def reference_severe_scan_step(params: ModelParams):
+    """The scan step of a severe solve of one checked point in Python floats,
+    its zeros and cells from the full-grid scan: the reference for the
+    column step ``solver_severe._severe_scans``."""
+    g_beta_G = params.G.cdf(params.beta_G)
+    gap = g_beta_G - params.alpha_B
+    if gap <= 0.0:
+        raise SolverError(f"threshold gap G(beta_G) - alpha_B = {gap} not positive")
+    c_lo = params.H.lo
+    corner = params.alpha_B <= c_lo or solver_severe._bad_type_equation(params, gap)(c_lo) >= 0.0
+    zeros, cells = reference_severe_scan(params, gap) if params.alpha_B > c_lo else ([], [])
+    return solver_severe._SevereScan(g_beta_G, gap, zeros, cells, corner)
+
+
+def reference_severe_roots(params: ModelParams, scan) -> list:
+    """find_root's root in each of the scan's cells and then, if the corner
+    is consistent, the corner's c_G on [H.lo, G(beta_G)]."""
+    roots = [find_root(solver_severe._bad_type_equation(params, scan.gap), *cell) for cell in scan.cells]
+    if scan.corner:
+        f_G = solver_severe._corner_equation(params, scan.g_beta_G)
+        roots.append(find_root(f_G, params.H.lo, scan.g_beta_G))
+    return roots
+
+
+def reference_severe_build(params: ModelParams, scan, *roots: float, tol: float) -> SevereEquilibrium:
+    """The severe equilibrium from the scan and ``roots``, one in each of the
+    scan's cells and then, if the corner is consistent, the corner's c_G,
+    built and checked point by point in Python floats, its checks in the
+    solver's order: the reference for the column step
+    ``solver_severe.severe_equilibrium``."""
+    g_beta_G, gap = scan.g_beta_G, scan.gap
+    c_lo = params.H.lo
+    found = solver_severe._distinct(scan.zeros + list(roots[: len(scan.cells)]))
+    interior_roots = [r for r in found if r > c_lo + 1e-12]
+
+    candidates: list[tuple[float, float, bool]] = []
+    if scan.corner:
+        f_G = solver_severe._corner_equation(params, g_beta_G)
+        corner_root, _ = solver_mild._certify(f_G, roots[-1], c_lo, g_beta_G, tol, "severe corner")
+        candidates.append((c_lo, corner_root, True))
+    candidates.extend((r, r + gap, False) for r in interior_roots)
+    if not candidates:
+        raise SolverError("no severe-conflict fixed point found on the bracket")
+    candidates.sort(key=lambda t: (t[0], t[1]))
+    cb, cg, corner = candidates[0]
+
+    note = []
+    for ob, og, ocorner in candidates[1:]:
+        residual = solver_severe._fixed_point_residual(params, c_lo, g_beta_G, ob, og)
+        note.append(
+            {
+                "c_tilde_B": ob,
+                "c_tilde_G": og,
+                "residual": residual,
+                "source": "corner" if ocorner else "interior-scan",
+            }
+        )
+
+    # posterior_nn_severe, written out
+    if cb > cg:
+        raise DomainError(f"need c_B <= c_G, got {cb} > {cg}")
+    g, q = params.gamma, params.q
+    mu_NN = Belief.normalized(g * params.H.cdf(cg) * q, g * params.H.cdf(cb) * (1.0 - q), 1.0 - g)
+    p_NN = model.protest_prob(mu_NN, params)
+    mu_R = Belief(1.0, 0.0, 0.0)
+    p_R = model.protest_prob(mu_R, params)
+    p_prior = model.protest_prob(model.prior(params), params)
+
+    residual_G = abs(g_beta_G - p_NN - cg)
+    if corner:
+        slack_B = params.alpha_B - p_NN - cb  # must be <= 0: conceding dominates
+        residual_B = max(slack_B, 0.0)
+    else:
+        residual_B = abs(params.alpha_B - p_NN - cb)
+    if residual_G > tol or residual_B > tol:
+        raise SolverError(f"severe indifference residuals ({residual_B:.3e}, {residual_G:.3e}) exceed tol")
+    if not cb < cg:
+        raise SolverError(f"thresholds out of order: c_tilde_B={cb} >= c_tilde_G={cg}")
+    if not (corner or abs((cg - cb) - gap) <= 10.0 * tol):
+        raise SolverError(f"interior gap identity violated: {cg - cb} != {gap}")
+    D = p_prior - p_R
+    if D >= 0.0:
+        raise SolverError(f"severe-conflict effect must be a backlash, got D={D}")
+    return SevereEquilibrium(
+        c_tilde_B=cb,
+        c_tilde_G=cg,
+        corner=corner,
+        mu_R=mu_R,
+        mu_NN=mu_NN,
+        p_R=p_R,
+        p_NN=p_NN,
+        p_prior=p_prior,
+        D=D,
+        multiplicity_note=tuple(note),
+        residual_B=residual_B,
+        residual_G=residual_G,
+    )
+
+
+def reference_solve_severe(params: ModelParams, tol: float = solver_mild.DEFAULT_TOL) -> SevereEquilibrium:
+    """A checked severe solve of one point through the point-by-point
+    references and ``find_root``."""
+    model.require_regime("severe", params)
+    scan = reference_severe_scan_step(params)
+    return reference_severe_build(params, scan, *reference_severe_roots(params, scan), tol=tol)
+
+
 def severe_grid_argmin(params: ModelParams, n: int = 1500) -> tuple[float, float, float]:
     """Brute 2-D scan oracle: argmin of the residual norm over the threshold box."""
     c_B = np.linspace(params.H.lo, params.alpha_B, n)
@@ -437,7 +544,7 @@ def reference_solve_mild(params: ModelParams, tol: float = solver_mild.DEFAULT_T
 
 
 def failing_rows(step, qs: set, what: str):
-    """``step``, a column step of a mild solve, with a SolverError in place
+    """``step``, a column step of a solve, with a SolverError in place
     of its output on each row of its block whose q is in qs, unless that
     output is an error already."""
 

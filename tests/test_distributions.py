@@ -326,3 +326,25 @@ def test_quantile_of_one_shared_distribution_matches_columns(a, b, p):
     want = np.array([d.quantile(float(x)) for x in ps])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(d.quantile(ps).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        BoundedCDF.uniform(0.2, 1.1),
+        BoundedCDF.scaled_beta(0.0, 1.0, 2.0, 3.0),
+        BoundedCDF.piecewise_linear([(0.0, 0.0), (0.3, 0.2), (0.7, 0.75), (1.0, 1.0)]),
+    ],
+    ids=["uniform", "scaled_beta", "piecewise_linear"],
+)
+@pytest.mark.parametrize(
+    "ps",
+    [np.array(0.3), np.array([0.1, 0.0, 1.0]), np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([]), np.zeros((2, 0))],
+    ids=["0-d", "1-d", "2-d", "empty", "empty-2-d"],
+)
+def test_quantile_of_any_shape_is_elementwise(d, ps):
+    # each family takes an argument of any shape and keeps it
+    got = d.quantile(ps)
+    want = np.array([d.quantile(float(p)) for p in ps.ravel()]).reshape(ps.shape)
+    assert np.shape(got) == ps.shape
+    assert np.array_equal(np.asarray(got, dtype=float).view(np.uint64), want.view(np.uint64))

@@ -14,7 +14,11 @@ from helpers import (
     make_p1,
     make_p2,
     quad_root_positive,
+    reference_severe_build,
+    reference_severe_roots,
     reference_severe_scan,
+    reference_severe_scan_step,
+    reference_solve_severe,
     severe_grid_argmin,
     severe_grid_zoom_oracle,
     severe_indifference_residuals,
@@ -369,7 +373,7 @@ def test_severe_solve_evaluates_g_beta_g_once(monkeypatch, params, corner):
     callers = []
 
     def counting(self, x):
-        if self is params.G and np.ndim(x) == 0 and x == params.beta_G:
+        if self is params.G and np.size(x) == 1 and np.all(np.asarray(x) == params.beta_G):
             callers.append(Path(sys._getframe(1).f_code.co_filename).name)
         return cdf(self, x)
 
@@ -379,7 +383,8 @@ def test_severe_solve_evaluates_g_beta_g_once(monkeypatch, params, corner):
 
 
 def test_severe_block_evaluates_g_beta_g_once_per_point(monkeypatch):
-    # each point's scalar G(beta_G) feeds its bound scan too: no block form
+    # one column of G(beta_G) feeds the bound scans, the corner equations and
+    # the build
     G = BoundedCDF.uniform(0.0, 1.0)  # one object, which the block keeps
     points = _checked([make_p2(gamma=float(g), G=G) for g in np.linspace(0.05, 0.95, 30)])
     cdf = BoundedCDF.cdf
@@ -394,7 +399,7 @@ def test_severe_block_evaluates_g_beta_g_once_per_point(monkeypatch):
     monkeypatch.setattr(BoundedCDF, "cdf", counting)
     solved = solve_block("severe", points)
     assert not any(isinstance(eq, repgame.RepgameError) for eq in solved)
-    assert sizes == [1] * len(points) and len(points) >= 20
+    assert sizes == [len(points)] and len(points) >= 20
 
 
 def _functions_naming(module, names) -> set:
@@ -592,7 +597,7 @@ def _scans(points: list) -> list:
     """The scan step of checked points, as solve_block runs it: on one block
     of them, or on blocks of one where no block holds them."""
     try:
-        return solver_severe._severe_scans(repgame.model._block(points), points)
+        return solver_severe._severe_scans(repgame.model._block(points))
     except DomainError:
         return [s for p in points for s in _scans([p])]
 
@@ -914,24 +919,31 @@ class TestSolveBlockFailures:
         assert got[5][1].startswith("empty bracket")
 
     def test_severe_scan(self, monkeypatch):
+        # the failure is injected into the scan step's outputs on the chosen rows
         points = _accepted_points("severe", 0, 60)
         chosen = {0, 22}
-        qs = {points[i].q for i in chosen}
-        monkeypatch.setattr(solver_severe, "_severe_scan", _failing_at(qs, solver_severe._severe_scan, "scan"))
+        failing = failing_rows(solver_severe._severe_scans, {points[i].q for i in chosen}, "scan")
+        monkeypatch.setattr(solver_severe, "_severe_scans", failing)
         self._check("severe", points, chosen)
+
+    @staticmethod
+    def _changed_scans(monkeypatch, qs: set, change):
+        """The scan step with ``change(H.lo, scan)`` in place of the scan of
+        each point whose q is in qs."""
+        scans = solver_severe._severe_scans
+
+        def changed(p):
+            lows = np.broadcast_to(p.H.lo, p.q.shape).tolist()
+            return [change(lo, s) if q in qs else s for q, lo, s in zip(p.q.tolist(), lows, scans(p))]
+
+        monkeypatch.setattr(solver_severe, "_severe_scans", changed)
 
     def test_severe_corner_bracket_that_find_roots_rejects(self, monkeypatch):
         points = _accepted_points("severe", 0, 60)
-        corners = [i for i, p in enumerate(points) if solver_severe._severe_scan(p).corner]
+        corners = [i for i, s in enumerate(_scans(points)) if s.corner]
         chosen = {corners[1], corners[-2]}
-        qs = {points[i].q for i in chosen}
-        scan = solver_severe._severe_scan
-
-        def empty_corner_bracket(params):
-            s = scan(params)
-            return dataclasses.replace(s, g_beta_G=params.H.lo) if params.q in qs else s
-
-        monkeypatch.setattr(solver_severe, "_severe_scan", empty_corner_bracket)
+        # G(beta_G) at H.lo leaves the corner's bracket empty
+        self._changed_scans(monkeypatch, {points[i].q for i in chosen}, lambda lo, s: s._replace(g_beta_G=lo))
         got = self._check("severe", points, chosen)
         assert got[corners[1]][1].startswith("empty bracket")
         assert len(corners) >= 10 and len(corners) < len(points)
@@ -940,16 +952,8 @@ class TestSolveBlockFailures:
         points = _accepted_points("severe", 0, 60)
         interior = [i for i, s in enumerate(_scans(points)) if s.cells]
         chosen = {interior[0], interior[-1]}
-        qs = {points[i].q for i in chosen}
-        scans = solver_severe._severe_scans
-
-        def flipped_cells(block, points):
-            return [
-                dataclasses.replace(s, cells=[(b, a) for a, b in s.cells]) if s.params.q in qs else s
-                for s in scans(block, points)
-            ]
-
-        monkeypatch.setattr(solver_severe, "_severe_scans", flipped_cells)
+        flip = lambda lo, s: s._replace(cells=[(b, a) for a, b in s.cells])
+        self._changed_scans(monkeypatch, {points[i].q for i in chosen}, flip)
         got = self._check("severe", points, chosen)
         assert got[interior[0]][1].startswith("empty bracket")
 
@@ -960,11 +964,205 @@ class TestSolveBlockFailures:
         inexact = [i for i, eq in enumerate(eqs) if max(eq.residual_B, eq.residual_G) > 0.0]
         chosen = {inexact[0], inexact[len(inexact) // 2], inexact[-1]}
         qs = {points[i].q for i in chosen}
-        build = solver_severe._severe_build
+        build = solver_severe.severe_equilibrium
 
-        def strict(scan, *roots, tol=solver_mild.DEFAULT_TOL):
-            return build(scan, *roots, tol=1e-300 if scan.params.q in qs else tol)
+        def strict(p, points, *args):
+            out, strict = build(p, points, *args), build(p, points, *args[:-1], 1e-300)
+            return [s if params.q in qs else r for params, r, s in zip(points, out, strict)]
 
-        monkeypatch.setattr(solver_severe, "_severe_build", strict)
+        monkeypatch.setattr(solver_severe, "severe_equilibrium", strict)
         got = self._check("severe", points, chosen)
         assert all(got[i][0] in (repgame.SolverError, DomainError) for i in chosen)
+
+
+# -- the column steps against the point-by-point oracle ---------------------------
+
+
+def _attempt(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except repgame.RepgameError as exc:
+        return exc
+
+
+def _witness_gammas(n: int) -> list:
+    """The witness's H at n gammas near its own: several interior roots per point."""
+    rng = np.random.default_rng(20)
+    return [
+        make_p2(gamma=WITNESS_GAMMA + float(g), q=WITNESS_Q, H=WITNESS_H) for g in rng.uniform(-3e-4, 3e-4, n)
+    ]
+
+
+class TestBlockMatchesScalarOracle:
+    """A block's scan and build, in columns, give each point the
+    point-by-point solve's result bit for bit, errors included."""
+
+    @staticmethod
+    def _assert_matches(points, tol=solver_mild.DEFAULT_TOL):
+        got = [_outcome(r) for r in solve_block("severe", points, tol)]
+        assert got == [_outcome(_attempt(reference_solve_severe, p, tol)) for p in points]
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_first_1000_sign_law_draws(self, seed):
+        points = _accepted_points("severe", seed, 1000)
+        # two points that fail the check, inside the block
+        points[10:10] = [make_p1()]
+        points[500:500] = [make_p2(alpha_B=0.96)]
+        got = self._assert_matches(points)
+        assert sum(isinstance(r, str) for r in got) == 1000
+        corners = sum("corner=True" in r for r in got if isinstance(r, str))
+        assert 100 <= corners <= 900  # corner and interior points both
+
+    def test_witness_roots_fill_the_note(self):
+        got = self._assert_matches(_witness_gammas(40))
+        assert sum("interior-scan" in r for r in got) >= 10
+
+    def test_failing_residuals(self):
+        # at 1e-16 some residuals fail, and some corner roots fail even the
+        # adjacent-float retry
+        got = self._assert_matches(_accepted_points("severe", 0, 300), tol=1e-16)
+        assert 10 <= sum(isinstance(r, tuple) for r in got) <= 290
+
+    def test_gap_not_positive(self):
+        # the severe check keeps G(beta_G) above alpha_B, so the scan step
+        # sees a gap <= 0 only on points that skip it
+        points = [make_p2(), make_p2(alpha_B=0.9), make_p2(beta_G=0.3), make_p2(gamma=0.7)]
+        got = [_outcome(r) for r in solver_severe._severe_scans(repgame.model._block(points))]
+        assert got == [_outcome(_attempt(reference_severe_scan_step, p)) for p in points]
+        assert [r[1] for r in got if isinstance(r, tuple)] == [
+            "threshold gap G(beta_G) - alpha_B = 0.0 not positive",
+            f"threshold gap G(beta_G) - alpha_B = {0.3 - 0.4} not positive",
+        ]
+
+
+class TestBuildCheckOrder:
+    """A failure injected into each check of the build, with every later
+    check failing too: the row carries the first failure in the scalar
+    order, as the oracle does."""
+
+    @staticmethod
+    def _build(points, tol=solver_mild.DEFAULT_TOL, change=None):
+        """Each point's build outcome, its error message or None, checked
+        against the oracle's; ``change(scan, roots)`` gives the scan and
+        roots that each point's build is handed in place of its own."""
+        block = repgame.model._block(points)
+        scans = solver_severe._severe_scans(block)
+        roots = [reference_severe_roots(p, s) for p, s in zip(points, scans)]
+        if change is not None:
+            scans, roots = zip(*(change(s, r) for s, r in zip(scans, roots)))
+        with np.errstate(invalid="ignore"):  # inf - inf: an injected NaN
+            got = solver_severe.severe_equilibrium(block, points, list(scans), list(roots), tol)
+        want = [_attempt(reference_severe_build, p, s, *r, tol=tol) for p, s, r in zip(points, scans, roots)]
+        assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
+        return [str(r) if isinstance(r, repgame.RepgameError) else None for r in got]
+
+    @staticmethod
+    def _fail_D(monkeypatch):
+        """Fail the D check: p_R, the protest probability at the only belief
+        with mu_N = 0, drops by 1e3."""
+        protest_prob = repgame.model.protest_prob
+        bump = lambda mu: -1e3 * (mu.mu_N == 0.0)
+        monkeypatch.setattr(repgame.model, "protest_prob", lambda mu, params: protest_prob(mu, params) + bump(mu))
+
+    @staticmethod
+    def _interior(n):
+        """n sign-law draws whose interior roots all lie in scan cells, at
+        least one, and that are no corner."""
+        points = _accepted_points("severe", 1, 8 * n)
+        return [p for p, s in zip(points, _scans(points)) if s.cells and not (s.zeros or s.corner)][:n]
+
+    def test_corner_certificate(self, monkeypatch):
+        self._fail_D(monkeypatch)
+        points = _accepted_points("severe", 0, 40)
+        corners = [i for i, s in enumerate(_scans(points)) if s.corner]
+        # a corner root moved by 0.01 misses tol, and no adjacent float pair brackets it
+        moved = lambda s, r: (s, r[:-1] + [r[-1] + 0.01] if s.corner else r)
+        errors = self._build(points, change=moved)
+        assert all(errors[i].startswith("severe corner residual") for i in corners)
+        assert all(e.startswith("severe-conflict effect") for i, e in enumerate(errors) if i not in corners)
+        # below float resolution the retry fails as ill-conditioned
+        assert any("ill-conditioned" in (e or "") for e in self._build(points, tol=1e-300))
+        assert len(corners) >= 10
+
+    def test_no_fixed_point(self):
+        # an interior root at H.lo is no interior fixed point
+        errors = self._build(self._interior(6), change=lambda s, r: (s, [0.0] * len(r)))
+        assert errors == ["no severe-conflict fixed point found on the bracket"] * 6
+
+    def test_posterior_order(self, monkeypatch):
+        # a negative gap puts c_G below c_B, which the no-news posterior rejects
+        self._fail_D(monkeypatch)
+        errors = self._build(self._interior(6), change=lambda s, r: (s._replace(gap=-s.gap), r))
+        assert all(e.startswith("need c_B <= c_G") for e in errors)
+
+    def test_residuals(self, monkeypatch):
+        # a root at inf fails the residuals, the order and the gap identity
+        self._fail_D(monkeypatch)
+        errors = self._build(self._interior(6), change=lambda s, r: (s, [math.inf] * len(r)))
+        assert all(e.startswith("severe indifference residuals") for e in errors)
+
+    def test_order(self, monkeypatch):
+        # a NaN gap makes c_G NaN: the residuals pass as NaN, and the order
+        # and the gap identity fail
+        self._fail_D(monkeypatch)
+        errors = self._build(self._interior(6), change=lambda s, r: (s._replace(gap=math.nan), r))
+        assert all(e.startswith("thresholds out of order") for e in errors)
+
+    def test_gap_identity(self, monkeypatch):
+        # an infinite G(beta_G) and gap: c_G is inf, residual_G is NaN and
+        # passes, a tol of 10 passes residual_B, and (c_G - c_B) - gap is NaN
+        self._fail_D(monkeypatch)
+        inf = lambda s, r: (s._replace(g_beta_G=math.inf, gap=math.inf), r)
+        errors = self._build(self._interior(6), tol=10.0, change=inf)
+        assert all(e.startswith("interior gap identity violated") for e in errors)
+
+    def test_D(self, monkeypatch):
+        self._fail_D(monkeypatch)
+        for points in (_accepted_points("severe", 2, 6), _witness_gammas(3)):
+            errors = self._build(points)
+            assert all(e.startswith("severe-conflict effect must be a backlash") for e in errors)
+
+
+def test_scan_and_build_are_column_statements(monkeypatch):
+    # outside the bound scans and the root searches, and leaving out the
+    # corner retries and the note entries, the scan and build steps make as
+    # many CDF calls on 500 points as on 50: none is made point by point
+    depth = {"in": 0, "out": 0}
+
+    def track(name, key):
+        step = getattr(solver_severe, name)
+
+        def tracked(*args, **kwargs):
+            depth[key] += 1
+            try:
+                return step(*args, **kwargs)
+            finally:
+                depth[key] -= 1
+
+        monkeypatch.setattr(solver_severe, name, tracked)
+
+    for name in ("_severe_scans", "severe_equilibrium"):
+        track(name, "in")
+    for name in ("_bound_scans", "_certify", "_fixed_point_residual"):
+        track(name, "out")
+    calls = []
+
+    def counted(cdf):
+        def counting(*args):
+            if depth["in"] and not depth["out"]:
+                calls.append(args)
+            return cdf(*args)
+
+        return counting
+
+    monkeypatch.setattr(repgame.distributions, "cdf_columns", counted(repgame.distributions.cdf_columns))
+    monkeypatch.setattr(BoundedCDF, "cdf", counted(BoundedCDF.cdf))
+    points = _accepted_points("severe", 0, 500)
+    counts = []
+    for n in (50, 500):
+        calls.clear()
+        solved = solve_block("severe", points[:n])
+        assert 0 < sum(eq.corner for eq in solved) < n
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -168,7 +168,7 @@ BETA_H2 = BoundedCDF.scaled_beta(0.0, 1.0, 0.7, 1.8)
 # the steps of a mild solve, in solver_mild, in the order they run
 SOLVE_STEPS = ("threshold_bracket", "mild_equilibrium")
 # and of a severe solve, in solver_severe
-SEVERE_STEPS = ("_severe_scan", "_severe_build")
+SEVERE_STEPS = ("_severe_scans", "severe_equilibrium")
 PIECEWISE_G = BoundedCDF.piecewise_linear([(0.0, 0.0), (0.3, 0.2), (0.7, 0.75), (1.0, 1.0)])
 
 
@@ -280,23 +280,15 @@ class TestSevereLockstepFailures:
     @pytest.mark.parametrize("first", SEVERE_STEPS)
     @pytest.mark.parametrize("second", SEVERE_STEPS)
     def test_first_failing_point_in_grid_order(self, monkeypatch, first, second):
-        # as TestLockstepFailures, on the steps of a severe solve around its
-        # root searches
+        # as TestLockstepFailures, on the column steps of a severe solve
+        # around its root searches
         spec = SweepSpec("q", 0.5, 0.9, 11, make_p2(), variant="severe")
         grid = np.linspace(0.5, 0.9, 11).tolist()
         fails: dict[str, set] = {}
         fails.setdefault(first, set()).add(grid[3])
         fails.setdefault(second, set()).add(grid[7])
         for step, qs in fails.items():
-
-            # the scan step takes the params, the build step the scan
-            def failing(first_arg, *args, _step=step, _qs=qs, _run=getattr(solver_severe, step), **kw):
-                q = getattr(first_arg, "params", first_arg).q
-                if q in _qs:
-                    raise SolverError(f"{_step} fails at q={q}")
-                return _run(first_arg, *args, **kw)
-
-            monkeypatch.setattr(solver_severe, step, failing)
+            monkeypatch.setattr(solver_severe, step, failing_rows(getattr(solver_severe, step), qs, step))
         with pytest.raises(SolverError) as got:
             run_sweep(spec)
         with pytest.raises(SolverError) as want:

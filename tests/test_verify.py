@@ -541,6 +541,39 @@ class TestDrawParams:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _list_walk(u: np.ndarray) -> tuple[list, int]:
+    """The starts of the whole proposals at the head of u, and the doubles
+    they use, found one proposal at a time from its two flags."""
+    flag = (u < BETA_FLAG).tolist()
+    starts, s = [], 0
+    while s + 12 <= len(u):
+        g_beta = flag[s + 4]
+        if s + 12 + 2 * g_beta > len(u):
+            break
+        length = 12 + 2 * g_beta + 2 * flag[s + 11 + 2 * g_beta]
+        if s + length > len(u):
+            break
+        starts.append(s)
+        s += length
+    return starts, s
+
+
+class TestParse:
+    @pytest.mark.parametrize("regime", ["mild", "severe"])
+    def test_chain_matches_a_list_walk(self, regime):
+        # short blocks end inside a proposal, cut at each of its doubles
+        rng = np.random.default_rng(29)
+        sizes = list(range(0, 60)) + rng.integers(60, 400, 200).tolist() + [16 * verify.BLOCK_PROPOSALS] * 3
+        for n in sizes:
+            u = rng.random(n)
+            rows, used = verify._parse(u, regime)
+            starts, want_used = _list_walk(u)
+            assert used == want_used and len(rows) == len(starts)
+            # each row is the first proposal of a parse that starts at its start
+            for row, start in zip(rows, starts):
+                assert np.array_equal(row.view(np.uint64), verify._parse(u[start:], regime)[0][0].view(np.uint64))
+
+
 class TestRejections:
     def test_fosd_requires_assumption_under_both(self):
         # H floor above alpha_G violates the mild check for H1
