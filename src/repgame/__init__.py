@@ -55,17 +55,8 @@ _EXPORTS = {
         "solve_mild",
         "solve_no_concession",
     ),
-    "solver_severe": (
-        "SevereEquilibrium",
-        "bound_D_lower",
-        "effect_D_severe",
-        "posterior_nn_severe",
-        "repression_probabilities",
-        "solve",
-        "solve_block",
-        "solve_severe",
-        "strategy",
-    ),
+    "solver": ("bound_D_lower", "repression_probabilities", "solve", "solve_block", "strategy"),
+    "solver_severe": ("SevereEquilibrium", "effect_D_severe", "posterior_nn_severe", "solve_severe"),
     "sweep": ("SweepRow", "SweepSpec", "apply_axis", "run_sweep"),
     "verify": (
         "FosdReport",

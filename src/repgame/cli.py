@@ -147,13 +147,13 @@ def _cmd_check(args) -> int:
 def _cmd_solve(args) -> int:
     import dataclasses
 
-    from . import solver_severe
+    from . import solver
 
     params = load_params(args.config)
     scan = getattr(args, "scan", 0)  # solve-severe accepts --scan and ignores it
     if scan == 1 or not 0 <= scan <= 2000:
         raise DomainError(f"scan must be 0 or 2 to 2000, got {scan}")
-    eq = solver_severe.solve(args.variant, params, tol=args.tol)
+    eq = solver.solve(args.variant, params, tol=args.tol)
     _emit(canonical_json(dataclasses.asdict(eq)), args.out)
     return EXIT_OK
 
@@ -206,10 +206,10 @@ def _episode_rows(block: dict, codes: np.ndarray) -> bytes:
 
 
 def _cmd_simulate(args) -> int:
-    from . import simulate, solver_severe
+    from . import simulate, solver
 
     params = load_params(args.config)
-    eq = solver_severe.solve(args.variant, params, tol=args.tol)
+    eq = solver.solve(args.variant, params, tol=args.tol)
     path = args.episodes_out
     if path:  # built before play_blocks forks its pool, so the workers inherit them
         _row_templates()
@@ -298,7 +298,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import model, solver_severe, verify
+    from . import model, solver, verify
 
     params = load_params(args.config)
     mild, severe = (model.check_assumption(regime, params) for regime in model.REGIMES)
@@ -313,7 +313,7 @@ def _cmd_verify(args) -> int:
     for report in (mild, severe):
         if not report.ok:
             continue
-        eq = solver_severe.solve(report.regime, params, tol=args.tol)
+        eq = solver.solve(report.regime, params, tol=args.tol)
         cert = verify.certify_equilibrium(params, eq, grid=args.grid)
         ok = (
             cert.max_regret <= 1e-9

@@ -85,9 +85,8 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     is frozen once it returns, so each root is bit for bit the scalar one. A
     row that find_root would reject raises its SolverError, the first such
     row's. ``f`` is evaluated on every row at each step, so this pays only
-    on blocks of many rows: its one caller is ``solver_severe.solve_block``,
-    for a sweep's grid and the sign-law draws, and a search of one row runs
-    find_root.
+    on blocks of many rows: its one caller is ``solver._lockstep``, for the
+    blocks of ``solve_block``, and a search of one row runs find_root.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     fa, fb = f(lo), f(hi)

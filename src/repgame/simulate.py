@@ -32,7 +32,7 @@ from . import model
 from .errors import DomainError, EstimationError, WorkerError
 from .model import ModelParams
 from .solver_mild import EstimationReport, estimate_plugin
-from .solver_severe import strategy
+from .solver import strategy
 
 THETAS = ("G", "B", "N")
 ACTIONS = ("none", "concede", "reveal", "conceal")

@@ -19,11 +19,13 @@ equals alpha_G - c_tilde.
 
 A solve checks the point and then runs in three steps: ``threshold_bracket``
 brackets the root, the root search runs on that bracket, and
-``mild_equilibrium`` certifies the root and builds the equilibrium. The two
-steps around the search are column statements over a ``model._block`` of
-points, each row bit for bit its point's own. ``solve_mild`` runs them on
-a block of one around ``find_root``; ``solver_severe.solve_block`` runs
-them on a whole block, with one lockstep root search.
+``mild_equilibrium`` certifies the root and builds the equilibrium. The
+no-concession variant, in which the regime cannot concede, runs the same
+three steps with its own target: ``no_concession_bracket``, the search and
+``no_concession_build``. The steps around the search are column statements
+over a ``model._block`` of points, each row bit for bit its point's own;
+``solver.solve_block`` runs them around its lockstep root search, and a
+single solve is a block of one point.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (
     SolverError,
 )
 from .model import Belief, ModelParams
-from .rootfind import find_root, ulp_bracket
+from .rootfind import ulp_bracket
 
 DEFAULT_TOL = 1e-10
 MAX_TOL = 1e-6
@@ -135,9 +137,13 @@ def _threshold_residual(params: ModelParams, be: float, target: float, c: float)
     return params.G.cdf(gp * be) + c - target
 
 
-def _require_h_free(report: model.AssumptionReport) -> None:
+def _require_h_free(params: ModelParams) -> model.AssumptionReport:
+    """The mild check of ``params``, if every clause that involves no part
+    of H passes, else require's AssumptionError."""
+    report = model.check_assumption("mild", params)
     failed = [name for name in report.failed_clauses() if name in model.H_FREE_MILD]
     model.require(report, failed, "non-H mild clauses")
+    return report
 
 
 def _certify(f, c: float, lo: float, hi: float, tol: float, what: str) -> tuple[float, float]:
@@ -162,6 +168,29 @@ def _certify(f, c: float, lo: float, hi: float, tol: float, what: str) -> tuple[
             f"residual {residual:.3e} exceeds tol {tol:.3e}"
         )
     return c, residual
+
+
+def _certify_roots(equation, p, points: list, jobs: list, roots: list, tol: float, what: str) -> list:
+    """``_certify``'s (c, |f(c)|) at the root of each job ``(i, args, (lo,
+    hi))``, f = ``equation(points[i], *args)``, as ``solver._lockstep`` takes
+    them, p being the ``model._block`` of points: one column statement, and
+    the adjacent-float retry only on a row that misses tol. A root, or a
+    retry, that is a RepgameError stays one."""
+    out = list(roots)
+    live = [k for k, c in enumerate(roots) if not isinstance(c, RepgameError)]
+    if live:
+        rows, args = zip(*(jobs[k][:2] for k in live))
+        c = np.array([roots[k] for k in live])
+        residual = np.abs(equation(model._rows(p, rows), *np.array(args).T)(c))
+        for k, c_k, r in zip(live, c.tolist(), residual.tolist()):
+            out[k] = (c_k, r)
+            if not r <= tol:
+                i, a, bracket = jobs[k]
+                try:
+                    out[k] = _certify(equation(points[i], *a), c_k, *bracket, tol, what)
+                except RepgameError as exc:
+                    out[k] = exc
+    return out
 
 
 def validate_tol(tol: float) -> None:
@@ -231,32 +260,14 @@ def solve_mild(
 ) -> MildEquilibrium:
     """Solve the unique mild-conflict equilibrium.
 
-    Raises AssumptionError when the mild-conflict check fails, and
-    SolverError if any equilibrium identity fails to certify at the
-    requested tolerance (which would indicate a bug, not bad inputs).
-
-    With ``relaxed=True`` only the clauses that do not involve H are
-    enforced and the bracket is widened to [0, alpha_G], allowing boundary
-    roots. This supports limit analyses where H degenerates and the
-    H-dependent clauses necessarily fail; the root c_tilde = alpha_G (no
-    concealment ever pays) is then legitimate.
-
-    After the check, the steps are a block solve's, on a block of one.
+    ``solve_block`` on a block of one point: raises AssumptionError when the
+    mild-conflict check fails, and SolverError if any equilibrium identity
+    fails to certify at the requested tolerance (which would indicate a
+    bug, not bad inputs).
     """
-    validate_tol(tol)
-    if relaxed:
-        _require_h_free(model.check_assumption("mild", params))
-    else:
-        model.require_regime("mild", params)
-    block = model._block([params])
-    (bracket,) = threshold_bracket(block, relaxed)
-    if isinstance(bracket, RepgameError):
-        raise bracket
-    c = find_root(threshold_equation(params), *bracket)
-    (eq,) = mild_equilibrium(block, [params], [bracket], [c], tol, relaxed)
-    if isinstance(eq, RepgameError):
-        raise eq
-    return eq
+    from .solver import raise_first, solve_block  # the solve path imports this module
+
+    return raise_first(solve_block("mild", [params], tol, relaxed))[0]
 
 
 _PROBABILITIES = tuple(f.name for f in fields(RepressionProbabilities))
@@ -277,38 +288,33 @@ def mild_equilibrium(
     ``threshold_bracket``: the last step of a mild solve. A row whose root
     is a RepgameError, its bracket's or its search's, keeps it.
 
-    Each root is certified as c_tilde at tol, with the adjacent-float retry
-    of ``_certify`` on the rows whose residual is not within tol. c_tilde
+    Each root is certified as c_tilde at tol by ``_certify_roots``. c_tilde
     must then lie inside (H.lo, alpha_G) unless ``relaxed``, and the derived
     quantities are built in columns, with their identities certified at
     tol. A row is its MildEquilibrium, or the first error of these checks
     in this order, each check made on the row's own floats.
     """
-    out = list(roots)
-    live = [i for i, c in enumerate(roots) if not isinstance(c, RepgameError)]
+    out, live = _certified(threshold_equation, p, points, brackets, roots, tol, "threshold")
     if not live:
         return out
-    if len(live) < len(roots):
-        p = model._rows(p, live)
-    c = np.array([roots[i] for i in live])
-    residual = np.abs(threshold_equation(p)(c))
-    retry = np.flatnonzero(~(residual <= tol)).tolist()
-    c, residual = c.tolist(), residual.tolist()
-    for k in retry:
-        i = live[k]
-        try:
-            c[k], residual[k] = _certify(threshold_equation(points[i]), c[k], *brackets[i], tol, "threshold")
-        except RepgameError as exc:
-            out[i] = exc
-    columns = _equilibrium_columns(p, np.array(c))
+    c, residual = zip(*(out[i] for i in live))
+    columns = _equilibrium_columns(model._rows(p, live), np.array(c))
     guard = max(10.0 * tol, 1e-12)
     for i, row in zip(live, zip(c, residual, *(v.tolist() for v in columns))):
-        if not isinstance(out[i], RepgameError):
-            try:
-                out[i] = _equilibrium(points[i], _Row._make(row), relaxed, guard)
-            except RepgameError as exc:
-                out[i] = exc
+        try:
+            out[i] = _equilibrium(points[i], _Row._make(row), relaxed, guard)
+        except RepgameError as exc:
+            out[i] = exc
     return out
+
+
+def _certified(equation, p, points: list, brackets: list, roots: list, tol: float, what: str) -> tuple:
+    """(out, live) of a one-threshold build: in ``out``, each row's root of
+    ``equation`` on its bracket certified by ``_certify_roots``, and in
+    ``live``, the rows whose certificate holds."""
+    jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
+    out = _certify_roots(equation, p, points, jobs, roots, tol, what)
+    return out, [i for i, r in enumerate(out) if not isinstance(r, RepgameError)]
 
 
 def _equilibrium_columns(p, c_tilde: np.ndarray) -> tuple:
@@ -316,10 +322,8 @@ def _equilibrium_columns(p, c_tilde: np.ndarray) -> tuple:
     p at the thresholds c_tilde: each the scalar build's IEEE operations,
     elementwise."""
     be = model.beta_e(p)
-    h_mass = p.H.cdf(c_tilde)
-    gp = _gamma_prime(h_mass, p.gamma)
+    h_mass, gp, mu_NN = _no_news(p, c_tilde)
     q = p.q
-    mu_NN = SimpleNamespace(mu_G=gp * q, mu_B=gp * (1.0 - q), mu_N=1.0 - gp)
     g_inv = p.G.quantile(p.alpha_G)
     # kappa, the odds of publicly repressing a good versus a bad activist,
     # is defined where g_inv lies inside (beta_B, beta_G): num, den > 0
@@ -351,6 +355,14 @@ def _equilibrium_columns(p, c_tilde: np.ndarray) -> tuple:
         p_prior,
         *vars(probs).values(),
     )
+
+
+def _no_news(p, c_tilde: np.ndarray) -> tuple:
+    """(H(c_tilde), gamma', the no-news posterior) of the block p when both
+    types conceal below c_tilde, in columns."""
+    h_mass = p.H.cdf(c_tilde)
+    gp = _gamma_prime(h_mass, p.gamma)
+    return h_mass, gp, SimpleNamespace(mu_G=gp * p.q, mu_B=gp * (1.0 - p.q), mu_N=1.0 - gp)
 
 
 def _equilibrium(params: ModelParams, r: _Row, relaxed: bool, guard: float) -> MildEquilibrium:
@@ -523,8 +535,7 @@ def limit_H_degenerate(params: ModelParams) -> DegenerateLimits:
     Only the clauses not involving H are required of ``params``; the limit
     statement replaces H itself.
     """
-    report = model.check_assumption("mild", params)
-    _require_h_free(report)
+    report = _require_h_free(params)
     be = model.beta_e(params)
     if params.G.cdf(params.gamma * be) < params.alpha_G:
         return DegenerateLimits(negligible=1.0, prohibitive=0.0, branch="conceal_always")
@@ -541,6 +552,46 @@ def limit_H_degenerate(params: ModelParams) -> DegenerateLimits:
 # -- no-concession variant ---------------------------------------------------
 
 
+def no_concession_equation(params):
+    """``threshold_equation`` of the no-concession variant, whose revealed
+    repression leaves the public at the prior odds of the types: protest
+    after it has probability G(beta_e)."""
+    be = model.beta_e(params)
+    target = params.G.cdf(be)
+    return lambda c: _threshold_residual(params, be, target, c)
+
+
+def no_concession_bracket(p) -> list:
+    """Each row's [H.lo, G(beta_e)], for a ``model._block`` p: the first step
+    of a no-concession solve. A row is its pair of floats, or the
+    DomainError of a G(beta_e) not above H.lo."""
+    g_at_be = p.G.cdf(model.beta_e(p))
+    error = "no-concession variant needs G(beta_e) > c_lo, got {} <= {}"
+    lows = np.broadcast_to(p.H.lo, g_at_be.shape).tolist()
+    return [(lo, g) if g > lo else DomainError(error.format(g, lo)) for lo, g in zip(lows, g_at_be.tolist())]
+
+
+def no_concession_build(p, points: list, brackets: list, roots: list, tol: float) -> list:
+    """``mild_equilibrium`` of the no-concession variant: each root
+    certified as c_tilde, then mu_R = (q, 1 - q, 0), the no-news posterior
+    and the three protest probabilities, in columns."""
+    out, live = _certified(no_concession_equation, p, points, brackets, roots, tol, "no-concession")
+    if not live:
+        return out
+    p = model._rows(p, live)
+    c, residual = zip(*(out[i] for i in live))
+    mu_NN = _no_news(p, np.array(c))[2]
+    mu_R = SimpleNamespace(mu_G=p.q, mu_B=1.0 - p.q, mu_N=0.0)
+    columns = (*vars(mu_NN).values(), *(model.protest_prob(mu, p) for mu in (mu_R, mu_NN, model.prior(p))))
+    for i, c_i, r, row in zip(live, c, residual, zip(*(v.tolist() for v in columns))):
+        q = points[i].q
+        try:
+            out[i] = NoConcessionEquilibrium(c_i, Belief(q, 1.0 - q, 0.0), Belief(*row[:3]), *row[3:], r)
+        except RepgameError as exc:
+            out[i] = exc
+    return out
+
+
 def solve_no_concession(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
     """Concealment threshold when conceding is not an option.
 
@@ -551,26 +602,7 @@ def solve_no_concession(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
 
 
 def no_concession_equilibrium(params: ModelParams, tol: float = DEFAULT_TOL) -> NoConcessionEquilibrium:
-    validate_tol(tol)
-    be = model.beta_e(params)
-    g_at_be = params.G.cdf(be)
-    if not g_at_be > params.H.lo:
-        raise DomainError(
-            f"no-concession variant needs G(beta_e) > c_lo, got {g_at_be} <= {params.H.lo}"
-        )
-    f = lambda c: _threshold_residual(params, be, g_at_be, c)
-    lo, hi = params.H.lo, g_at_be
-    c_tilde, residual = _certify(f, find_root(f, lo, hi), lo, hi, tol, "no-concession")
-    q = params.q
-    gp = _gamma_prime(params.H.cdf(c_tilde), params.gamma)
-    mu_R = Belief(q, 1.0 - q, 0.0)
-    mu_NN = Belief(gp * q, gp * (1.0 - q), 1.0 - gp)
-    return NoConcessionEquilibrium(
-        c_tilde=c_tilde,
-        mu_R=mu_R,
-        mu_NN=mu_NN,
-        p_R=model.protest_prob(mu_R, params),
-        p_NN=model.protest_prob(mu_NN, params),
-        p_prior=model.protest_prob(model.prior(params), params),
-        residual=residual,
-    )
+    """The no-concession equilibrium: ``solve("no-concession", params, tol)``."""
+    from .solver import solve  # the solve path imports this module
+
+    return solve("no-concession", params, tol)

@@ -27,14 +27,13 @@ where a monotone bound on a grid interval cannot decide its sign.
 
 A solve runs in three steps: the scan, the root search in each scan cell
 and the corner's bracket, and the build that certifies the fixed points.
-``solve_block`` states them once, after one column pass of the regime
-check over a ``model._block`` of the points, and a single solve is a block
-of one point. The scan and the build are column statements over the block,
-each row bit for bit its point's own, with the bound scans of the whole
-block run together; the root searches run in lockstep. Only what a row
-holds apart runs row by row: its cells and roots, its corner's
-adjacent-float retry, its multiplicity note and its checks, in the scalar
-order. ``solve_block`` also runs the mild solve's column steps on a block.
+This module states the scan and the build as column statements over a
+``model._block`` of checked points, each row bit for bit its point's own,
+with the bound scans of the whole block run together; ``solver.solve_block``
+runs them around its lockstep root searches, and a single solve is a block
+of one point. Only what a row holds apart runs row by row: its cells and
+roots, its corner's adjacent-float retry, its multiplicity note and its
+checks, in the scalar order.
 """
 
 from __future__ import annotations
@@ -46,19 +45,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import model, solver_mild
+from . import model
 from .errors import DomainError, RepgameError, SolverError
 from .model import Belief, ModelParams
-from .rootfind import find_root, find_roots
-from .solver_mild import (
-    DEFAULT_TOL,
-    MildEquilibrium,
-    NoConcessionEquilibrium,
-    RepressionProbabilities,
-    _certify,
-    _probabilities,
-    validate_tol,
-)
+from .solver_mild import DEFAULT_TOL, _certify_roots
 
 _SCAN_1D = 2048
 # the bound scan starts each point from this many index intervals of its grid
@@ -102,157 +92,6 @@ class SevereEquilibrium:
     multiplicity_note: tuple[dict, ...]
     residual_B: float
     residual_G: float
-
-
-def strategy(eq) -> tuple[str, tuple[float, float], tuple[float, float]]:
-    """The regime's play at a solved equilibrium: ``(variant, (c_G, c_B),
-    (r_G, r_B))``. A type conceals at a cost up to its cutoff c and above it
-    reveals with probability r and concedes otherwise."""
-    if isinstance(eq, MildEquilibrium):
-        # the good type reveals with probability kappa, which reproduces the
-        # equilibrium reveal likelihood ratio
-        return "mild", (eq.c_tilde, eq.c_tilde), (eq.kappa, 1.0)
-    if isinstance(eq, SevereEquilibrium):
-        # revealed repression identifies the good type
-        return "severe", (eq.c_tilde_G, eq.c_tilde_B), (1.0, 0.0)
-    if isinstance(eq, NoConcessionEquilibrium):
-        return "no-concession", (eq.c_tilde, eq.c_tilde), (1.0, 1.0)
-    raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
-
-
-def solve(variant: str, params: ModelParams, tol: float = DEFAULT_TOL):
-    """The solved equilibrium of ``variant``, so that ``strategy(solve(v,
-    params))[0] == v``. Each solver is read off its module at the call, so a
-    replaced module attribute is the one called."""
-    if variant == "mild":
-        return solver_mild.solve_mild(params, tol)
-    if variant == "severe":
-        return solve_severe(params, tol=tol)
-    if variant == "no-concession":
-        return solver_mild.no_concession_equilibrium(params, tol)
-    raise DomainError(f"unknown variant {variant!r}")
-
-
-def solve_block(variant: str, points: list, tol: float = DEFAULT_TOL) -> list:
-    """``solve(variant, params, tol)`` on each ``params`` of ``points``: each
-    point's equilibrium, or the RepgameError that solve raises on it, in
-    order. ``variant`` is "mild" or "severe"; a severe solve is this on a
-    block of one point.
-
-    The points run through each step of their solve together, as one
-    ``model._block``, or as blocks of one where a varying piecewise-linear
-    G or H keeps them from being one. The first step is the regime check,
-    one pass of ``model.holds`` over the block, and a point that fails it
-    gets ``model.require_regime``'s error with its report. The steps around
-    each root search are column statements over the block: a mild solve's
-    bracket and build, and a severe solve's scan and build. Each root
-    search runs in ``_lockstep``, bit for bit the per-point ``find_root``.
-    A point whose step fails carries its own error and leaves the other
-    points alone.
-    """
-    validate_tol(tol)
-    if variant not in model.REGIMES:
-        raise DomainError(f"no block solver for variant {variant!r}")
-    if not points:
-        return []
-    try:
-        block = model._block(points)
-    except DomainError:  # a varying piecewise-linear G or H
-        return [eq for p in points for eq in solve_block(variant, [p], tol)]
-    passed = model.holds(variant, block).tolist()
-    out = [p if ok else _attempt(model.require_regime, variant, p) for p, ok in zip(points, passed)]
-    live = [i for i, p in enumerate(out) if not isinstance(p, RepgameError)]
-    if not live:
-        return out
-    if len(live) < len(points):
-        block, points = model._rows(block, live), [points[i] for i in live]
-    solve_checked = _solve_mild_block if variant == "mild" else _solve_severe_block
-    for i, eq in zip(live, solve_checked(block, points, tol)):
-        out[i] = eq
-    return out
-
-
-def _solve_mild_block(block, points: list, tol: float) -> list:
-    """The steps of a mild solve after the check, on the ``model._block``
-    of points that pass it."""
-    brackets = solver_mild.threshold_bracket(block)
-    jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
-    roots = _lockstep(solver_mild.threshold_equation, block, points, jobs)
-    return solver_mild.mild_equilibrium(block, points, brackets, roots, tol)
-
-
-def _solve_severe_block(block, points: list, tol: float) -> list:
-    """The steps of a severe solve after the check, on the ``model._block``
-    of points that pass it."""
-    scans = _severe_scans(block)
-    live = [(i, s) for i, s in enumerate(scans) if not isinstance(s, RepgameError)]
-    cells = [(i, (s.gap,), cell) for i, s in live for cell in s.cells]
-    corners = [(i, (s.g_beta_G,), (points[i].H.lo, s.g_beta_G)) for i, s in live if s.corner]
-    cell_roots = iter(_lockstep(_bad_type_equation, block, points, cells))
-    corner_roots = iter(_lockstep(_corner_equation, block, points, corners))
-    roots = [
-        []
-        if isinstance(s, RepgameError)
-        else [next(cell_roots) for _ in s.cells] + ([next(corner_roots)] if s.corner else [])
-        for s in scans
-    ]
-    return severe_equilibrium(block, points, scans, roots, tol)
-
-
-def _attempt(step, *args):
-    """``step(*args)``, or the RepgameError that it raises."""
-    try:
-        return step(*args)
-    except RepgameError as exc:
-        return exc
-
-
-def _lockstep(equation, block, points: list, jobs: list) -> list:
-    """``find_root(equation(points[i], *args), lo, hi)`` for each ``(i,
-    args, (lo, hi))`` of ``jobs``, where ``block`` is the ``model._block``
-    of points: each job's root, or the RepgameError that its bracket holds
-    in place of (lo, hi). The searches run in one ``find_roots`` call, on
-    the jobs' rows of the block and each of the args as a column. A search
-    of one row runs find_root, at a fiftieth of the cost, and so does each
-    job on its own if find_roots raises, so that a job find_root rejects
-    carries its own error."""
-    out = [bracket for _, _, bracket in jobs]
-    live = [k for k, bracket in enumerate(out) if not isinstance(bracket, RepgameError)]
-    if not live:
-        return out
-    rows, args = zip(*(jobs[k][:2] for k in live))
-    lo, hi = zip(*(out[k] for k in live))
-    roots = None
-    if len(live) > 1:
-        try:
-            f = equation(model._rows(block, list(rows)), *np.array(args).T)
-            roots = find_roots(f, lo, hi).tolist()
-        except RepgameError:
-            pass
-    if roots is None:
-        roots = [
-            _attempt(find_root, equation(points[i], *a), x, y) for i, a, x, y in zip(rows, args, lo, hi)
-        ]
-    for k, root in zip(live, roots):
-        out[k] = root
-    return out
-
-
-def repression_probabilities(eq, params: ModelParams) -> RepressionProbabilities:
-    """The six repression/concession probabilities of ``strategy(eq)``,
-    conditional on an organized activist."""
-    _, (c_G, c_B), reveals = strategy(eq)
-    return _probabilities(params.q, (params.H.cdf(c_G), params.H.cdf(c_B)), reveals)
-
-
-def bound_D_lower(eq) -> float:
-    """Estimable lower bound on D: p_NN - p_R = -c_G, always negative.
-
-    The good type is indifferent between concealing and revealing at its
-    cutoff c_G. The closed form keeps the digits that the difference of two
-    nearby protest probabilities loses.
-    """
-    return -strategy(eq)[1][0]
 
 
 def posterior_nn_severe(c_B: float, c_G: float, params: ModelParams) -> Belief:
@@ -512,11 +351,10 @@ def _severe_scans(p) -> list:
 
 def solve_severe(params: ModelParams, tol: float = DEFAULT_TOL) -> SevereEquilibrium:
     """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G):
-    ``solve_block`` on a block of one point."""
-    (eq,) = solve_block("severe", [params], tol)
-    if isinstance(eq, RepgameError):
-        raise eq
-    return eq
+    ``solve("severe", params, tol)``."""
+    from .solver import solve  # the solve path imports this module
+
+    return solve("severe", params, tol)
 
 
 # revealed repression identifies the good type
@@ -533,8 +371,7 @@ def severe_equilibrium(p, points: list, scans: list, roots: list, tol: float) ->
     the corner's c_G: the last step of a severe solve. A row whose scan or
     one of whose roots is a RepgameError keeps the first of them.
 
-    The corner roots are certified at tol, with the adjacent-float retry of
-    ``_certify`` on the rows whose residual is not within tol. Each row then
+    The corner roots are certified at tol by ``_certify_roots``. Each row then
     takes the fixed point with the smallest (c_B, c_G) among the corner and
     its distinct interior roots, and lists the others in its
     ``multiplicity_note``. The no-news posterior, the protest probabilities
@@ -544,21 +381,12 @@ def severe_equilibrium(p, points: list, scans: list, roots: list, tol: float) ->
     """
     out = [next((a for a in (s, *r) if isinstance(a, RepgameError)), None) for s, r in zip(scans, roots)]
     corners = [i for i, e in enumerate(out) if e is None and scans[i].corner]
-    corner_c_G = {}
-    if corners:
-        g_beta_G = np.array([scans[i].g_beta_G for i in corners])
-        c = np.array([roots[i][-1] for i in corners])
-        residual = np.abs(_corner_equation(model._rows(p, corners), g_beta_G)(c))
-        retry = np.flatnonzero(~(residual <= tol)).tolist()
-        c = c.tolist()
-        for k in retry:
-            i, g = corners[k], scans[corners[k]].g_beta_G
-            f_G = _corner_equation(points[i], g)
-            try:
-                c[k], _ = _certify(f_G, c[k], points[i].H.lo, g, tol, "severe corner")
-            except RepgameError as exc:
-                out[i] = exc
-        corner_c_G = dict(zip(corners, c))
+    jobs = [(i, (scans[i].g_beta_G,), (points[i].H.lo, scans[i].g_beta_G)) for i in corners]
+    corner_roots = [roots[i][-1] for i in corners]
+    certified = _certify_roots(_corner_equation, p, points, jobs, corner_roots, tol, "severe corner")
+    for i, c in zip(corners, certified):
+        out[i] = c if isinstance(c, RepgameError) else None
+    corner_c_G = {i: c[0] for i, c in zip(corners, certified) if out[i] is None}
     picked = []
     for i, e in enumerate(out):
         if e is None:

@@ -1,8 +1,8 @@
 """One-axis parameter sweeps emitting tabular equilibrium data.
 
-A sweep solves its type-valid points in one ``solver_severe.solve_block``
-call, which checks each point's assumption and is bit for bit the
-point-by-point solve. Invalid points are kept with ``assumption_ok`` false
+A sweep solves its type-valid points in one ``solver.solve_block`` call,
+which checks each point's assumption and is bit for bit the point-by-point
+solve. Invalid points are kept with ``assumption_ok`` false
 and empty numeric cells, so a sweep records why parts of an axis range are
 out of range instead of silently dropping them. Rows are ordered by axis
 value and fully deterministic. The classic exercise: sweeping the lower
@@ -22,7 +22,7 @@ from . import model
 from .distributions import BoundedCDF
 from .errors import AssumptionError, DomainError, EmptySweepError, RepgameError
 from .model import ModelParams
-from .solver_severe import bound_D_lower, repression_probabilities, solve_block
+from .solver import bound_D_lower, repression_probabilities, solve_block
 
 SWEEP_AXES = ("H_lo", "G_lo", "q", "gamma", "beta_B", "alpha_G")
 VARIANTS = model.REGIMES

@@ -31,7 +31,7 @@ from repgame import (
 from repgame.cli import format_float
 from repgame.rootfind import find_root
 from repgame.simulate import ACTIONS, OBSERVATIONS, THETAS
-from repgame.solver_severe import bound_D_lower, repression_probabilities, solve, strategy
+from repgame.solver import bound_D_lower, repression_probabilities, solve, strategy
 from repgame.sweep import COLUMNS, SweepRow, SweepSpec, apply_axis
 
 
@@ -534,13 +534,51 @@ def reference_mild_equilibrium(
     )
 
 
-def reference_solve_mild(params: ModelParams, tol: float = solver_mild.DEFAULT_TOL) -> MildEquilibrium:
+def reference_solve_mild(
+    params: ModelParams, tol: float = solver_mild.DEFAULT_TOL, relaxed: bool = False
+) -> MildEquilibrium:
     """A checked mild solve of one point through the point-by-point
-    references and ``find_root``."""
-    model.require_regime("mild", params)
-    bracket = reference_threshold_bracket(params)
+    references and ``find_root``; ``relaxed`` checks only the clauses that
+    involve no part of H and widens the bracket to [0, alpha_G]."""
+    solver_mild.validate_tol(tol)
+    if relaxed:
+        report = model.check_assumption("mild", params)
+        failed = [name for name in report.failed_clauses() if name in model.H_FREE_MILD]
+        model.require(report, failed, "non-H mild clauses")
+    else:
+        model.require_regime("mild", params)
+    bracket = reference_threshold_bracket(params, relaxed)
     c = find_root(solver_mild.threshold_equation(params), *bracket)
-    return reference_mild_equilibrium(params, bracket, c, tol)
+    return reference_mild_equilibrium(params, bracket, c, tol, relaxed)
+
+
+def reference_no_concession(
+    params: ModelParams, tol: float = solver_mild.DEFAULT_TOL
+) -> NoConcessionEquilibrium:
+    """The no-concession equilibrium of one point, solved on [H.lo,
+    G(beta_e)] by ``find_root`` and built in Python floats: the reference
+    for the column steps of a no-concession solve."""
+    solver_mild.validate_tol(tol)
+    be = model.beta_e(params)
+    g_at_be = params.G.cdf(be)
+    if not g_at_be > params.H.lo:
+        raise DomainError(f"no-concession variant needs G(beta_e) > c_lo, got {g_at_be} <= {params.H.lo}")
+    f = lambda c: solver_mild._threshold_residual(params, be, g_at_be, c)
+    lo, hi = params.H.lo, g_at_be
+    c_tilde, residual = solver_mild._certify(f, find_root(f, lo, hi), lo, hi, tol, "no-concession")
+    q = params.q
+    gp = solver_mild._gamma_prime(params.H.cdf(c_tilde), params.gamma)
+    mu_R = Belief(q, 1.0 - q, 0.0)
+    mu_NN = Belief(gp * q, gp * (1.0 - q), 1.0 - gp)
+    return NoConcessionEquilibrium(
+        c_tilde=c_tilde,
+        mu_R=mu_R,
+        mu_NN=mu_NN,
+        p_R=model.protest_prob(mu_R, params),
+        p_NN=model.protest_prob(mu_NN, params),
+        p_prior=model.protest_prob(model.prior(params), params),
+        residual=residual,
+    )
 
 
 def failing_rows(step, qs: set, what: str):

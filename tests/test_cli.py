@@ -189,9 +189,9 @@ class TestHugePayoffs:
         assert err.startswith("bad input: threshold equation is ill-conditioned")
 
     def test_genuine_non_convergence_exits_3(self, capsys, p1_config, monkeypatch):
-        from repgame import solver_mild
+        from repgame import solver
 
-        monkeypatch.setattr(solver_mild, "find_root", lambda f, lo, hi: hi)
+        monkeypatch.setattr(solver, "find_root", lambda f, lo, hi: hi)
         code, out, err = run_cli(capsys, "solve-mild", "--config", p1_config)
         assert code == 3 and out == ""
         assert err.startswith("solver failure: threshold residual")
@@ -199,9 +199,9 @@ class TestHugePayoffs:
     def test_uncertified_sweep_roots_exit_3(self, capsys, p1_config, monkeypatch):
         # each lockstep root of a mild sweep goes through solve-mild's
         # residual check
-        from repgame import solver_severe
+        from repgame import solver
 
-        monkeypatch.setattr(solver_severe, "find_roots", lambda f, lo, hi: np.array(hi))
+        monkeypatch.setattr(solver, "find_roots", lambda f, lo, hi: np.array(hi))
         code, out, err = run_cli(
             capsys, "sweep", "--config", p1_config, "--axis", "H_lo",
             "--start", "0.0", "--end", "0.4", "--steps", "6",
@@ -213,9 +213,9 @@ class TestHugePayoffs:
         # a lockstep root of a sign-law draw that misses tol is that draw's
         # failure entry, not a traceback; the certificates solve one at a
         # time. Some severe draws have their root at the bracket's end.
-        from repgame import solver_severe
+        from repgame import solver
 
-        monkeypatch.setattr(solver_severe, "find_roots", lambda f, lo, hi: np.array(hi))
+        monkeypatch.setattr(solver, "find_roots", lambda f, lo, hi: np.array(hi))
         code, out, err = run_cli(capsys, "verify", "--config", p1_config, "--draws", "20")
         assert code == 4 and err == ""
         payload = json.loads(out)

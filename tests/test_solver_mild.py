@@ -15,6 +15,7 @@ from helpers import (
     no_concession_equation,
     quad_root_positive,
     reference_mild_equilibrium,
+    reference_no_concession,
     reference_solve_mild,
 )
 from repgame import (
@@ -35,7 +36,7 @@ from repgame import (
     solve_mild,
     solve_no_concession,
 )
-from repgame import model, solver_mild, sweep, verify
+from repgame import model, solver, solver_mild, sweep, verify
 from repgame.rootfind import find_root
 from repgame.verify import draw_params
 
@@ -343,7 +344,7 @@ class TestHugePayoffs:
             solve_mild(make_p1(beta_G=beta_G), tol=1e-20)
 
     def test_genuine_non_convergence_is_a_solver_error(self, p1, monkeypatch):
-        monkeypatch.setattr(solver_mild, "find_root", lambda f, lo, hi: hi)
+        monkeypatch.setattr(solver, "find_root", lambda f, lo, hi: hi)
         with pytest.raises(SolverError, match="threshold residual"):
             solve_mild(p1)
 
@@ -399,6 +400,63 @@ class TestBlockMatchesScalarOracle:
         # at 1e-16 some residuals fail even the adjacent-float retry
         got = self._assert_matches(_mild_draws(0, 200), tol=1e-16)
         assert 10 <= sum(isinstance(r, tuple) for r in got) <= 190
+
+
+class TestNoConcessionBlockMatchesScalarOracle:
+    """A no-concession block's bracket and build, in columns, give each
+    point the scalar solve's result bit for bit, errors included."""
+
+    @staticmethod
+    def _assert_matches(points, tol=solver_mild.DEFAULT_TOL):
+        got = [_outcome(r) for r in solve_block("no-concession", points, tol)]
+        assert got == [_outcome(_attempt(reference_no_concession, p, tol)) for p in points]
+        return got
+
+    def test_first_1000_mild_sign_law_draws(self):
+        got = self._assert_matches(_mild_draws(0, 1000))
+        assert all(isinstance(r, str) for r in got)
+
+    def test_p1_H_lo_grid(self):
+        points = [sweep.apply_axis(make_p1(), "H_lo", float(v)) for v in np.linspace(0.0, 0.55, 1000)]
+        got = self._assert_matches(points)
+        assert all(isinstance(r, str) for r in got)
+
+    def test_edge_points(self, monkeypatch):
+        # p2 solves under no-concession; a huge beta_G puts the root far
+        # below 1, where find_root's stopping width spans many ulps, and at
+        # 1e6 the adjacent-float retry runs; G(beta_e) <= H.lo leaves no bracket
+        retried = []
+        ulp_bracket = solver_mild.ulp_bracket
+        monkeypatch.setattr(solver_mild, "ulp_bracket", lambda *a: retried.append(a) or ulp_bracket(*a))
+        no_room = make_p1(q=0.5, beta_G=0.7, beta_B=0.1, H=BoundedCDF.uniform(0.5, 1.0))
+        points = [make_p1(), make_p2(), make_p1(beta_G=1e6), make_p1(beta_G=1e308), no_room, make_p1(q=0.3)]
+        got = self._assert_matches(points)
+        assert [isinstance(r, str) for r in got] == [True] * 4 + [False, True]
+        assert got[4][0] is DomainError
+        assert got[4][1].startswith("no-concession variant needs G(beta_e) > c_lo")
+        assert len(retried) == 2  # beta_G = 1e6, in the block and in its oracle
+
+    @pytest.mark.parametrize("tol", [1e-16, 1e-20])
+    def test_failing_residuals(self, tol):
+        # at 1e-16 some residuals fail even the adjacent-float retry; at 1e-20
+        # no float root meets tol, and the equation is ill-conditioned
+        points = _mild_draws(1, 200) + [make_p1(), make_p1(beta_G=1e308)]
+        got = self._assert_matches(points, tol=tol)
+        failed = [r for r in got if isinstance(r, tuple)]
+        assert 10 <= len(failed) and any("ill-conditioned" in r[1] for r in failed)
+        if tol == 1e-20:
+            assert all(r[0] is DomainError and "ill-conditioned" in r[1] for r in failed)
+
+    def test_varying_piecewise_linear_H_is_solved_point_by_point(self):
+        # no column form holds a piecewise-linear H that varies across the block
+        points = [
+            make_p1(H=BoundedCDF.piecewise_linear([(0.0, 0.0), (x, 0.5), (1.0, 1.0)]))
+            for x in (0.2, 0.5, 0.8)
+        ]
+        got = self._assert_matches(points)
+        assert all(isinstance(r, str) for r in got)
+        with pytest.raises(DomainError, match="piecewise-linear"):
+            model._block(points)
 
 
 class TestBuildCheckOrder:

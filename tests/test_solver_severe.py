@@ -43,7 +43,7 @@ from repgame import (
     solve_severe,
     strategy,
 )
-from repgame import solver_mild, solver_severe
+from repgame import solver, solver_mild, solver_severe
 from repgame.rootfind import find_root
 from repgame.solver_severe import _SCAN_1D, _distinct, _scan_cells, _scan_points
 
@@ -194,19 +194,24 @@ class TestStrategy:
 
         for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
             Finder().visit(ast.parse(path.read_text(encoding="utf-8")))
-        assert sites and set(sites) == {("solver_severe.py", "strategy")}, sites
+        assert sites and set(sites) == {("solver.py", "strategy")}, sites
 
     def test_only_solve_calls_the_severe_and_no_concession_solvers(self):
-        # cli, sweep and verify pick a variant's solver through solve()
-        names = {"solve_severe", "no_concession_equilibrium"}
+        # cli, sweep and verify pick a variant's solver through solve() or
+        # solve_block(), and the one-line solves call solve(): none of them
+        # is called inside the package but no_concession_equilibrium, by
+        # solve_no_concession
+        names = {"solve_mild", "solve_severe", "no_concession_equilibrium"}
         sites = []
         for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call):
-                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if called in names:
-                        sites.append((path.name, node.lineno))
-        assert {name for name, _ in sites} == {"solver_mild.py", "solver_severe.py"}, sites
+            for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        if isinstance(node, ast.Call):
+                            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                            if called in names:
+                                sites.append((path.name, fn.name))
+        assert sites == [("solver_mild.py", "solve_no_concession")], sites
 
     def test_only_model_names_the_regime_checks(self):
         # every other module reaches a check through model.check_assumption;
@@ -222,8 +227,8 @@ class TestStrategy:
 
     def test_solve_block_is_the_one_check_of_a_blocks_points(self):
         # sweeps and sign-law draws hand solve_block unchecked parameter
-        # sets, and its first step checks each one; a single mild solve and
-        # the closed-form severe effect check their own point
+        # sets, and its first step checks each one, for a single solve of
+        # any variant too; the closed-form severe effect checks its own point
         functions = []  # (module, function, the names it uses)
         for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -239,8 +244,7 @@ class TestStrategy:
         for site, names in seen.items():
             assert not names & {"check_assumption", "require"}, site
         assert {(m, f) for m, f, names in functions if "require_regime" in names} == {
-            ("solver_severe.py", "solve_block"),
-            ("solver_mild.py", "solve_mild"),
+            ("solver.py", "solve_block"),
             ("solver_severe.py", "effect_D_severe"),
         }
 
@@ -257,24 +261,31 @@ class TestSolve:
         with pytest.raises(DomainError, match="unknown variant"):
             solve("moderate", make_p1())
 
-    def test_calls_the_module_attributes(self, monkeypatch):
+    def test_is_solve_block_on_a_block_of_one(self, monkeypatch):
+        # solve and the one-line solves are solve_block on a block of one,
+        # read off the module at the call, and raise the point's error
         calls = []
-        for module, name in (
-            (solver_mild, "solve_mild"),
-            (solver_mild, "no_concession_equilibrium"),
-            (solver_severe, "solve_severe"),
-        ):
-            monkeypatch.setattr(
-                module, name, lambda *args, name=name, **kwargs: calls.append((name, args, kwargs))
-            )
-        params = make_p1()
-        for variant in ("mild", "severe", "no-concession"):
-            solve(variant, params, tol=1e-9)
+        block = solver.solve_block
+        monkeypatch.setattr(solver, "solve_block", lambda *args: calls.append(args) or block(*args))
+        p1, p2 = make_p1(), make_p2()
+        cases = (
+            ("mild", p1, solve_mild),
+            ("severe", p2, solve_severe),
+            ("no-concession", p1, no_concession_equilibrium),
+        )
+        for variant, params, one_line in cases:
+            want = repr(block(variant, [params], 1e-9)[0])
+            assert repr(solve(variant, params, tol=1e-9)) == repr(one_line(params, 1e-9)) == want
+        # solve_mild hands on its relaxed option
         assert calls == [
-            ("solve_mild", (params, 1e-9), {}),
-            ("solve_severe", (params,), {"tol": 1e-9}),
-            ("no_concession_equilibrium", (params, 1e-9), {}),
+            ("mild", [p1], 1e-9),
+            ("mild", [p1], 1e-9, False),
+            *[(variant, [params], 1e-9) for variant, params, _ in cases[1:] for _ in range(2)],
         ]
+        assert repr(solve_mild(p1, relaxed=True)) == repr(block("mild", [p1], relaxed=True)[0])
+        with pytest.raises(AssumptionError) as exc:
+            solve("severe", p1)
+        assert str(exc.value) == str(block("severe", [p1])[0])
 
 
 class TestEffect:
@@ -402,44 +413,39 @@ def test_severe_block_evaluates_g_beta_g_once_per_point(monkeypatch):
     assert sizes == [len(points)] and len(points) >= 20
 
 
-def _functions_naming(module, names) -> set:
-    """The functions of ``module``'s source that name any of ``names``."""
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
-    return {
-        fn.name
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Name) and node.id in names
-    }
-
-
-def test_only_lockstep_searches_for_roots():
-    # a single solve and a block share one solve path, and one function in it
-    # runs find_root or find_roots
-    assert _functions_naming(solver_severe, ("find_root", "find_roots")) == {"_lockstep"}
-
-
-def test_mild_solve_searches_for_its_root_in_one_place():
-    # solve_mild runs the steps that a block runs around its lockstep search;
-    # the no-concession solve searches for its own threshold
-    assert _functions_naming(solver_mild, ("find_root",)) == {"solve_mild", "no_concession_equilibrium"}
+def test_only_lockstep_names_a_root_search():
+    # a single solve and a block of every variant share one solve path, and
+    # one function in it runs find_root or find_roots; outside rootfind,
+    # only its module imports them
+    names = {"find_root", "find_roots"}
+    sites = set()
+    for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
+        if path.name == "rootfind.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(alias.name in names for alias in node.names):
+                sites.add((path.name, "<import>"))
+            if isinstance(node, ast.FunctionDef):
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+                if named & names:
+                    sites.add((path.name, node.name))
+    assert sites == {("solver.py", "<import>"), ("solver.py", "_lockstep")}, sites
 
 
 def test_lockstep_runs_find_roots_on_two_or_more_rows(monkeypatch, p2):
     # one row costs find_roots about fifty times what find_root costs, and a
     # row whose bracket failed is no row
     calls = []
-    find_roots = solver_severe.find_roots
-    monkeypatch.setattr(solver_severe, "find_roots", lambda *args: calls.append(args) or find_roots(*args))
+    find_roots = solver.find_roots
+    monkeypatch.setattr(solver, "find_roots", lambda *args: calls.append(args) or find_roots(*args))
     (scan,) = _scans([p2])
     block = repgame.model._block([p2])
     f_B, job = solver_severe._bad_type_equation, (0, (scan.gap,), scan.cells[0])
-    one = solver_severe._lockstep(f_B, block, [p2], [job])
+    one = solver._lockstep(f_B, block, [p2], [job])
     rejected = (0, (scan.gap,), repgame.SolverError("no bracket"))
-    assert solver_severe._lockstep(f_B, block, [p2], [rejected, job])[1:] == one
+    assert solver._lockstep(f_B, block, [p2], [rejected, job])[1:] == one
     assert calls == []
-    assert solver_severe._lockstep(f_B, block, [p2], [job, job]) == one + one
+    assert solver._lockstep(f_B, block, [p2], [job, job]) == one + one
     assert len(calls) == 1
     assert one == [find_root(f_B(p2, scan.gap), *scan.cells[0])]
 
@@ -870,9 +876,12 @@ class TestSolveBlock:
         assert solve_block("severe", points)[1].report == _solve_each("severe", points)[1].report
 
     def test_empty_block_and_unknown_variant(self):
-        assert solve_block("mild", []) == solve_block("severe", []) == []
-        with pytest.raises(DomainError, match="no block solver"):
-            solve_block("no-concession", [])
+        assert solve_block("mild", []) == solve_block("severe", []) == solve_block("no-concession", []) == []
+        with pytest.raises(DomainError, match="unknown variant 'moderate'"):
+            solve_block("moderate", [])
+        for variant in ("severe", "no-concession"):
+            with pytest.raises(DomainError, match="relaxed applies to the mild variant only"):
+                solve_block(variant, [], relaxed=True)
 
     @pytest.mark.parametrize("regime", ["mild", "severe"])
     def test_tol_reaches_every_point(self, regime):
@@ -1130,8 +1139,8 @@ def test_scan_and_build_are_column_statements(monkeypatch):
     # many CDF calls on 500 points as on 50: none is made point by point
     depth = {"in": 0, "out": 0}
 
-    def track(name, key):
-        step = getattr(solver_severe, name)
+    def track(module, name, key):
+        step = getattr(module, name)
 
         def tracked(*args, **kwargs):
             depth[key] += 1
@@ -1140,12 +1149,17 @@ def test_scan_and_build_are_column_statements(monkeypatch):
             finally:
                 depth[key] -= 1
 
-        monkeypatch.setattr(solver_severe, name, tracked)
+        monkeypatch.setattr(module, name, tracked)
 
     for name in ("_severe_scans", "severe_equilibrium"):
-        track(name, "in")
-    for name in ("_bound_scans", "_certify", "_fixed_point_residual"):
-        track(name, "out")
+        track(solver_severe, name, "in")
+    # the corner retries run in the certify step that the builds share
+    for module, name in (
+        (solver_severe, "_bound_scans"),
+        (solver_mild, "_certify"),
+        (solver_severe, "_fixed_point_residual"),
+    ):
+        track(module, name, "out")
     calls = []
 
     def counted(cdf):

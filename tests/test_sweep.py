@@ -306,4 +306,4 @@ def test_only_solve_block_calls_find_roots():
                 called = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if called == "find_roots":
                     sites.append((path.name, node.lineno))
-    assert {name for name, _ in sites} == {"solver_severe.py"}, sites
+    assert {name for name, _ in sites} == {"solver.py"}, sites
