@@ -3,11 +3,14 @@
 ``solve_block`` solves a list of parameter sets as one ``model._block``:
 the regime check, then the variant's column steps of ``solver_mild`` or
 ``solver_severe`` around its root searches, which run in ``_lockstep``.
-``solve``, and each variant's one-line solve, is a block of one point.
-``strategy(eq)`` states each equilibrium's play.
+Each variant's one-line solve is ``solve_one``, a block of one point, and
+``solve`` calls it by name. ``strategy(eq)`` states each equilibrium's
+play.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -36,19 +39,32 @@ def strategy(eq) -> tuple[str, tuple[float, float], tuple[float, float]]:
     raise DomainError(f"not a solved equilibrium: {type(eq).__name__}")
 
 
+# each variant's one-line solve, as its module and name
+_ONE_LINE = {
+    "mild": (solver_mild, "solve_mild"),
+    "severe": (solver_severe, "solve_severe"),
+    "no-concession": (solver_mild, "no_concession_equilibrium"),
+}
+
+
 def solve(variant: str, params: ModelParams, tol: float = DEFAULT_TOL):
     """The solved equilibrium of ``variant``, so that ``strategy(solve(v,
-    params))[0] == v``: ``solve_block`` on a block of one point."""
-    return raise_first(solve_block(variant, [params], tol))[0]
+    params))[0] == v``: the variant's one-line solve, which is ``solve_one``,
+    read off its module at the call, so that a replaced module attribute
+    (a profiler's wrapper, say) is the one called."""
+    if variant not in _ONE_LINE:
+        return solve_one(variant, params, tol)  # solve_block's error for an unknown variant
+    module, name = _ONE_LINE[variant]
+    return getattr(module, name)(params, tol=tol)
 
 
-def raise_first(solved: list) -> list:
-    """``solve_block``'s ``solved``, unless a point failed: then the first
-    error is raised, as solving point by point would raise it."""
-    for eq in solved:
-        if isinstance(eq, RepgameError):
-            raise eq
-    return solved
+def solve_one(variant: str, params: ModelParams, tol: float = DEFAULT_TOL, relaxed: bool = False):
+    """``solve_block`` on a block of one point: its equilibrium, or its
+    error raised."""
+    (eq,) = solve_block(variant, [params], tol, relaxed)
+    if isinstance(eq, RepgameError):
+        raise eq
+    return eq
 
 
 def solve_block(variant: str, points: list, tol: float = DEFAULT_TOL, relaxed: bool = False) -> list:
@@ -93,12 +109,16 @@ def solve_block(variant: str, points: list, tol: float = DEFAULT_TOL, relaxed: b
     return out
 
 
-def _solve_mild_block(block, points: list, tol: float, relaxed: bool) -> list:
-    """The steps of a mild solve after the check, on the block of points."""
-    brackets = solver_mild.threshold_bracket(block, relaxed)
-    jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
-    roots = _lockstep(solver_mild.threshold_equation, block, points, jobs)
-    return solver_mild.mild_equilibrium(block, points, brackets, roots, tol, relaxed)
+def _solve_one_threshold(steps: tuple, block, points: list, tol: float, relaxed: bool) -> list:
+    """The steps of a mild or no-concession solve after the check, named in
+    ``steps`` as ``solver_mild``'s (bracket, equation, build) and read off
+    it at the call: each row's bracket, the root search, and the build that
+    certifies each root."""
+    bracket, equation, build = (getattr(solver_mild, name) for name in steps)
+    mode = (True,) if relaxed else ()  # only the mild steps take relaxed
+    brackets = bracket(block, *mode)
+    jobs = [(i, (), b) for i, b in enumerate(brackets)]
+    return build(block, points, brackets, _lockstep(equation, block, points, jobs), tol, *mode)
 
 
 def _solve_severe_block(block, points: list, tol: float, relaxed: bool) -> list:
@@ -118,19 +138,13 @@ def _solve_severe_block(block, points: list, tol: float, relaxed: bool) -> list:
     return solver_severe.severe_equilibrium(block, points, scans, roots, tol)
 
 
-def _solve_no_concession_block(block, points: list, tol: float, relaxed: bool) -> list:
-    """The steps of a no-concession solve; ``relaxed`` is False."""
-    brackets = solver_mild.no_concession_bracket(block)
-    jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
-    roots = _lockstep(solver_mild.no_concession_equation, block, points, jobs)
-    return solver_mild.no_concession_build(block, points, brackets, roots, tol)
-
-
 # each variant's steps after its check
 _STEPS = {
-    "mild": _solve_mild_block,
+    "mild": partial(_solve_one_threshold, ("threshold_bracket", "threshold_equation", "mild_equilibrium")),
     "severe": _solve_severe_block,
-    "no-concession": _solve_no_concession_block,
+    "no-concession": partial(
+        _solve_one_threshold, ("no_concession_bracket", "no_concession_equation", "no_concession_build")
+    ),
 }
 
 

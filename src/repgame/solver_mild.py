@@ -265,9 +265,9 @@ def solve_mild(
     fails to certify at the requested tolerance (which would indicate a
     bug, not bad inputs).
     """
-    from .solver import raise_first, solve_block  # the solve path imports this module
+    from .solver import solve_one  # the solve path imports this module
 
-    return raise_first(solve_block("mild", [params], tol, relaxed))[0]
+    return solve_one("mild", params, tol, relaxed)
 
 
 _PROBABILITIES = tuple(f.name for f in fields(RepressionProbabilities))
@@ -294,7 +294,9 @@ def mild_equilibrium(
     tol. A row is its MildEquilibrium, or the first error of these checks
     in this order, each check made on the row's own floats.
     """
-    out, live = _certified(threshold_equation, p, points, brackets, roots, tol, "threshold")
+    jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
+    out = _certify_roots(threshold_equation, p, points, jobs, roots, tol, "threshold")
+    live = [i for i, r in enumerate(out) if not isinstance(r, RepgameError)]
     if not live:
         return out
     c, residual = zip(*(out[i] for i in live))
@@ -306,15 +308,6 @@ def mild_equilibrium(
         except RepgameError as exc:
             out[i] = exc
     return out
-
-
-def _certified(equation, p, points: list, brackets: list, roots: list, tol: float, what: str) -> tuple:
-    """(out, live) of a one-threshold build: in ``out``, each row's root of
-    ``equation`` on its bracket certified by ``_certify_roots``, and in
-    ``live``, the rows whose certificate holds."""
-    jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
-    out = _certify_roots(equation, p, points, jobs, roots, tol, what)
-    return out, [i for i, r in enumerate(out) if not isinstance(r, RepgameError)]
 
 
 def _equilibrium_columns(p, c_tilde: np.ndarray) -> tuple:
@@ -575,7 +568,9 @@ def no_concession_build(p, points: list, brackets: list, roots: list, tol: float
     """``mild_equilibrium`` of the no-concession variant: each root
     certified as c_tilde, then mu_R = (q, 1 - q, 0), the no-news posterior
     and the three protest probabilities, in columns."""
-    out, live = _certified(no_concession_equation, p, points, brackets, roots, tol, "no-concession")
+    jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
+    out = _certify_roots(no_concession_equation, p, points, jobs, roots, tol, "no-concession")
+    live = [i for i, r in enumerate(out) if not isinstance(r, RepgameError)]
     if not live:
         return out
     p = model._rows(p, live)
@@ -602,7 +597,7 @@ def solve_no_concession(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
 
 
 def no_concession_equilibrium(params: ModelParams, tol: float = DEFAULT_TOL) -> NoConcessionEquilibrium:
-    """The no-concession equilibrium: ``solve("no-concession", params, tol)``."""
-    from .solver import solve  # the solve path imports this module
+    """The no-concession equilibrium: ``solve_block`` on a block of one point."""
+    from .solver import solve_one  # the solve path imports this module
 
-    return solve("no-concession", params, tol)
+    return solve_one("no-concession", params, tol)

@@ -351,10 +351,10 @@ def _severe_scans(p) -> list:
 
 def solve_severe(params: ModelParams, tol: float = DEFAULT_TOL) -> SevereEquilibrium:
     """Solve the severe-conflict equilibrium thresholds (c_tilde_B, c_tilde_G):
-    ``solve("severe", params, tol)``."""
-    from .solver import solve  # the solve path imports this module
+    ``solve_block`` on a block of one point."""
+    from .solver import solve_one  # the solve path imports this module
 
-    return solve("severe", params, tol)
+    return solve_one("severe", params, tol)
 
 
 # revealed repression identifies the good type

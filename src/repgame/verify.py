@@ -20,8 +20,8 @@ from . import distributions, model
 from .distributions import BoundedCDF, fosd_dominates
 from .errors import AssumptionError, DomainError, RepgameError
 from .model import Belief, ModelParams
-from .solver import raise_first, repression_probabilities, solve_block, strategy
-from .solver_mild import estimator_H, estimator_total, limit_H_degenerate
+from .solver import repression_probabilities, solve_block, strategy
+from .solver_mild import estimator_H, estimator_total, limit_H_degenerate, solve_mild
 from .solver_severe import effect_D_severe
 from .sweep import apply_axis
 
@@ -181,7 +181,8 @@ def fosd_comparative_statics_check(
     lower total repression; both orderings are strict."""
     if not fosd_dominates(H1, H2):
         raise DomainError("H1 must strictly FOSD-dominate H2 (pointwise smaller CDF)")
-    eq1, eq2 = raise_first(solve_block("mild", [dataclasses.replace(params, H=H) for H in (H1, H2)]))
+    eq1 = solve_mild(dataclasses.replace(params, H=H1))
+    eq2 = solve_mild(dataclasses.replace(params, H=H2))
     ok = eq1.prob_revealed > eq2.prob_revealed and eq1.prob_total < eq2.prob_total
     return FosdReport(ok, eq1.prob_revealed, eq2.prob_revealed, eq1.prob_total, eq2.prob_total)
 
@@ -210,25 +211,14 @@ class LimitReport:
         return dataclasses.asdict(self)
 
 
-def _limit_points(params: ModelParams, family: list) -> list[LimitPoint]:
-    """The LimitPoint of each (eps, H) of ``family``, in order: one
-    ``solve_block`` call solves the members that pass the mild check, and
-    one relaxed call the rest. A member that fails even the clauses without
-    H is skipped, with a note; any other error raises, the first in order."""
-    trials = [dataclasses.replace(params, H=H) for _, H in family]
-    relaxed = [not model.check_assumption("mild", trial).ok for trial in trials]
-    solved = [None] * len(trials)
-    for mode in set(relaxed):
-        rows = [i for i, r in enumerate(relaxed) if r == mode]
-        for i, eq in zip(rows, solve_block("mild", [trials[i] for i in rows], relaxed=mode)):
-            solved[i] = eq
-    raise_first([eq for eq in solved if not isinstance(eq, AssumptionError)])
-    return [
-        LimitPoint(eps, None, mode, f"skipped: {eq}")
-        if isinstance(eq, AssumptionError)
-        else LimitPoint(eps, trial.H.cdf(eq.c_tilde), mode)
-        for (eps, _), trial, mode, eq in zip(family, trials, relaxed, solved)
-    ]
+def _limit_point(params: ModelParams, h_family: BoundedCDF, eps: float) -> LimitPoint:
+    trial = dataclasses.replace(params, H=h_family)
+    strict_ok = model.check_assumption("mild", trial).ok
+    try:
+        eq = solve_mild(trial, relaxed=not strict_ok)
+    except AssumptionError as exc:
+        return LimitPoint(eps, None, not strict_ok, f"skipped: {exc}")
+    return LimitPoint(eps, trial.H.cdf(eq.c_tilde), not strict_ok)
 
 
 def degenerate_cost_limit_check(params: ModelParams, eps_sequence) -> LimitReport:
@@ -246,10 +236,10 @@ def degenerate_cost_limit_check(params: ModelParams, eps_sequence) -> LimitRepor
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("eps values must be strictly decreasing")
     limits = limit_H_degenerate(params)
-    family = [(e, BoundedCDF.uniform(1.0 - e, 1.0)) for e in eps_list]
-    family += [(e, BoundedCDF.uniform(0.0, e)) for e in eps_list]
-    points = _limit_points(params, family)
-    prohibitive, negligible = tuple(points[: len(eps_list)]), tuple(points[len(eps_list) :])
+    prohibitive = tuple(
+        _limit_point(params, BoundedCDF.uniform(1.0 - e, 1.0), e) for e in eps_list
+    )
+    negligible = tuple(_limit_point(params, BoundedCDF.uniform(0.0, e), e) for e in eps_list)
     pro_vals = [p.h_at_threshold for p in prohibitive if p.h_at_threshold is not None]
     neg_vals = [p.h_at_threshold for p in negligible if p.h_at_threshold is not None]
     return LimitReport(
@@ -293,7 +283,7 @@ def effect_monotonicity_check(
 
     grid = np.linspace(lo, hi, steps)
     values: list[float] = []
-    trials: list[ModelParams] = []
+    effects: list[float] = []
     note = ""
     for v in grid:
         try:
@@ -305,14 +295,11 @@ def effect_monotonicity_check(
         if not report.ok:
             note = f"truncated at {axis}={float(v)}: {report.failed_clauses()}"
             break
+        effect = solve_mild(trial).D if base_regime == "mild" else effect_D_severe(trial)
         values.append(float(v))
-        trials.append(trial)
+        effects.append(effect)
     if not values:
         raise AssumptionError(f"no valid grid points along {axis}", None)
-    if base_regime == "mild":
-        effects = [eq.D for eq in raise_first(solve_block("mild", trials))]
-    else:
-        effects = [effect_D_severe(trial) for trial in trials]
     violations = tuple(
         i for i in range(len(effects) - 1) if effects[i + 1] < effects[i] - MONOTONE_SLACK
     )

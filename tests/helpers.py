@@ -534,22 +534,13 @@ def reference_mild_equilibrium(
     )
 
 
-def reference_solve_mild(
-    params: ModelParams, tol: float = solver_mild.DEFAULT_TOL, relaxed: bool = False
-) -> MildEquilibrium:
+def reference_solve_mild(params: ModelParams, tol: float = solver_mild.DEFAULT_TOL) -> MildEquilibrium:
     """A checked mild solve of one point through the point-by-point
-    references and ``find_root``; ``relaxed`` checks only the clauses that
-    involve no part of H and widens the bracket to [0, alpha_G]."""
-    solver_mild.validate_tol(tol)
-    if relaxed:
-        report = model.check_assumption("mild", params)
-        failed = [name for name in report.failed_clauses() if name in model.H_FREE_MILD]
-        model.require(report, failed, "non-H mild clauses")
-    else:
-        model.require_regime("mild", params)
-    bracket = reference_threshold_bracket(params, relaxed)
+    references and ``find_root``."""
+    model.require_regime("mild", params)
+    bracket = reference_threshold_bracket(params)
     c = find_root(solver_mild.threshold_equation(params), *bracket)
-    return reference_mild_equilibrium(params, bracket, c, tol, relaxed)
+    return reference_mild_equilibrium(params, bracket, c, tol)
 
 
 def reference_no_concession(

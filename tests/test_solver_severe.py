@@ -197,21 +197,16 @@ class TestStrategy:
         assert sites and set(sites) == {("solver.py", "strategy")}, sites
 
     def test_only_solve_calls_the_severe_and_no_concession_solvers(self):
-        # cli, sweep and verify pick a variant's solver through solve() or
-        # solve_block(), and the one-line solves call solve(): none of them
-        # is called inside the package but no_concession_equilibrium, by
-        # solve_no_concession
-        names = {"solve_mild", "solve_severe", "no_concession_equilibrium"}
+        # cli, sweep and verify pick a variant's solver through solve()
+        names = {"solve_severe", "no_concession_equilibrium"}
         sites = []
         for path in sorted(Path(repgame.__file__).parent.glob("*.py")):
-            for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(fn, ast.FunctionDef):
-                    for node in ast.walk(fn):
-                        if isinstance(node, ast.Call):
-                            called = getattr(node.func, "id", getattr(node.func, "attr", None))
-                            if called in names:
-                                sites.append((path.name, fn.name))
-        assert sites == [("solver_mild.py", "solve_no_concession")], sites
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called in names:
+                        sites.append((path.name, node.lineno))
+        assert {name for name, _ in sites} == {"solver_mild.py"}, sites
 
     def test_only_model_names_the_regime_checks(self):
         # every other module reaches a check through model.check_assumption;
@@ -261,6 +256,25 @@ class TestSolve:
         with pytest.raises(DomainError, match="unknown variant"):
             solve("moderate", make_p1())
 
+    def test_calls_the_module_attributes(self, monkeypatch):
+        calls = []
+        for module, name in (
+            (solver_mild, "solve_mild"),
+            (solver_mild, "no_concession_equilibrium"),
+            (solver_severe, "solve_severe"),
+        ):
+            monkeypatch.setattr(
+                module, name, lambda *args, name=name, **kwargs: calls.append((name, args, kwargs))
+            )
+        params = make_p1()
+        for variant in ("mild", "severe", "no-concession"):
+            solve(variant, params, tol=1e-9)
+        assert calls == [
+            ("solve_mild", (params,), {"tol": 1e-9}),
+            ("solve_severe", (params,), {"tol": 1e-9}),
+            ("no_concession_equilibrium", (params,), {"tol": 1e-9}),
+        ]
+
     def test_is_solve_block_on_a_block_of_one(self, monkeypatch):
         # solve and the one-line solves are solve_block on a block of one,
         # read off the module at the call, and raise the point's error
@@ -276,12 +290,8 @@ class TestSolve:
         for variant, params, one_line in cases:
             want = repr(block(variant, [params], 1e-9)[0])
             assert repr(solve(variant, params, tol=1e-9)) == repr(one_line(params, 1e-9)) == want
+        assert calls == [(variant, [params], 1e-9, False) for variant, params, _ in cases for _ in range(2)]
         # solve_mild hands on its relaxed option
-        assert calls == [
-            ("mild", [p1], 1e-9),
-            ("mild", [p1], 1e-9, False),
-            *[(variant, [params], 1e-9) for variant, params, _ in cases[1:] for _ in range(2)],
-        ]
         assert repr(solve_mild(p1, relaxed=True)) == repr(block("mild", [p1], relaxed=True)[0])
         with pytest.raises(AssumptionError) as exc:
             solve("severe", p1)

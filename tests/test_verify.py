@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from helpers import make_p1, make_p2, reference_best_response, reference_draw_params, reference_solve_mild
+from helpers import make_p1, make_p2, reference_best_response, reference_draw_params
 from repgame import (
     AssumptionError,
     BoundedCDF,
@@ -24,7 +24,7 @@ from repgame import (
     solve_mild,
     solve_severe,
 )
-from repgame import distributions, model, solver, solver_mild, verify
+from repgame import distributions, model, solver_mild, verify
 from repgame.solver import solve
 from repgame.verify import BETA_FLAG, MAX_GRID, _uniform, draw_params
 
@@ -295,216 +295,6 @@ class TestMonotonicity:
     def test_unknown_axis(self, p1):
         with pytest.raises(DomainError):
             effect_monotonicity_check(p1, "alpha_B", 0.6, 0.9, 5)
-
-
-# -- the comparative-statics families against their point-by-point form ---------
-
-
-def reference_fosd(params, H1, H2, solve=reference_solve_mild):
-    """``fosd_comparative_statics_check`` solving one point at a time."""
-    eq1 = solve(dataclasses.replace(params, H=H1))
-    eq2 = solve(dataclasses.replace(params, H=H2))
-    ok = eq1.prob_revealed > eq2.prob_revealed and eq1.prob_total < eq2.prob_total
-    return verify.FosdReport(ok, eq1.prob_revealed, eq2.prob_revealed, eq1.prob_total, eq2.prob_total)
-
-
-def reference_limits(params, eps_list, solve=reference_solve_mild):
-    """``degenerate_cost_limit_check`` solving one point at a time, each in
-    the mode its own check picks, the prohibitive family first."""
-    limits = solver_mild.limit_H_degenerate(params)
-
-    def point(H, eps):
-        trial = dataclasses.replace(params, H=H)
-        relaxed = not model.check_assumption("mild", trial).ok
-        try:
-            eq = solve(trial, relaxed=relaxed)
-        except AssumptionError as exc:
-            return verify.LimitPoint(eps, None, relaxed, f"skipped: {exc}")
-        return verify.LimitPoint(eps, trial.H.cdf(eq.c_tilde), relaxed)
-
-    prohibitive = tuple(point(BoundedCDF.uniform(1.0 - e, 1.0), e) for e in eps_list)
-    negligible = tuple(point(BoundedCDF.uniform(0.0, e), e) for e in eps_list)
-    pro_vals = [p.h_at_threshold for p in prohibitive if p.h_at_threshold is not None]
-    neg_vals = [p.h_at_threshold for p in negligible if p.h_at_threshold is not None]
-    return verify.LimitReport(
-        prohibitive=prohibitive,
-        negligible=negligible,
-        prohibitive_limit=limits.prohibitive,
-        negligible_limit=limits.negligible,
-        prohibitive_gap=abs(pro_vals[-1] - limits.prohibitive) if pro_vals else None,
-        negligible_gap=abs(neg_vals[-1] - limits.negligible) if neg_vals else None,
-    )
-
-
-def reference_monotonicity(params, axis, lo, hi, steps, solve=reference_solve_mild):
-    """``effect_monotonicity_check`` solving each mild point as it walks the
-    grid, up to the first point that leaves the regime."""
-    regime = next(r for r in model.REGIMES if model.check_assumption(r, params).ok)
-    values, effects, note = [], [], ""
-    for v in np.linspace(lo, hi, steps):
-        try:
-            trial = verify.apply_axis(params, axis, float(v))
-        except DomainError as exc:
-            note = f"truncated at {axis}={float(v)}: {exc}"
-            break
-        report = model.check_assumption(regime, trial)
-        if not report.ok:
-            note = f"truncated at {axis}={float(v)}: {report.failed_clauses()}"
-            break
-        values.append(float(v))
-        effects.append(solve(trial).D if regime == "mild" else verify.effect_D_severe(trial))
-    violations = tuple(
-        i for i in range(len(effects) - 1) if effects[i + 1] < effects[i] - verify.MONOTONE_SLACK
-    )
-    ok = not violations
-    return verify.MonotonicityReport(axis, regime, tuple(values), tuple(effects), ok, violations, note)
-
-
-def _outcome_of(check, *args):
-    """A report as its repr, which spells each float's bits; an error as its
-    type and message."""
-    try:
-        return repr(check(*args))
-    except RepgameError as exc:
-        return type(exc), str(exc)
-
-
-def _inject(monkeypatch, fail: dict):
-    """The families' solves and the references' fail at each point of
-    ``fail``, with its error: a SolverError from the build step, or an
-    AssumptionError from the relaxed check. The reference solve is returned."""
-    build, h_free = solver_mild.mild_equilibrium, solver._require_h_free
-
-    def failing_build(p, points, *args):
-        out = build(p, points, *args)
-        failed = [isinstance(fail.get(params), SolverError) for params in points]
-        return [fail[params] if f else eq for params, f, eq in zip(points, failed, out)]
-
-    def failing_check(params):
-        if isinstance(fail.get(params), AssumptionError):
-            raise fail[params]
-        return h_free(params)
-
-    def solve(params, relaxed=False):
-        if params in fail and (relaxed or isinstance(fail[params], SolverError)):
-            raise fail[params]
-        return reference_solve_mild(params, relaxed=relaxed)
-
-    monkeypatch.setattr(solver_mild, "mild_equilibrium", failing_build)
-    monkeypatch.setattr(solver, "_require_h_free", failing_check)
-    return solve
-
-
-class TestFamiliesMatchPointByPoint:
-    """Each comparative-statics family, solving its points in one
-    ``solve_block`` call per mode, gives the report, or the first error,
-    that solving them one at a time gives."""
-
-    FOSD = (BoundedCDF.uniform(0.3, 1.0), BoundedCDF.uniform(0.0, 1.0))
-
-    @pytest.mark.parametrize(
-        "params, H1, H2",
-        [
-            (make_p1(), *FOSD),
-            (make_p1(), BoundedCDF.uniform(0.5, 1.0), BoundedCDF.uniform(0.2, 1.0)),
-            (make_p1(alpha_G=0.4), *FOSD),
-        ],
-    )
-    def test_fosd(self, params, H1, H2):
-        got = verify.fosd_comparative_statics_check(params, H1, H2)
-        assert repr(got) == repr(reference_fosd(params, H1, H2))
-
-    @pytest.mark.parametrize("eps", [[0.5, 0.1, 0.02], [0.1, 0.02, 0.005, 0.002], [0.9, 0.7, 0.5]])
-    @pytest.mark.parametrize("params", [make_p1(), make_p1(alpha_G=0.4)], ids=["p1", "interior"])
-    def test_limits(self, params, eps):
-        got = verify.degenerate_cost_limit_check(params, eps)
-        assert repr(got) == repr(reference_limits(params, eps))
-        points = got.prohibitive + got.negligible
-        assert any(p.relaxed for p in points)
-
-    @pytest.mark.parametrize(
-        "params, axis, lo, hi",
-        [
-            (make_p1(), "q", 0.55, 0.75),
-            (make_p1(), "beta_B", -1.2, 0.7),  # truncated by a failing clause
-            (make_p1(), "beta_B", -1.2, 1.2),  # truncated halfway by a failing clause
-            (make_p1(G=BoundedCDF.uniform(0.3, 1.3)), "G_shift", 0.0, 0.3),
-            (make_p2(), "gamma", 0.3, 0.5),
-        ],
-    )
-    def test_monotonicity(self, params, axis, lo, hi):
-        got = _outcome_of(verify.effect_monotonicity_check, params, axis, lo, hi, 9)
-        assert got == _outcome_of(reference_monotonicity, params, axis, lo, hi, 9)
-        assert got.startswith("MonotonicityReport(")
-
-    def test_truncation_by_an_invalid_point(self):
-        # G shifted below 0: apply_axis raises, and the walk stops there
-        params = make_p1(G=BoundedCDF.uniform(0.3, 1.3))
-        got = verify.effect_monotonicity_check(params, "G_shift", 0.0, 0.5, 9)
-        assert repr(got) == repr(reference_monotonicity(params, "G_shift", 0.0, 0.5, 9))
-        assert len(got.values) == 5 and "G.lo >= 0" in got.truncated_note
-
-    def test_first_injected_error(self, monkeypatch):
-        p1 = make_p1()
-        qs = np.linspace(0.55, 0.75, 9).tolist()
-        trials = [verify.apply_axis(p1, "q", q) for q in qs]
-        solve = _inject(monkeypatch, {trials[i]: SolverError(f"fails at {i}") for i in (3, 6)})
-        got = _outcome_of(verify.effect_monotonicity_check, p1, "q", 0.55, 0.75, 9)
-        want = _outcome_of(reference_monotonicity, p1, "q", 0.55, 0.75, 9, solve)
-        assert got == want == (SolverError, "fails at 3")
-
-    def test_first_injected_error_of_fosd(self, monkeypatch):
-        H1, H2 = self.FOSD
-        p1 = make_p1()
-        solve = _inject(monkeypatch, {dataclasses.replace(p1, H=H2): SolverError("fails at H2")})
-        got = _outcome_of(verify.fosd_comparative_statics_check, p1, H1, H2)
-        assert got == _outcome_of(reference_fosd, p1, H1, H2, solve) == (SolverError, "fails at H2")
-
-    def test_first_injected_error_of_limits(self, monkeypatch):
-        # the prohibitive family solves first: its failure is raised, though
-        # a negligible point, solved in the same relaxed call, fails too
-        p1 = make_p1()
-        eps = [0.5, 0.1, 0.02]
-        fail = {
-            dataclasses.replace(p1, H=BoundedCDF.uniform(0.0, 0.5)): SolverError("negligible 0.5"),
-            dataclasses.replace(p1, H=BoundedCDF.uniform(0.9, 1.0)): SolverError("prohibitive 0.1"),
-        }
-        solve = _inject(monkeypatch, fail)
-        got = _outcome_of(verify.degenerate_cost_limit_check, p1, eps)
-        assert got == _outcome_of(reference_limits, p1, eps, solve) == (SolverError, "prohibitive 0.1")
-
-    def test_skipped_limit_points(self, monkeypatch):
-        # a relaxed point that fails the clauses without H is skipped, with a
-        # note, and the others keep their values
-        p1 = make_p1()
-        eps = [0.5, 0.1, 0.02]
-        skip = AssumptionError("non-H mild clauses failed: ['injected']", None)
-        skipped_H = (BoundedCDF.uniform(0.9, 1.0), BoundedCDF.uniform(0.0, 0.02))
-        fail = {dataclasses.replace(p1, H=H): skip for H in skipped_H}
-        solve = _inject(monkeypatch, fail)
-        got = verify.degenerate_cost_limit_check(p1, eps)
-        assert repr(got) == repr(reference_limits(p1, eps, solve))
-        skipped = [p for p in got.prohibitive + got.negligible if p.h_at_threshold is None]
-        assert [(p.eps, p.relaxed) for p in skipped] == [(0.1, True), (0.02, True)]
-        assert all(p.note == f"skipped: {skip}" for p in skipped)
-
-    def test_one_solve_block_call_per_mode(self, monkeypatch):
-        calls = []
-        block = verify.solve_block
-        monkeypatch.setattr(verify, "solve_block", lambda *a, **kw: calls.append((a, kw)) or block(*a, **kw))
-        p1 = make_p1()
-
-        def modes(check, *args):
-            calls.clear()
-            check(*args)
-            return [(len(args[1]), kwargs.get("relaxed", False)) for args, kwargs in calls]
-
-        assert modes(verify.effect_monotonicity_check, p1, "q", 0.55, 0.75, 9) == [(9, False)]
-        assert modes(verify.effect_monotonicity_check, p1, "beta_B", -1.2, 1.2, 9) == [(7, False)]
-        assert modes(verify.effect_monotonicity_check, make_p2(), "gamma", 0.3, 0.5, 9) == []
-        assert modes(verify.fosd_comparative_statics_check, p1, *self.FOSD) == [(2, False)]
-        assert modes(verify.degenerate_cost_limit_check, p1, [0.5, 0.1, 0.02]) == [(1, False), (5, True)]
-        assert modes(verify.degenerate_cost_limit_check, p1, [0.1, 0.02]) == [(4, True)]
 
 
 class TestSignLaws:
