@@ -52,10 +52,11 @@ def cdf_columns(x, lo, hi, is_beta, a, b) -> np.ndarray:
     uniform and leaves its shapes a, b unused.
 
     These are ``BoundedCDF.cdf``'s scalar-path IEEE operations elementwise,
-    so each value is bit for bit the scalar one; np.clip keeps -0.0 and
-    NaN, as the scalar clamp does.
+    so each value is bit for bit the scalar one; the clip keeps -0.0 and
+    NaN, as the scalar clamp does. np.divide makes an all-scalar quotient a
+    numpy float, whose clip method costs about half of np.clip's wrapper.
     """
-    t = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+    t = np.divide(x - lo, hi - lo).clip(0.0, 1.0)
     # a bool is tested without numpy: the block paths make hundreds of calls
     if isinstance(is_beta, bool):
         return betainc(a, b, t) if is_beta else t

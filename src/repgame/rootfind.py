@@ -1,16 +1,29 @@
-"""Bracketed root finding: bisection refined by secant steps, for one
-equation or, in lockstep, for a block of them.
+"""Bracketed root finding by the Illinois rule, for one equation or, in
+lockstep, for a block of them.
 
 The equilibrium equations solved in this package are strictly monotone in
-the unknown, so a guaranteed sign-change bracket plus bisection is enough;
-secant proposals inside the bracket only accelerate convergence. Whenever a
-secant step fails to halve the bracket over two iterations, a bisection
-step is forced, so the worst case is plain bisection at twice the iteration
-count. Robustness over speed.
+the unknown, so a guaranteed sign-change bracket is enough; the steps
+inside it only set the speed. Each step is one of three:
+
+- an Illinois step: a regula falsi (secant) step on the bracket's ends,
+  where an end that is kept twice in a row has its stored value halved
+  (Dowell and Jarratt, *BIT* 11, 1971), so that neither end stalls;
+- a minimum step: a secant point that falls within a quarter of the
+  stopping width of an end is moved to that distance inside it, so that
+  the last ulps do not go one at a time;
+- a forced bisection, whenever the bracket has not halved over the last
+  two steps.
+
+The forced bisection bounds the worst case: the bracket at least halves
+every three steps, so a search on [lo, hi] takes at most
+2 + 3 * ceil(log2((hi - lo) / (4 * eps))) evaluations (152 on [0, 1]),
+and never more than MAX_ITER + 2. A flat run then a jump comes close to
+that bound; the package's equations take about 10 to 20.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -51,29 +64,38 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         return hi
     if (fa > 0.0) == (fb > 0.0):
         raise _bracket_error(lo, hi, fa, fb)
+    # b keeps f(hi)'s sign: fa and fb are halved and may underflow to zero
+    up = fb > 0.0
     a, b = lo, hi
-    width_prev2 = 2.0 * (b - a)
-    width_prev = b - a
+    width_prev2 = width_prev = math.inf  # the widths two steps and one step back
+    moved_a = moved_b = False  # which end the last step replaced
     for _ in range(MAX_ITER):
         width = b - a
-        if width <= _stop_width(a, b):
+        stop = _stop_width(a, b)
+        if width <= stop:
             break
-        if width > 0.5 * width_prev2:
-            x = 0.5 * (a + b)  # slow progress: force bisection
-        else:
-            denom = fb - fa
-            x = b - fb * (b - a) / denom if denom != 0.0 else 0.5 * (a + b)
-            margin = 0.01 * width
-            if not (a + margin <= x <= b - margin):
-                x = 0.5 * (a + b)
+        denom = fb - fa
+        x = b - width * (fb / denom) if denom != 0.0 else math.nan
+        if width > 0.5 * width_prev2 or x != x:
+            x = 0.5 * (a + b)  # slow progress, or no secant point: bisect
+        elif x < a + 0.25 * stop:
+            x = a + 0.25 * stop
+        elif x > b - 0.25 * stop:
+            x = b - 0.25 * stop
         fx = f(x)
         if fx == 0.0:
             return x
-        if (fx > 0.0) == (fb > 0.0):
+        if (fx > 0.0) == up:
+            if moved_b:
+                fa *= 0.5
             b, fb = x, fx
+            moved_a, moved_b = False, True
         else:
+            if moved_a:
+                fb *= 0.5
             a, fa = x, fx
-        width_prev2, width_prev = width_prev, b - a
+            moved_a, moved_b = True, False
+        width_prev2, width_prev = width_prev, width
     return 0.5 * (a + b)
 
 
@@ -98,33 +120,37 @@ def find_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
         raise _bracket_error(float(lo[i]), float(hi[i]), fa[i], fb[i])
     root = np.where(zero_a, lo, hi)
     active = ~(zero_a | zero_b)
+    up = fb > 0.0
     a, b = lo, hi
-    width_prev2 = 2.0 * (b - a)
-    width_prev = b - a
+    width_prev2 = width_prev = np.full(lo.shape, np.inf)
+    moved_a = moved_b = np.zeros(lo.shape, dtype=bool)
     for _ in range(MAX_ITER):
         width = b - a
         mid = 0.5 * (a + b)
         # _stop_width: fmax skips a NaN after the 1.0, as Python's max does
-        done = active & (width <= 4.0 * _EPS * np.fmax(np.fmax(1.0, abs(a)), abs(b)))
+        stop = 4.0 * _EPS * np.fmax(np.fmax(1.0, abs(a)), abs(b))
+        done = active & (width <= stop)
         root[done] = mid[done]
         active &= ~done
         if not active.any():
             return root
-        denom = fb - fa
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x = np.where(denom != 0.0, b - fb * (b - a) / denom, mid)
-        margin = 0.01 * width
-        slow = (width > 0.5 * width_prev2) | ~((a + margin <= x) & (x <= b - margin))
-        x = np.where(slow, mid, x)
+            x = b - width * (fb / (fb - fa))  # NaN where find_root's denom is 0
+        near_a, near_b = a + 0.25 * stop, b - 0.25 * stop
+        x = np.where(x < near_a, near_a, np.where(x > near_b, near_b, x))
+        x = np.where((width > 0.5 * width_prev2) | (x != x), mid, x)
         fx = f(x)
         hit = active & (fx == 0.0)
         root[hit] = x[hit]
         active &= ~hit
-        to_b = active & ((fx > 0.0) == (fb > 0.0))
+        to_b = active & ((fx > 0.0) == up)
         to_a = active & ~to_b
+        fa = np.where(to_b & moved_b, 0.5 * fa, fa)
+        fb = np.where(to_a & moved_a, 0.5 * fb, fb)
         b, fb = np.where(to_b, x, b), np.where(to_b, fx, fb)
         a, fa = np.where(to_a, x, a), np.where(to_a, fx, fa)
-        width_prev2, width_prev = width_prev, b - a
+        moved_a, moved_b = to_a, to_b
+        width_prev2, width_prev = width_prev, width
     root[active] = 0.5 * (a[active] + b[active])
     return root
 

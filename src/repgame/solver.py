@@ -162,9 +162,9 @@ def _lockstep(equation, block, points: list, jobs: list) -> list:
     of points: each job's root, or the RepgameError that its bracket holds
     in place of (lo, hi). The searches run in one ``find_roots`` call, on
     the jobs' rows of the block and each of the args as a column. A search
-    of one row runs find_root, at a fiftieth of the cost, and so does each
-    job on its own if find_roots raises, so that a job find_root rejects
-    carries its own error."""
+    of one row runs find_root, at about a thirtieth of the cost, and so does
+    each job on its own if find_roots raises, so that a job find_root
+    rejects carries its own error."""
     out = [bracket for _, _, bracket in jobs]
     live = [k for k, bracket in enumerate(out) if not isinstance(bracket, RepgameError)]
     if not live:

@@ -179,13 +179,14 @@ def test_scalar_cdf_matches_array_path(d, x, as_numpy):
 @settings(max_examples=200, deadline=None)
 def test_cdf_columns_match_scalar_path(d, xs):
     # one distribution's scalars, and the same distribution as a column per
-    # row, give the scalar path's bits
+    # row, give the scalar path's bits, at a column of x and at each float x
     want = np.array([d.cdf(x) for x in xs])
     n = len(xs)
     a, b = d.params or (1.0, 1.0)
     rows = [np.full(n, v) for v in (d.lo, d.hi, d.family == "scaled_beta", a, b)]
     for got in (
         distributions.cdf_columns(np.array(xs), d.lo, d.hi, d.family == "scaled_beta", a, b),
+        np.array([distributions.cdf_columns(x, d.lo, d.hi, d.family == "scaled_beta", a, b) for x in xs]),
         distributions.cdf_columns(np.array(xs), *rows),
         d.cdf(np.array(xs)),
     ):

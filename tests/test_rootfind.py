@@ -1,17 +1,22 @@
-"""The lockstep root search against the scalar one, row by row.
+"""The lockstep root search against the scalar one, row by row, and the
+step rule's evaluation counts.
 
 Each row's function is built from +, -, * and comparisons only, so numpy's
 elementwise values are bit for bit Python's and any difference in a root
 comes from the search itself.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import make_p1
+from repgame import model, solver, solver_mild, sweep, verify
 from repgame.errors import SolverError
-from repgame.rootfind import MAX_ITER, find_root, find_roots
+from repgame.rootfind import _EPS, MAX_ITER, find_root, find_roots
 
 
 def _scalar_f(s, r, c1, c3, step):
@@ -35,6 +40,13 @@ def _column_f(s, r, c1, c3, step):
             return s * (c1 * d + c3 * d * d * d + step * sign)
 
     return f
+
+
+def _evaluations(f, lo, hi) -> int:
+    """How many times find_root evaluates f on [lo, hi]."""
+    n = []
+    find_root(lambda x: n.append(x) or f(x), lo, hi)
+    return len(n)
 
 
 def _scalar_outcome(row):
@@ -109,27 +121,21 @@ class TestRows:
     def test_rows_of_very_different_speeds(self):
         block = [
             (0.0, 1.0, 1.0, 0.25, 1.0, 0.0, 0.0),  # one step
-            (0.0, 1.0, -1.0, 0.3, 1.0, 2.0, 0.0),  # a few secant steps
-            (-1e3, 1e3, 1.0, 0.1, 0.0, 1.0, 0.0),  # a triple root: bisection paced
-            (-1.0, 1.0, 1.0, 0.123, 0.0, 0.0, 1.0),  # a step: bisection only
+            (0.0, 1.0, -1.0, 0.3, 1.0, 2.0, 0.0),  # Illinois steps
+            (-1.0, 1.0, 1.0, 0.123, 0.0, 0.0, 1.0),  # a step
+            (-1e3, 1e3, 1.0, 0.1, 0.0, 1.0, 0.0),  # triple roots: paced by
+            (-1.0, 1.0, 1.0, 0.7, 0.0, 1.0, 0.0),  # the forced bisections
         ]
-        counts = []
-        for lo, hi, *coeffs in block:
-            f = _scalar_f(*coeffs)
-            n = []
-            find_root(lambda x: n.append(x) or f(x), lo, hi)
-            counts.append(len(n))
-        assert counts[0] == 3 and counts[-1] > 40
+        counts = [_evaluations(_scalar_f(*coeffs), lo, hi) for lo, hi, *coeffs in block]
+        assert counts[0] == 3 and max(counts[:3]) < 50 and min(counts[3:]) > 100
         assert_matches_scalar(block)
 
     def test_row_that_exhausts_max_iter(self):
-        # a step across [-1e300, 1e300] is bisected MAX_ITER times and is
-        # still far wider than find_root's stopping width
-        row = (-1e300, 1e300, 1.0, 1.0, 0.0, 0.0, 1.0)
-        f = _scalar_f(*row[2:])
-        evals = []
-        find_root(lambda x: evals.append(x) or f(x), row[0], row[1])
-        assert len(evals) == MAX_ITER + 2
+        # (x - 1)^3 overflows to +-inf beyond about 5.6e102, where every
+        # secant point is NaN and the step is a bisection: MAX_ITER of them
+        # leave [-1e300, 1e300] far wider than find_root's stopping width
+        row = (-1e300, 1e300, 1.0, 1.0, 0.0, 1.0, 0.0)
+        assert _evaluations(_scalar_f(*row[2:]), row[0], row[1]) == MAX_ITER + 2
         assert_matches_scalar([row, (0.0, 1.0, 1.0, 0.3, 1.0, 0.0, 0.0)])
 
 
@@ -163,3 +169,57 @@ class TestErrors:
             find_roots(f, [0.0, 1.0], [1.0, 0.0])
         assert_matches_scalar([unbracketed, empty])
         assert_matches_scalar([empty, unbracketed])
+
+
+class TestStepCounts:
+    """The Illinois rule's evaluation counts: on the package's equations, and
+    within the docstring's worst case on pathological ones."""
+
+    def test_mean_evaluations_on_the_p1_H_lo_grid(self):
+        # the mild thresholds of `sweep --axis H_lo --start 0 --end 0.55
+        # --steps 1000` on p1: 12.6 on average; a bisection-paced rule took 42.5
+        counts = []
+        for v in np.linspace(0.0, 0.55, 1000):
+            params = sweep.apply_axis(make_p1(), "H_lo", float(v))
+            (bracket,) = solver_mild.threshold_bracket(model._block([params]))
+            counts.append(_evaluations(solver_mild.threshold_equation(params), *bracket))
+        assert np.mean(counts) <= 15.0
+
+    def test_verify_sign_law_lockstep_steps(self, monkeypatch):
+        # verify's three find_roots calls at seed 0: the mild block, then
+        # the severe cells and corners; bisection-paced, they took 60, 41
+        # and 57 evaluations of f
+        calls = []
+
+        def counting(f, lo, hi):
+            calls.append([len(lo), 0])
+
+            def g(x):
+                calls[-1][1] += 1
+                return f(x)
+
+            return find_roots(g, lo, hi)
+
+        monkeypatch.setattr(solver, "find_roots", counting)
+        for regime in model.REGIMES:
+            assert verify.sign_law_check(regime, n_draws=500, seed=0).ok
+        rows, evaluations = zip(*calls)
+        assert rows == (500, 124, 376)
+        assert all(n <= bound for n, bound in zip(evaluations, (22, 7, 20))), evaluations
+
+    # (f, lo, hi); the bound is 2 + 3 * ceil(log2((hi - lo) / (4 * eps)))
+    # evaluations, 152 on [0, 1]
+    PATHOLOGICAL = {
+        "sign step": (lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0),
+        "wide sign step": (lambda x: np.sign(x - 7.77), -1e3, 1e3),
+        "steep expm1": (lambda x: np.expm1(1e4 * (x - 0.3)), 0.0, 1.0),
+        "flat then jump": (lambda x: np.where(x < 0.7, 1e-9 * (x - 0.7), 1.0), 0.0, 1.0),
+        "flat at -1e-300, then steep": (lambda x: np.where(x < 0.9, -1e-300, 1e300 * (x - 0.9)), 0.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("name", PATHOLOGICAL)
+    def test_worst_case_bound(self, name):
+        f, lo, hi = self.PATHOLOGICAL[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = _evaluations(f, lo, hi)
+        assert n <= 2 + 3 * math.ceil(math.log2((hi - lo) / (4 * _EPS)))

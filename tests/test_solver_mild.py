@@ -424,17 +424,17 @@ class TestNoConcessionBlockMatchesScalarOracle:
     def test_edge_points(self, monkeypatch):
         # p2 solves under no-concession; a huge beta_G puts the root far
         # below 1, where find_root's stopping width spans many ulps, and at
-        # 1e6 the adjacent-float retry runs; G(beta_e) <= H.lo leaves no bracket
+        # 1e7 the adjacent-float retry runs; G(beta_e) <= H.lo leaves no bracket
         retried = []
         ulp_bracket = solver_mild.ulp_bracket
         monkeypatch.setattr(solver_mild, "ulp_bracket", lambda *a: retried.append(a) or ulp_bracket(*a))
         no_room = make_p1(q=0.5, beta_G=0.7, beta_B=0.1, H=BoundedCDF.uniform(0.5, 1.0))
-        points = [make_p1(), make_p2(), make_p1(beta_G=1e6), make_p1(beta_G=1e308), no_room, make_p1(q=0.3)]
+        points = [make_p1(), make_p2(), make_p1(beta_G=1e7), make_p1(beta_G=1e308), no_room, make_p1(q=0.3)]
         got = self._assert_matches(points)
         assert [isinstance(r, str) for r in got] == [True] * 4 + [False, True]
         assert got[4][0] is DomainError
         assert got[4][1].startswith("no-concession variant needs G(beta_e) > c_lo")
-        assert len(retried) == 2  # beta_G = 1e6, in the block and in its oracle
+        assert len(retried) == 2  # beta_G = 1e7, in the block and in its oracle
 
     @pytest.mark.parametrize("tol", [1e-16, 1e-20])
     def test_failing_residuals(self, tol):
