@@ -12,6 +12,15 @@ class RepgameError(Exception):
     """Base class for all package errors."""
 
 
+def attempt(step, *args):
+    """``step(*args)``, or the RepgameError that it raises: a row of a solve
+    keeps its error as its value."""
+    try:
+        return step(*args)
+    except RepgameError as exc:
+        return exc
+
+
 class DomainError(RepgameError, ValueError):
     """An operation was called with inputs outside its contract."""
 

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .distributions import BoundedCDF, cost_columns
-from .errors import AssumptionError, DomainError, read_field
+from .errors import AssumptionError, DomainError, RepgameError, read_field
 
 BELIEF_SUM_TOL = 1e-12
 
@@ -310,3 +310,16 @@ def _rows(block: SimpleNamespace, rows, names=None) -> SimpleNamespace:
         return v  # a distribution that every point shares
 
     return SimpleNamespace(**{k: take(getattr(block, k)) for k in names or vars(block)})
+
+
+def _live_rows(step, block: SimpleNamespace, values: list, *columns: list) -> list:
+    """``values``, each one that is not a RepgameError replaced by its row's
+    result of ``step`` run on those rows alone: on their ``_rows`` of the
+    ``_block`` block, their entries of values and of each list of columns."""
+    live = [i for i, v in enumerate(values) if not isinstance(v, RepgameError)]
+    out = list(values)
+    if live:
+        at_live = ([c[i] for i in live] for c in (values, *columns))
+        for i, result in zip(live, step(_rows(block, live), *at_live)):
+            out[i] = result
+    return out

@@ -169,8 +169,9 @@ def play_blocks(params: ModelParams, eq, n: int, seed: int, start: int = 0, enco
     episodes of one ``simulate_arrays(params, eq, n, seed, start)`` call
     wherever they are played: on a pool of forked processes, one per usable
     CPU, with at most two blocks per process in flight besides the one
-    being yielded, or here when there is one block or one process. n and seed are checked on the call, before
-    the first block is played. Close the generator to stop the pool early.
+    being yielded, or here when there is one block or one process. n and
+    seed are checked on the call, before the first block is played. Close
+    the generator to stop the pool early.
     """
     if n < 1:
         raise DomainError(f"need at least one episode, got n={n}")

@@ -2,10 +2,14 @@
 
 ``solve_block`` solves a list of parameter sets as one ``model._block``:
 the regime check, then the variant's column steps of ``solver_mild`` or
-``solver_severe`` around its root searches, which run in ``_lockstep``.
-Each variant's one-line solve is ``solve_one``, a block of one point, and
-``solve`` calls it by name. ``strategy(eq)`` states each equilibrium's
-play.
+``solver_severe`` around its root searches. Each search runs here, in
+``_lockstep``, and the search for a mild or no-concession threshold or a
+severe corner's c_G is certified here too, by ``_certify_roots`` on the
+same jobs. A row that fails a step keeps its error as its value:
+``errors.attempt`` holds the error of a step that raises, and
+``model._live_rows`` runs each later step on the rows still live. Each
+variant's one-line solve is ``solve_one``, a block of one point, and
+``solve`` calls it by name. ``strategy(eq)`` states each equilibrium's play.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from functools import partial
 import numpy as np
 
 from . import model, solver_mild, solver_severe
-from .errors import DomainError, RepgameError
+from .errors import DomainError, RepgameError, SolverError, attempt
 from .model import ModelParams
-from .rootfind import find_root, find_roots
+from .rootfind import find_root, find_roots, ulp_bracket
 from .solver_mild import DEFAULT_TOL, MildEquilibrium, NoConcessionEquilibrium, RepressionProbabilities
 from .solver_mild import _probabilities, _require_h_free, validate_tol
 from .solver_severe import SevereEquilibrium
@@ -93,67 +97,61 @@ def solve_block(variant: str, points: list, tol: float = DEFAULT_TOL, relaxed: b
     except DomainError:  # a varying piecewise-linear G or H
         return [eq for p in points for eq in solve_block(variant, [p], tol, relaxed)]
     if relaxed:
-        out = [_attempt(_require_h_free, p) for p in points]
+        checked = [attempt(_require_h_free, p) for p in points]
     elif variant in model.REGIMES:
         passed = model.holds(variant, block).tolist()
-        out = [p if ok else _attempt(model.require_regime, variant, p) for p, ok in zip(points, passed)]
+        checked = [ok or attempt(model.require_regime, variant, p) for p, ok in zip(points, passed)]
     else:  # the no-concession variant has no regime clauses
-        out = list(points)
-    live = [i for i, p in enumerate(out) if not isinstance(p, RepgameError)]
-    if not live:
-        return out
-    if len(live) < len(points):
-        block, points = model._rows(block, live), [points[i] for i in live]
-    for i, eq in zip(live, steps(block, points, tol, relaxed)):
-        out[i] = eq
-    return out
+        checked = points
+    return model._live_rows(
+        lambda block, _, points: steps(block, points, tol, relaxed), block, checked, points
+    )
 
 
-def _solve_one_threshold(steps: tuple, block, points: list, tol: float, relaxed: bool) -> list:
+def _solve_one_threshold(what: str, steps: tuple, block, points: list, tol: float, relaxed: bool) -> list:
     """The steps of a mild or no-concession solve after the check, named in
     ``steps`` as ``solver_mild``'s (bracket, equation, build) and read off
-    it at the call: each row's bracket, the root search, and the build that
-    certifies each root."""
+    it at the call: each row's bracket, the root search, certified as the
+    ``what`` equation's root, and the build at the certified roots."""
     bracket, equation, build = (getattr(solver_mild, name) for name in steps)
     mode = (True,) if relaxed else ()  # only the mild steps take relaxed
-    brackets = bracket(block, *mode)
-    jobs = [(i, (), b) for i, b in enumerate(brackets)]
-    return build(block, points, brackets, _lockstep(equation, block, points, jobs), tol, *mode)
+    jobs = [(i, (), b) for i, b in enumerate(bracket(block, *mode))]
+    roots = _lockstep(equation, block, points, jobs)
+    return build(block, points, _certify_roots(equation, block, points, jobs, roots, tol, what), tol, *mode)
 
 
 def _solve_severe_block(block, points: list, tol: float, relaxed: bool) -> list:
-    """The steps of a severe solve after the check; ``relaxed`` is False."""
-    scans = solver_severe._severe_scans(block)
-    live = [(i, s) for i, s in enumerate(scans) if not isinstance(s, RepgameError)]
-    cells = [(i, (s.gap,), cell) for i, s in live for cell in s.cells]
-    corners = [(i, (s.g_beta_G,), (points[i].H.lo, s.g_beta_G)) for i, s in live if s.corner]
-    cell_roots = iter(_lockstep(solver_severe._bad_type_equation, block, points, cells))
-    corner_roots = iter(_lockstep(solver_severe._corner_equation, block, points, corners))
-    roots = [
-        []
-        if isinstance(s, RepgameError)
-        else [next(cell_roots) for _ in s.cells] + ([next(corner_roots)] if s.corner else [])
-        for s in scans
-    ]
-    return solver_severe.severe_equilibrium(block, points, scans, roots, tol)
+    """The steps of a severe solve after the check; ``relaxed`` is False:
+    the scan and, on the rows that it leaves live, the root search in each
+    scan cell, the certified search for each consistent corner's c_G, and
+    the build."""
+
+    def solve(block, scans: list, points: list) -> list:
+        cells = [(i, (s.gap,), cell) for i, s in enumerate(scans) for cell in s.cells]
+        corners = [(i, (s.g_beta_G,), (points[i].H.lo, s.g_beta_G)) for i, s in enumerate(scans) if s.corner]
+        f_B, f_G = solver_severe._bad_type_equation, solver_severe._corner_equation
+        cell_roots = iter(_lockstep(f_B, block, points, cells))
+        searched = _lockstep(f_G, block, points, corners)
+        corner_roots = iter(_certify_roots(f_G, block, points, corners, searched, tol, "severe corner"))
+        roots = [[next(cell_roots) for _ in s.cells] for s in scans]
+        corner = [next(corner_roots) if s.corner else None for s in scans]
+        return solver_severe.severe_equilibrium(block, points, scans, roots, corner, tol)
+
+    return model._live_rows(solve, block, solver_severe._severe_scans(block), points)
 
 
 # each variant's steps after its check
 _STEPS = {
-    "mild": partial(_solve_one_threshold, ("threshold_bracket", "threshold_equation", "mild_equilibrium")),
+    "mild": partial(
+        _solve_one_threshold, "threshold", ("threshold_bracket", "threshold_equation", "mild_equilibrium")
+    ),
     "severe": _solve_severe_block,
     "no-concession": partial(
-        _solve_one_threshold, ("no_concession_bracket", "no_concession_equation", "no_concession_build")
+        _solve_one_threshold,
+        "no-concession",
+        ("no_concession_bracket", "no_concession_equation", "no_concession_build"),
     ),
 }
-
-
-def _attempt(step, *args):
-    """``step(*args)``, or the RepgameError that it raises."""
-    try:
-        return step(*args)
-    except RepgameError as exc:
-        return exc
 
 
 def _lockstep(equation, block, points: list, jobs: list) -> list:
@@ -180,10 +178,53 @@ def _lockstep(equation, block, points: list, jobs: list) -> list:
             pass
     if roots is None:
         roots = [
-            _attempt(find_root, equation(points[i], *a), x, y) for i, a, x, y in zip(rows, args, lo, hi)
+            attempt(find_root, equation(points[i], *a), x, y) for i, a, x, y in zip(rows, args, lo, hi)
         ]
     for k, root in zip(live, roots):
         out[k] = root
+    return out
+
+
+def _certify(f, c: float, lo: float, hi: float, tol: float, what: str) -> tuple[float, float]:
+    """(c, |f(c)|) for find_root's root c of an increasing f on [lo, hi].
+
+    A residual above tol is retried on the float nearest the root, which a
+    tiny root (a huge beta_G) needs. If even that misses tol, f jumps by
+    more than tol between adjacent floats, so no float root meets tol: the
+    inputs are at fault, not the solver.
+    """
+    residual = abs(f(c))
+    if residual <= tol:
+        return c, residual
+    bracket = ulp_bracket(f, c, lo, hi)
+    if bracket is None:
+        raise SolverError(f"{what} residual {residual:.3e} exceeds tol {tol:.3e}")
+    c = min(bracket, key=lambda x: abs(f(x)))
+    residual = abs(f(c))
+    if residual > tol:
+        raise DomainError(
+            f"{what} equation is ill-conditioned at these inputs: best attainable "
+            f"residual {residual:.3e} exceeds tol {tol:.3e}"
+        )
+    return c, residual
+
+
+def _certify_roots(equation, p, points: list, jobs: list, roots: list, tol: float, what: str) -> list:
+    """``_certify``'s (c, |f(c)|) at ``_lockstep``'s root of each of its
+    ``jobs``, p being the ``model._block`` of points: one column statement,
+    and the adjacent-float retry only on a row that misses tol. A root, or
+    a retry, that is a RepgameError stays one."""
+    out = list(roots)
+    live = [k for k, c in enumerate(roots) if not isinstance(c, RepgameError)]
+    if live:
+        rows, args = zip(*(jobs[k][:2] for k in live))
+        c = np.array([roots[k] for k in live])
+        residual = np.abs(equation(model._rows(p, rows), *np.array(args).T)(c))
+        for k, c_k, r in zip(live, c.tolist(), residual.tolist()):
+            out[k] = (c_k, r)
+            if not r <= tol:
+                i, a, bracket = jobs[k]
+                out[k] = attempt(_certify, equation(points[i], *a), c_k, *bracket, tol, what)
     return out
 
 

@@ -18,14 +18,15 @@ of protest after revealed repression equals alpha_G, and after no news it
 equals alpha_G - c_tilde.
 
 A solve checks the point and then runs in three steps: ``threshold_bracket``
-brackets the root, the root search runs on that bracket, and
-``mild_equilibrium`` certifies the root and builds the equilibrium. The
+brackets the root, the root search runs on that bracket and certifies the
+root, and ``mild_equilibrium`` builds the equilibrium at it. The
 no-concession variant, in which the regime cannot concede, runs the same
 three steps with its own target: ``no_concession_bracket``, the search and
-``no_concession_build``. The steps around the search are column statements
-over a ``model._block`` of points, each row bit for bit its point's own;
-``solver.solve_block`` runs them around its lockstep root search, and a
-single solve is a block of one point.
+``no_concession_build``. The bracket and the build are column statements
+over a ``model._block`` of points, each row bit for bit its point's own,
+and a row that an earlier step failed keeps its error; ``solver.solve_block``
+runs and certifies the search between them, and a single solve is a block
+of one point.
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ from .errors import (
     DomainError,
     EstimationError,
     InconsistentInputsError,
-    RepgameError,
     SolverError,
+    attempt,
 )
 from .model import Belief, ModelParams
-from .rootfind import ulp_bracket
 
 DEFAULT_TOL = 1e-10
 MAX_TOL = 1e-6
@@ -146,53 +146,6 @@ def _require_h_free(params: ModelParams) -> model.AssumptionReport:
     return report
 
 
-def _certify(f, c: float, lo: float, hi: float, tol: float, what: str) -> tuple[float, float]:
-    """(c, |f(c)|) for find_root's root c of an increasing f on [lo, hi].
-
-    A residual above tol is retried on the float nearest the root, which a
-    tiny root (a huge beta_G) needs. If even that misses tol, f jumps by
-    more than tol between adjacent floats, so no float root meets tol: the
-    inputs are at fault, not the solver.
-    """
-    residual = abs(f(c))
-    if residual <= tol:
-        return c, residual
-    bracket = ulp_bracket(f, c, lo, hi)
-    if bracket is None:
-        raise SolverError(f"{what} residual {residual:.3e} exceeds tol {tol:.3e}")
-    c = min(bracket, key=lambda x: abs(f(x)))
-    residual = abs(f(c))
-    if residual > tol:
-        raise DomainError(
-            f"{what} equation is ill-conditioned at these inputs: best attainable "
-            f"residual {residual:.3e} exceeds tol {tol:.3e}"
-        )
-    return c, residual
-
-
-def _certify_roots(equation, p, points: list, jobs: list, roots: list, tol: float, what: str) -> list:
-    """``_certify``'s (c, |f(c)|) at the root of each job ``(i, args, (lo,
-    hi))``, f = ``equation(points[i], *args)``, as ``solver._lockstep`` takes
-    them, p being the ``model._block`` of points: one column statement, and
-    the adjacent-float retry only on a row that misses tol. A root, or a
-    retry, that is a RepgameError stays one."""
-    out = list(roots)
-    live = [k for k, c in enumerate(roots) if not isinstance(c, RepgameError)]
-    if live:
-        rows, args = zip(*(jobs[k][:2] for k in live))
-        c = np.array([roots[k] for k in live])
-        residual = np.abs(equation(model._rows(p, rows), *np.array(args).T)(c))
-        for k, c_k, r in zip(live, c.tolist(), residual.tolist()):
-            out[k] = (c_k, r)
-            if not r <= tol:
-                i, a, bracket = jobs[k]
-                try:
-                    out[k] = _certify(equation(points[i], *a), c_k, *bracket, tol, what)
-                except RepgameError as exc:
-                    out[k] = exc
-    return out
-
-
 def validate_tol(tol: float) -> None:
     """Reject a tol that is not in (0, MAX_TOL]: a huge one would pass every
     residual guard, and 10 * tol overflows to inf from about 1.8e307."""
@@ -280,34 +233,27 @@ _Row = namedtuple(
 )
 
 
-def mild_equilibrium(
-    p, points: list, brackets: list, roots: list, tol: float, relaxed: bool = False
-) -> list:
+def mild_equilibrium(p, points: list, roots: list, tol: float, relaxed: bool = False) -> list:
     """The equilibrium of each row of the ``model._block`` p of ``points``,
-    at find_root's root of the threshold equation on the row's bracket from
-    ``threshold_bracket``: the last step of a mild solve. A row whose root
-    is a RepgameError, its bracket's or its search's, keeps it.
+    at the row's root of the threshold equation as ``solver._certify_roots``
+    gives it, the certified (c_tilde, residual): the last step of a mild
+    solve. A row whose root is a RepgameError, its bracket's, its search's
+    or its certificate's, keeps it.
 
-    Each root is certified as c_tilde at tol by ``_certify_roots``. c_tilde
-    must then lie inside (H.lo, alpha_G) unless ``relaxed``, and the derived
-    quantities are built in columns, with their identities certified at
-    tol. A row is its MildEquilibrium, or the first error of these checks
+    c_tilde must lie inside (H.lo, alpha_G) unless ``relaxed``, and the
+    derived quantities are built in columns, with their identities certified
+    at tol. A row is its MildEquilibrium, or the first error of these checks
     in this order, each check made on the row's own floats.
     """
-    jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
-    out = _certify_roots(threshold_equation, p, points, jobs, roots, tol, "threshold")
-    live = [i for i, r in enumerate(out) if not isinstance(r, RepgameError)]
-    if not live:
-        return out
-    c, residual = zip(*(out[i] for i in live))
-    columns = _equilibrium_columns(model._rows(p, live), np.array(c))
     guard = max(10.0 * tol, 1e-12)
-    for i, row in zip(live, zip(c, residual, *(v.tolist() for v in columns))):
-        try:
-            out[i] = _equilibrium(points[i], _Row._make(row), relaxed, guard)
-        except RepgameError as exc:
-            out[i] = exc
-    return out
+
+    def build(p, roots: list, points: list) -> list:
+        c, residual = zip(*roots)
+        columns = _equilibrium_columns(p, np.array(c))
+        rows = zip(points, zip(c, residual, *(v.tolist() for v in columns)))
+        return [attempt(_equilibrium, params, _Row._make(r), relaxed, guard) for params, r in rows]
+
+    return model._live_rows(build, p, roots, points)
 
 
 def _equilibrium_columns(p, c_tilde: np.ndarray) -> tuple:
@@ -564,27 +510,29 @@ def no_concession_bracket(p) -> list:
     return [(lo, g) if g > lo else DomainError(error.format(g, lo)) for lo, g in zip(lows, g_at_be.tolist())]
 
 
-def no_concession_build(p, points: list, brackets: list, roots: list, tol: float) -> list:
-    """``mild_equilibrium`` of the no-concession variant: each root
-    certified as c_tilde, then mu_R = (q, 1 - q, 0), the no-news posterior
-    and the three protest probabilities, in columns."""
-    jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
-    out = _certify_roots(no_concession_equation, p, points, jobs, roots, tol, "no-concession")
-    live = [i for i, r in enumerate(out) if not isinstance(r, RepgameError)]
-    if not live:
-        return out
-    p = model._rows(p, live)
-    c, residual = zip(*(out[i] for i in live))
-    mu_NN = _no_news(p, np.array(c))[2]
-    mu_R = SimpleNamespace(mu_G=p.q, mu_B=1.0 - p.q, mu_N=0.0)
-    columns = (*vars(mu_NN).values(), *(model.protest_prob(mu, p) for mu in (mu_R, mu_NN, model.prior(p))))
-    for i, c_i, r, row in zip(live, c, residual, zip(*(v.tolist() for v in columns))):
-        q = points[i].q
-        try:
-            out[i] = NoConcessionEquilibrium(c_i, Belief(q, 1.0 - q, 0.0), Belief(*row[:3]), *row[3:], r)
-        except RepgameError as exc:
-            out[i] = exc
-    return out
+def no_concession_build(p, points: list, roots: list, tol: float) -> list:
+    """``mild_equilibrium`` of the no-concession variant: at each certified
+    root, c_tilde, mu_R = (q, 1 - q, 0), the no-news posterior and the
+    three protest probabilities, in columns. The roots' certificate at tol
+    is the variant's only check: ``tol`` is taken, and unused, as the mild
+    build takes it."""
+
+    def build(p, roots: list, points: list) -> list:
+        c, residual = zip(*roots)
+        mu_NN = _no_news(p, np.array(c))[2]
+        mu_R = SimpleNamespace(mu_G=p.q, mu_B=1.0 - p.q, mu_N=0.0)
+        protest = (model.protest_prob(mu, p) for mu in (mu_R, mu_NN, model.prior(p)))
+        rows = zip(points, c, residual, zip(*(v.tolist() for v in (*vars(mu_NN).values(), *protest))))
+        return [attempt(_no_concession, *row) for row in rows]
+
+    return model._live_rows(build, p, roots, points)
+
+
+def _no_concession(params: ModelParams, c_tilde: float, residual: float, row: tuple):
+    """The NoConcessionEquilibrium at c_tilde from a row of
+    ``no_concession_build``'s columns."""
+    q = params.q
+    return NoConcessionEquilibrium(c_tilde, Belief(q, 1.0 - q, 0.0), Belief(*row[:3]), *row[3:], residual)
 
 
 def solve_no_concession(params: ModelParams, tol: float = DEFAULT_TOL) -> float:

@@ -26,13 +26,14 @@ point with the smallest c_tilde_B and lists the rest in
 where a monotone bound on a grid interval cannot decide its sign.
 
 A solve runs in three steps: the scan, the root search in each scan cell
-and the corner's bracket, and the build that certifies the fixed points.
-This module states the scan and the build as column statements over a
-``model._block`` of checked points, each row bit for bit its point's own,
-with the bound scans of the whole block run together; ``solver.solve_block``
-runs them around its lockstep root searches, and a single solve is a block
-of one point. Only what a row holds apart runs row by row: its cells and
-roots, its corner's adjacent-float retry, its multiplicity note and its
+and the certified search on the corner's bracket, and the build of the
+fixed points. This module states the scan and the build as column
+statements over a ``model._block`` of checked points, each row bit for bit
+its point's own, with the bound scans of the whole block run together.
+``solver.solve_block`` runs the searches and the corner's certificate
+between them, in lockstep, and passes the build only the rows that its scan
+leaves live; a single solve is a block of one point. Only what a row holds
+apart runs row by row: its cells and roots, its multiplicity note and its
 checks, in the scalar order.
 """
 
@@ -46,9 +47,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .errors import DomainError, RepgameError, SolverError
+from .errors import DomainError, RepgameError, SolverError, attempt
 from .model import Belief, ModelParams
-from .solver_mild import DEFAULT_TOL, _certify_roots
+from .solver_mild import DEFAULT_TOL
 
 _SCAN_1D = 2048
 # the bound scan starts each point from this many index intervals of its grid
@@ -364,59 +365,43 @@ _MU_R = Belief(1.0, 0.0, 0.0)
 _Row = namedtuple("_Row", "nn_G nn_B nn_N p_NN p_R p_prior residual_B residual_G")
 
 
-def severe_equilibrium(p, points: list, scans: list, roots: list, tol: float) -> list:
+def severe_equilibrium(p, points: list, scans: list, roots: list, corners: list, tol: float) -> list:
     """The equilibrium of each row of the ``model._block`` p of ``points``,
-    from its ``_severe_scans`` entry and its list of find_root's ``roots``,
-    one in each of the scan's cells and then, if the corner is consistent,
-    the corner's c_G: the last step of a severe solve. A row whose scan or
-    one of whose roots is a RepgameError keeps the first of them.
+    from its ``_SevereScan`` of ``scans``, its list of find_root's
+    ``roots``, one in each of the scan's cells, and its entry of
+    ``corners``: if the corner is consistent, the corner's c_G and its
+    residual as ``solver._certify_roots`` gives them, else None. The last
+    step of a severe solve: a row one of whose roots or whose corner is a
+    RepgameError keeps the first of them.
 
-    The corner roots are certified at tol by ``_certify_roots``. Each row then
-    takes the fixed point with the smallest (c_B, c_G) among the corner and
-    its distinct interior roots, and lists the others in its
+    Each row takes the fixed point with the smallest (c_B, c_G) among the
+    corner and its distinct interior roots, and lists the others in its
     ``multiplicity_note``. The no-news posterior, the protest probabilities
     and the residuals are built in columns, and each row's checks run on its
     own floats: a row is its SevereEquilibrium, or the first error of these
     checks in this order.
     """
-    out = [next((a for a in (s, *r) if isinstance(a, RepgameError)), None) for s, r in zip(scans, roots)]
-    corners = [i for i, e in enumerate(out) if e is None and scans[i].corner]
-    jobs = [(i, (scans[i].g_beta_G,), (points[i].H.lo, scans[i].g_beta_G)) for i in corners]
-    corner_roots = [roots[i][-1] for i in corners]
-    certified = _certify_roots(_corner_equation, p, points, jobs, corner_roots, tol, "severe corner")
-    for i, c in zip(corners, certified):
-        out[i] = c if isinstance(c, RepgameError) else None
-    corner_c_G = {i: c[0] for i, c in zip(corners, certified) if out[i] is None}
-    picked = []
-    for i, e in enumerate(out):
-        if e is None:
-            try:
-                picked.append((i, *_fixed_point(points[i], scans[i], roots[i], corner_c_G.get(i))))
-            except RepgameError as exc:
-                out[i] = exc
-    if not picked:
-        return out
-    rows, c_B, c_G, corner, notes = zip(*picked)
-    if len(rows) < len(points):
-        p = model._rows(p, rows)
-    g_beta_G = np.array([scans[i].g_beta_G for i in rows])
-    columns = _equilibrium_columns(p, *map(np.array, (c_B, c_G, corner)), g_beta_G)
-    for i, *fixed_point, r in zip(rows, c_B, c_G, corner, notes, zip(*(v.tolist() for v in columns))):
-        try:
-            out[i] = _equilibrium(*fixed_point, scans[i].gap, _Row._make(r), tol)
-        except RepgameError as exc:
-            out[i] = exc
-    return out
+    found = [next((a for a in (*r, c) if isinstance(a, RepgameError)), None) for r, c in zip(roots, corners)]
+    picked = [e or attempt(_fixed_point, *row) for e, row in zip(found, zip(points, scans, roots, corners))]
+
+    def build(p, picked: list, scans: list) -> list:
+        c_B, c_G, corner, _ = zip(*picked)
+        g_beta_G = np.array([s.g_beta_G for s in scans])
+        columns = _equilibrium_columns(p, *map(np.array, (c_B, c_G, corner)), g_beta_G)
+        rows = zip(picked, scans, zip(*(v.tolist() for v in columns)))
+        return [attempt(_equilibrium, *f, s.gap, _Row._make(r), tol) for f, s, r in rows]
+
+    return model._live_rows(build, p, picked, scans)
 
 
-def _fixed_point(params: ModelParams, scan: _SevereScan, roots: list, corner_c_G) -> tuple:
+def _fixed_point(params: ModelParams, scan: _SevereScan, roots: list, corner) -> tuple:
     """(c_B, c_G, corner, multiplicity_note) of the fixed point with the
-    smallest (c_B, c_G) among the corner, at its certified ``corner_c_G``,
-    and the distinct interior roots of the scan's zeros and its cells'
-    ``roots``, with an entry in the note for each of the others."""
+    smallest (c_B, c_G) among the corner, at its certified (c_G, residual)
+    ``corner``, and the distinct interior roots of the scan's zeros and its
+    cells' ``roots``, with an entry in the note for each of the others."""
     c_lo = params.H.lo
-    found = _distinct(scan.zeros + roots[: len(scan.cells)])
-    candidates = [(c_lo, corner_c_G, True)] if scan.corner else []
+    found = _distinct(scan.zeros + roots)
+    candidates = [(c_lo, corner[0], True)] if scan.corner else []
     candidates += [(r, r + scan.gap, False) for r in found if r > c_lo + 1e-12]
     if not candidates:
         raise SolverError("no severe-conflict fixed point found on the bracket")

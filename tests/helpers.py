@@ -25,6 +25,7 @@ from repgame import (
     SevereEquilibrium,
     SolverError,
     model,
+    solver,
     solver_mild,
     solver_severe,
 )
@@ -189,7 +190,7 @@ def reference_severe_build(params: ModelParams, scan, *roots: float, tol: float)
     candidates: list[tuple[float, float, bool]] = []
     if scan.corner:
         f_G = solver_severe._corner_equation(params, g_beta_G)
-        corner_root, _ = solver_mild._certify(f_G, roots[-1], c_lo, g_beta_G, tol, "severe corner")
+        corner_root, _ = solver._certify(f_G, roots[-1], c_lo, g_beta_G, tol, "severe corner")
         candidates.append((c_lo, corner_root, True))
     candidates.extend((r, r + gap, False) for r in interior_roots)
     if not candidates:
@@ -482,7 +483,7 @@ def reference_mild_equilibrium(
     point by point in Python floats, its checks in the solver's order: the
     reference for the column step ``solver_mild.mild_equilibrium``."""
     f = solver_mild.threshold_equation(params)
-    c_tilde, residual = solver_mild._certify(f, c, *bracket, tol, "threshold")
+    c_tilde, residual = solver._certify(f, c, *bracket, tol, "threshold")
     if not relaxed and not params.H.lo < c_tilde < params.alpha_G:
         raise SolverError(f"threshold {c_tilde} escaped ({params.H.lo}, {params.alpha_G})")
     be = model.beta_e(params)
@@ -556,7 +557,7 @@ def reference_no_concession(
         raise DomainError(f"no-concession variant needs G(beta_e) > c_lo, got {g_at_be} <= {params.H.lo}")
     f = lambda c: solver_mild._threshold_residual(params, be, g_at_be, c)
     lo, hi = params.H.lo, g_at_be
-    c_tilde, residual = solver_mild._certify(f, find_root(f, lo, hi), lo, hi, tol, "no-concession")
+    c_tilde, residual = solver._certify(f, find_root(f, lo, hi), lo, hi, tol, "no-concession")
     q = params.q
     gp = solver_mild._gamma_prime(params.H.cdf(c_tilde), params.gamma)
     mu_R = Belief(q, 1.0 - q, 0.0)

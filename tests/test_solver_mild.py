@@ -426,8 +426,8 @@ class TestNoConcessionBlockMatchesScalarOracle:
         # below 1, where find_root's stopping width spans many ulps, and at
         # 1e7 the adjacent-float retry runs; G(beta_e) <= H.lo leaves no bracket
         retried = []
-        ulp_bracket = solver_mild.ulp_bracket
-        monkeypatch.setattr(solver_mild, "ulp_bracket", lambda *a: retried.append(a) or ulp_bracket(*a))
+        ulp_bracket = solver.ulp_bracket
+        monkeypatch.setattr(solver, "ulp_bracket", lambda *a: retried.append(a) or ulp_bracket(*a))
         no_room = make_p1(q=0.5, beta_G=0.7, beta_B=0.1, H=BoundedCDF.uniform(0.5, 1.0))
         points = [make_p1(), make_p2(), make_p1(beta_G=1e7), make_p1(beta_G=1e308), no_room, make_p1(q=0.3)]
         got = self._assert_matches(points)
@@ -475,7 +475,11 @@ class TestBuildCheckOrder:
             p.alpha_G + 0.01 if i in moved else find_root(solver_mild.threshold_equation(p), *b)
             for i, (p, b) in enumerate(zip(points, brackets))
         ]
-        got = solver_mild.mild_equilibrium(block, points, brackets, roots, tol)
+        # each root certified, as the solve path does before the build
+        jobs = [(i, (), bracket) for i, bracket in enumerate(brackets)]
+        f = solver_mild.threshold_equation
+        certified = solver._certify_roots(f, block, points, jobs, roots, tol, "threshold")
+        got = solver_mild.mild_equilibrium(block, points, certified, tol)
         want = [_attempt(reference_mild_equilibrium, *args, tol) for args in zip(points, brackets, roots)]
         assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
         return [str(r) if isinstance(r, RepgameError) else None for r in got]

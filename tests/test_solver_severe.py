@@ -442,6 +442,38 @@ def test_only_lockstep_names_a_root_search():
     assert sites == {("solver.py", "<import>"), ("solver.py", "_lockstep")}, sites
 
 
+def _named(node) -> set:
+    """The names and attribute names under an ast node."""
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+
+def test_only_attempt_keeps_a_row_error():
+    # the solve path runs and certifies each root search, and errors.attempt
+    # alone keeps the error of a failed step as its row's value: the steps of
+    # the two solver modules catch no error and run no search or certificate
+    package = Path(repgame.__file__).parent
+    functions = {}
+    for name in ("errors.py", "solver.py", "solver_mild.py", "solver_severe.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        functions[name] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    for name in ("solver_mild.py", "solver_severe.py"):
+        for func in functions[name]:
+            caught = [h.type for h in ast.walk(func) if isinstance(h, ast.ExceptHandler) and h.type]
+            assert not any("RepgameError" in _named(t) for t in caught), (name, func.name)
+            calls = set().union(*(_named(n.func) for n in ast.walk(func) if isinstance(n, ast.Call)))
+            assert not calls & {"_lockstep", "_certify_roots", "find_root"}, (name, func.name)
+    # a handler keeps the error that it catches when it names it and raises
+    # nothing in its place
+    keeping = [
+        (name, func.name)
+        for name, funcs in functions.items()
+        for func in funcs
+        for h in ast.walk(func)
+        if isinstance(h, ast.ExceptHandler) and h.name and not any(isinstance(n, ast.Raise) for n in h.body)
+    ]
+    assert keeping == [("errors.py", "attempt")], keeping
+
+
 def test_lockstep_runs_find_roots_on_two_or_more_rows(monkeypatch, p2):
     # one row costs find_roots about fifty times what find_root costs, and a
     # row whose bracket failed is no row
@@ -1070,8 +1102,16 @@ class TestBuildCheckOrder:
         roots = [reference_severe_roots(p, s) for p, s in zip(points, scans)]
         if change is not None:
             scans, roots = zip(*(change(s, r) for s, r in zip(scans, roots)))
+        # each corner root certified, as the solve path does before the build
+        corners = [i for i, s in enumerate(scans) if s.corner]
+        jobs = [(i, (scans[i].g_beta_G,), (points[i].H.lo, scans[i].g_beta_G)) for i in corners]
+        corner_roots = [roots[i][-1] for i in corners]
+        f_G = solver_severe._corner_equation
+        certified = iter(solver._certify_roots(f_G, block, points, jobs, corner_roots, tol, "severe corner"))
+        corner = [next(certified) if s.corner else None for s in scans]
+        cell_roots = [r[: len(s.cells)] for s, r in zip(scans, roots)]
         with np.errstate(invalid="ignore"):  # inf - inf: an injected NaN
-            got = solver_severe.severe_equilibrium(block, points, list(scans), list(roots), tol)
+            got = solver_severe.severe_equilibrium(block, points, list(scans), cell_roots, corner, tol)
         want = [_attempt(reference_severe_build, p, s, *r, tol=tol) for p, s, r in zip(points, scans, roots)]
         assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
         return [str(r) if isinstance(r, repgame.RepgameError) else None for r in got]
@@ -1144,9 +1184,10 @@ class TestBuildCheckOrder:
 
 
 def test_scan_and_build_are_column_statements(monkeypatch):
-    # outside the bound scans and the root searches, and leaving out the
-    # corner retries and the note entries, the scan and build steps make as
-    # many CDF calls on 500 points as on 50: none is made point by point
+    # outside the bound scans, and leaving out the note entries, the scan and
+    # build steps make as many CDF calls on 500 points as on 50: none is made
+    # point by point (the root searches and the corner's certificate, with
+    # its retries, run between the two steps)
     depth = {"in": 0, "out": 0}
 
     def track(module, name, key):
@@ -1163,13 +1204,8 @@ def test_scan_and_build_are_column_statements(monkeypatch):
 
     for name in ("_severe_scans", "severe_equilibrium"):
         track(solver_severe, name, "in")
-    # the corner retries run in the certify step that the builds share
-    for module, name in (
-        (solver_severe, "_bound_scans"),
-        (solver_mild, "_certify"),
-        (solver_severe, "_fixed_point_residual"),
-    ):
-        track(module, name, "out")
+    for name in ("_bound_scans", "_fixed_point_residual"):
+        track(solver_severe, name, "out")
     calls = []
 
     def counted(cdf):
