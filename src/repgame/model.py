@@ -315,11 +315,12 @@ def _rows(block: SimpleNamespace, rows, names=None) -> SimpleNamespace:
 def _live_rows(step, block: SimpleNamespace, values: list, *columns: list) -> list:
     """``values``, each one that is not a RepgameError replaced by its row's
     result of ``step`` run on those rows alone: on their ``_rows`` of the
-    ``_block`` block, their entries of values and of each list of columns."""
+    ``_block`` block, or on the block itself when every row is live, and
+    their entries of each list of columns."""
     live = [i for i, v in enumerate(values) if not isinstance(v, RepgameError)]
     out = list(values)
     if live:
-        at_live = ([c[i] for i in live] for c in (values, *columns))
-        for i, result in zip(live, step(_rows(block, live), *at_live)):
+        rows = block if len(live) == len(values) else _rows(block, live)
+        for i, result in zip(live, step(rows, *([c[k] for k in live] for c in columns))):
             out[i] = result
     return out

@@ -103,9 +103,7 @@ def solve_block(variant: str, points: list, tol: float = DEFAULT_TOL, relaxed: b
         checked = [ok or attempt(model.require_regime, variant, p) for p, ok in zip(points, passed)]
     else:  # the no-concession variant has no regime clauses
         checked = points
-    return model._live_rows(
-        lambda block, _, points: steps(block, points, tol, relaxed), block, checked, points
-    )
+    return model._live_rows(partial(steps, tol=tol, relaxed=relaxed), block, checked, points)
 
 
 def _solve_one_threshold(what: str, steps: tuple, block, points: list, tol: float, relaxed: bool) -> list:
@@ -116,28 +114,34 @@ def _solve_one_threshold(what: str, steps: tuple, block, points: list, tol: floa
     bracket, equation, build = (getattr(solver_mild, name) for name in steps)
     mode = (True,) if relaxed else ()  # only the mild steps take relaxed
     jobs = [(i, (), b) for i, b in enumerate(bracket(block, *mode))]
-    roots = _lockstep(equation, block, points, jobs)
-    return build(block, points, _certify_roots(equation, block, points, jobs, roots, tol, what), tol, *mode)
+    roots = _certify_roots(equation, block, points, jobs, _lockstep(equation, block, points, jobs), tol, what)
+    checks = (tol, *mode) if what == "threshold" else ()  # the no-concession build checks nothing more
+    return build(block, points, roots, *checks)
 
 
 def _solve_severe_block(block, points: list, tol: float, relaxed: bool) -> list:
     """The steps of a severe solve after the check; ``relaxed`` is False:
     the scan and, on the rows that it leaves live, the root search in each
-    scan cell, the certified search for each consistent corner's c_G, and
-    the build."""
+    scan cell, then, on the rows whose cell searches all found a root, the
+    certified search for each consistent corner's c_G, and the build."""
 
     def solve(block, scans: list, points: list) -> list:
         cells = [(i, (s.gap,), cell) for i, s in enumerate(scans) for cell in s.cells]
-        corners = [(i, (s.g_beta_G,), (points[i].H.lo, s.g_beta_G)) for i, s in enumerate(scans) if s.corner]
-        f_B, f_G = solver_severe._bad_type_equation, solver_severe._corner_equation
-        cell_roots = iter(_lockstep(f_B, block, points, cells))
-        searched = _lockstep(f_G, block, points, corners)
-        corner_roots = iter(_certify_roots(f_G, block, points, corners, searched, tol, "severe corner"))
-        roots = [[next(cell_roots) for _ in s.cells] for s in scans]
-        corner = [next(corner_roots) if s.corner else None for s in scans]
+        found = iter(_lockstep(solver_severe._bad_type_equation, block, points, cells))
+        roots = [[next(found) for _ in s.cells] for s in scans]
+        # a row that keeps a cell's error has its corner neither searched nor certified
+        searched = [s.corner and not any(isinstance(x, RepgameError) for x in r) for s, r in zip(scans, roots)]
+        corners = [
+            (i, (s.g_beta_G,), (points[i].H.lo, s.g_beta_G)) for i, s in enumerate(scans) if searched[i]
+        ]
+        f_G = solver_severe._corner_equation
+        corner_roots = _lockstep(f_G, block, points, corners)
+        certified = iter(_certify_roots(f_G, block, points, corners, corner_roots, tol, "severe corner"))
+        corner = [next(certified) if c else None for c in searched]
         return solver_severe.severe_equilibrium(block, points, scans, roots, corner, tol)
 
-    return model._live_rows(solve, block, solver_severe._severe_scans(block), points)
+    scans = solver_severe._severe_scans(block)
+    return model._live_rows(solve, block, scans, scans, points)
 
 
 # each variant's steps after its check

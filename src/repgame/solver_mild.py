@@ -253,7 +253,7 @@ def mild_equilibrium(p, points: list, roots: list, tol: float, relaxed: bool = F
         rows = zip(points, zip(c, residual, *(v.tolist() for v in columns)))
         return [attempt(_equilibrium, params, _Row._make(r), relaxed, guard) for params, r in rows]
 
-    return model._live_rows(build, p, roots, points)
+    return model._live_rows(build, p, roots, roots, points)
 
 
 def _equilibrium_columns(p, c_tilde: np.ndarray) -> tuple:
@@ -510,29 +510,24 @@ def no_concession_bracket(p) -> list:
     return [(lo, g) if g > lo else DomainError(error.format(g, lo)) for lo, g in zip(lows, g_at_be.tolist())]
 
 
-def no_concession_build(p, points: list, roots: list, tol: float) -> list:
-    """``mild_equilibrium`` of the no-concession variant: at each certified
-    root, c_tilde, mu_R = (q, 1 - q, 0), the no-news posterior and the
-    three protest probabilities, in columns. The roots' certificate at tol
-    is the variant's only check: ``tol`` is taken, and unused, as the mild
-    build takes it."""
+def no_concession_build(p, points: list, roots: list) -> list:
+    """``mild_equilibrium`` of the no-concession variant, whose certified
+    roots are its only check: at each, c_tilde, mu_R = (q, 1 - q, 0), the
+    no-news posterior and the three protest probabilities, in columns."""
 
     def build(p, roots: list, points: list) -> list:
         c, residual = zip(*roots)
         mu_NN = _no_news(p, np.array(c))[2]
         mu_R = SimpleNamespace(mu_G=p.q, mu_B=1.0 - p.q, mu_N=0.0)
         protest = (model.protest_prob(mu, p) for mu in (mu_R, mu_NN, model.prior(p)))
-        rows = zip(points, c, residual, zip(*(v.tolist() for v in (*vars(mu_NN).values(), *protest))))
-        return [attempt(_no_concession, *row) for row in rows]
+        columns = zip(*(v.tolist() for v in (*vars(mu_NN).values(), *protest)))
+        rows = zip((x.q for x in points), c, residual, columns)
+        def equilibrium(q, c_i, res, r):  # mu_NN's Belief check is the one that can fail
+            return NoConcessionEquilibrium(c_i, Belief(q, 1.0 - q, 0.0), Belief(*r[:3]), *r[3:], res)
 
-    return model._live_rows(build, p, roots, points)
+        return [attempt(equilibrium, *row) for row in rows]
 
-
-def _no_concession(params: ModelParams, c_tilde: float, residual: float, row: tuple):
-    """The NoConcessionEquilibrium at c_tilde from a row of
-    ``no_concession_build``'s columns."""
-    q = params.q
-    return NoConcessionEquilibrium(c_tilde, Belief(q, 1.0 - q, 0.0), Belief(*row[:3]), *row[3:], residual)
+    return model._live_rows(build, p, roots, roots, points)
 
 
 def solve_no_concession(params: ModelParams, tol: float = DEFAULT_TOL) -> float:

@@ -369,10 +369,10 @@ def severe_equilibrium(p, points: list, scans: list, roots: list, corners: list,
     """The equilibrium of each row of the ``model._block`` p of ``points``,
     from its ``_SevereScan`` of ``scans``, its list of find_root's
     ``roots``, one in each of the scan's cells, and its entry of
-    ``corners``: if the corner is consistent, the corner's c_G and its
-    residual as ``solver._certify_roots`` gives them, else None. The last
-    step of a severe solve: a row one of whose roots or whose corner is a
-    RepgameError keeps the first of them.
+    ``corners``: if the corner is consistent and no cell's root is an
+    error, the corner's c_G and its residual as ``solver._certify_roots``
+    gives them, else None. The last step of a severe solve: a row one of
+    whose roots or whose corner is a RepgameError keeps the first of them.
 
     Each row takes the fixed point with the smallest (c_B, c_G) among the
     corner and its distinct interior roots, and lists the others in its
@@ -391,7 +391,7 @@ def severe_equilibrium(p, points: list, scans: list, roots: list, corners: list,
         rows = zip(picked, scans, zip(*(v.tolist() for v in columns)))
         return [attempt(_equilibrium, *f, s.gap, _Row._make(r), tol) for f, s, r in rows]
 
-    return model._live_rows(build, p, picked, scans)
+    return model._live_rows(build, p, picked, picked, scans)
 
 
 def _fixed_point(params: ModelParams, scan: _SevereScan, roots: list, corner) -> tuple:

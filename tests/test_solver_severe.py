@@ -29,6 +29,7 @@ from repgame import (
     Belief,
     BoundedCDF,
     DomainError,
+    SolverError,
     bound_D_lower,
     effect_D_severe,
     no_concession_equilibrium,
@@ -1183,11 +1184,39 @@ class TestBuildCheckOrder:
             assert all(e.startswith("severe-conflict effect must be a backlash") for e in errors)
 
 
+def test_corner_waits_for_the_cell_searches(monkeypatch):
+    # a row whose cell search fails keeps that error, and its corner, which
+    # the row could no longer use, is neither searched nor certified
+    points = TestBuildCheckOrder._interior(6)
+    failed = {1, 4}
+    scans = solver_severe._severe_scans
+    monkeypatch.setattr(solver_severe, "_severe_scans", lambda p: [s._replace(corner=True) for s in scans(p)])
+    lockstep, certify_roots = solver._lockstep, solver._certify_roots
+    corner_rows = []
+
+    def failing(equation, block, points, jobs):
+        roots = lockstep(equation, block, points, jobs)
+        if equation is not solver_severe._bad_type_equation:
+            corner_rows.append([i for i, _, _ in jobs])
+            return roots
+        return [SolverError("injected") if i in failed else r for (i, _, _), r in zip(jobs, roots)]
+
+    def certifying(equation, p, points, jobs, *args):
+        corner_rows.append([i for i, _, _ in jobs])
+        return certify_roots(equation, p, points, jobs, *args)
+
+    monkeypatch.setattr(solver, "_lockstep", failing)
+    monkeypatch.setattr(solver, "_certify_roots", certifying)
+    got = solve_block("severe", points)
+    assert [str(got[i]) for i in sorted(failed)] == ["injected"] * len(failed)
+    assert corner_rows == [[0, 2, 3, 5]] * 2
+
+
 def test_scan_and_build_are_column_statements(monkeypatch):
-    # outside the bound scans, and leaving out the note entries, the scan and
-    # build steps make as many CDF calls on 500 points as on 50: none is made
-    # point by point (the root searches and the corner's certificate, with
-    # its retries, run between the two steps)
+    # outside the bound scans, and leaving out the corner retries and the
+    # note entries, the scan step, the corner's certificate and the build
+    # step make as many CDF calls on 500 points as on 50: none is made point
+    # by point
     depth = {"in": 0, "out": 0}
 
     def track(module, name, key):
@@ -1206,6 +1235,9 @@ def test_scan_and_build_are_column_statements(monkeypatch):
         track(solver_severe, name, "in")
     for name in ("_bound_scans", "_fixed_point_residual"):
         track(solver_severe, name, "out")
+    # the certificate runs between the two steps, on the corner roots
+    track(solver, "_certify_roots", "in")
+    track(solver, "_certify", "out")
     calls = []
 
     def counted(cdf):
